@@ -18,9 +18,10 @@
 //!
 //! Each case carries shared compiled-tier state ([`tta_sim::Tiers`], the
 //! environment configuration) warmed by one untimed run, so the timed
-//! region measures the steady state of the configured tier: compiled
-//! superblock chains by default, pure interpretation under `TTA_JIT=0`.
-//! `bench_report` diffs the file against the committed baseline in CI.
+//! region measures the steady state of the configured tier: compiled TTA
+//! superblock chains by default, pure interpretation under `TTA_JIT=0`
+//! (VLIW and scalar always interpret). `bench_report` diffs the file
+//! against the committed baseline in CI.
 
 use std::time::Instant;
 
@@ -216,7 +217,10 @@ fn main() {
         ("kernels".into(), Json::Num(kernels.len() as f64)),
         ("reps".into(), Json::Num(reps as f64)),
         ("iters".into(), Json::Num(iters as f64)),
-        ("jit_enabled".into(), Json::Bool(cases[0].tiers.enabled())),
+        (
+            "jit_enabled".into(),
+            Json::Bool(tta_sim::TierConfig::from_env().enabled),
+        ),
         ("compiled_blocks".into(), Json::Num(compiled_blocks as f64)),
         ("wall_s_min".into(), Json::Num(round(min, 6))),
         ("wall_s_median".into(), Json::Num(round(median, 6))),

@@ -1,10 +1,9 @@
 //! # tta-bench — benchmark harness and table/figure reproduction
 //!
-//! * `cargo run --release -p tta-bench --bin table1..table4 | fig5 | fig6`
-//!   regenerates the corresponding table/figure of the paper from a full
-//!   evaluation (all thirteen design points, all eight kernels).
-//! * `cargo run --release -p tta-bench --bin repro` prints everything in
-//!   one pass (used to fill `EXPERIMENTS.md`).
+//! * `cargo run --release -p tta-bench --bin repro` regenerates every
+//!   table and figure of the paper (Tables I–IV, Figs. 5–6) from one full
+//!   evaluation (all thirteen design points, all eight kernels; used to
+//!   fill `EXPERIMENTS.md`).
 //! * `cargo run --release -p tta-bench --bin bench_eval` times the full
 //!   evaluation pipeline and writes `BENCH_eval.json` (the perf
 //!   trajectory tracked in `EXPERIMENTS.md`).

@@ -109,7 +109,13 @@ impl Ddg {
                         }
                     }
                     stores_so_far.push(i);
-                    loads_since_store.retain(|&l| !aliases(block, l, region));
+                    // A load may leave the list only once this store
+                    // covers it: every later store aliasing the load must
+                    // then alias this store too, and so stays ordered after
+                    // the load through it. That holds when this store is
+                    // ANY or in the load's own region — not for an ANY
+                    // load under a store to one region.
+                    loads_since_store.retain(|&l| !covers(block, l, region));
                 } else {
                     for &p in &stores_so_far {
                         if aliases(block, p, region) {
@@ -239,6 +245,15 @@ fn aliases(block: &LocBlock, prior: usize, region: tta_ir::MemRegion) -> bool {
     }
 }
 
+/// Whether a store to `region` orders every later store that may alias
+/// the earlier access `prior`.
+fn covers(block: &LocBlock, prior: usize, region: tta_ir::MemRegion) -> bool {
+    match block.ops[prior].mem_region() {
+        Some((r, _)) => region == tta_ir::MemRegion::ANY || region == r,
+        None => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +373,46 @@ mod tests {
         let g = Ddg::build(&b);
         assert!(g.preds[1].iter().any(|d| d.from == 0));
         assert!(g.preds[2].iter().any(|d| d.from == 1));
+    }
+
+    #[test]
+    fn any_load_stays_ordered_before_stores_to_other_regions() {
+        // load @ANY; store @r2; store @r1: the r2 store must not retire
+        // the ANY load, or the r1 store loses its edge and can be hoisted
+        // above the load.
+        let b = block(vec![
+            LocOp {
+                kind: LocKind::Load(Opcode::Ldw, MemRegion::ANY),
+                dst: Some(r(1)),
+                a: None,
+                b: Some(LocSrc::Imm(16)),
+            },
+            LocOp {
+                kind: LocKind::Store(Opcode::Stw, MemRegion(2)),
+                dst: None,
+                a: Some(LocSrc::Imm(0)),
+                b: Some(LocSrc::Imm(32)),
+            },
+            LocOp {
+                kind: LocKind::Store(Opcode::Stw, MemRegion(1)),
+                dst: None,
+                a: Some(LocSrc::Imm(0)),
+                b: Some(LocSrc::Imm(16)),
+            },
+        ]);
+        let g = Ddg::build(&b);
+        for store in [1, 2] {
+            assert!(
+                g.preds[store]
+                    .iter()
+                    .any(|d| d.from == 0 && d.kind == DepKind::Mem),
+                "store {store} must stay after the ANY load: {:?}",
+                g.preds[store]
+            );
+        }
+        let order = g.priority_order();
+        let pos = |i: usize| order.iter().position(|&o| o == i).unwrap();
+        assert!(pos(0) < pos(2));
     }
 
     #[test]

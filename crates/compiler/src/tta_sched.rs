@@ -547,18 +547,17 @@ impl<'m> TtaScheduler<'m> {
             self.schedule_node(i, block, &ddg, &mut s);
         }
 
-        // Flush: last defs of live-out registers must be in the RF.
-        let mut last_def: HashMap<RegRef, usize> = HashMap::new();
+        // Flush: last defs of live-out registers must be in the RF. Walk
+        // the ops in program order so the emitted program is deterministic.
         for (i, op) in block.ops.iter().enumerate() {
-            if let Some(d) = op.dst {
-                last_def.insert(d, i);
-            }
-        }
-        for (&r, &i) in &last_def {
-            if block.live_out.contains(&r) && s.nodes[i].rf_write.is_none() {
+            let Some(r) = op.dst else { continue };
+            if s.nodes[i].rf_write.is_none()
+                && block.live_out.contains(&r)
+                && block.ops[i + 1..].iter().all(|later| later.dst != Some(r))
+            {
                 if s.nodes[i].fu.is_none() {
                     // Copies write the RF when scheduled.
-                    debug_assert!(s.nodes[i].rf_write.is_some() || !s.nodes[i].scheduled);
+                    debug_assert!(!s.nodes[i].scheduled);
                 }
                 assert!(
                     s.ensure_rf_write(i, block),

@@ -104,13 +104,8 @@ pub fn kernel_icache(
     memory: Vec<u8>,
     cfg: ICacheConfig,
 ) -> (ICacheReport, f64) {
-    let fuel = 200_000_000;
-    let (result, trace) = match program {
-        Program::Tta(p) => tta_sim::tta::run_tta_traced(m, p, memory, fuel),
-        Program::Vliw(p) => tta_sim::vliw::run_vliw_traced(m, p, memory, fuel),
-        Program::Scalar(p) => tta_sim::scalar::run_scalar_traced(m, p, memory, fuel),
-    }
-    .expect("traced run");
+    let (result, trace) =
+        tta_sim::run_traced(m, program, memory, tta_sim::DEFAULT_FUEL).expect("traced run");
     let report = simulate_icache(m, &trace, cfg);
     let slowdown = (result.cycles + report.stall_cycles) as f64 / result.cycles as f64;
     (report, slowdown)

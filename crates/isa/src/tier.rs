@@ -2,13 +2,13 @@
 //!
 //! The simulators in `tta-sim` execute a program in tiers (DESIGN.md
 //! §14): decoded instructions (tier 0) are dispatched a superblock at a
-//! time (tier 1, [`crate::BlockMap`]), and superblocks whose entry pc
-//! crosses a hotness threshold are *promoted* — compiled once into a
-//! chain of resolved thunks and executed directly from then on (tier 2).
-//! This module owns the style-agnostic half of that machinery: the
-//! per-pc heat counters, the promote-once discipline and the environment
-//! configuration. The compiled-block representation itself lives with
-//! each engine; the table is generic over it.
+//! time (tier 1, [`crate::BlockMap`]), and in the TTA engine superblocks
+//! whose entry pc crosses a hotness threshold are *promoted* — compiled
+//! once into a chain of resolved thunks and executed directly from then
+//! on (tier 2). This module owns the engine-independent half of that
+//! machinery: the per-pc heat counters, the promote-once discipline and
+//! the environment configuration. The compiled-block representation
+//! itself lives with the engine; the table is generic over it.
 //!
 //! The promotion-threshold invariant: the tier a block executes in is
 //! *never observable* in simulation results. Cycles, `SimStats`, memory

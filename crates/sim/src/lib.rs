@@ -12,24 +12,26 @@
 
 pub mod profile;
 pub mod result;
-pub mod scalar;
+mod scalar;
 mod state;
-pub mod tier;
-pub mod tta;
-pub mod vliw;
+mod tier;
+mod tta;
+mod vliw;
 
 pub use profile::{static_activity, CycleActivity, FuProfile, GuestProfile, RfProfile};
 pub use result::{SimError, SimResult, SimStats};
-pub use tier::{run_with_tiers, Tiers};
+pub use tier::Tiers;
 pub use tta_isa::TierConfig;
 pub use tta_model::io::{IoSpec, IrqAt};
 
+use crate::profile::{Collector, NoProfile, ProfileSink, TraceSink};
 use crate::state::IoCtx;
+use crate::tta::TtaTiers;
 use tta_isa::Program;
 use tta_model::io::IoSystem;
 use tta_model::Machine;
 
-/// Default cycle budget for [`run`].
+/// Default cycle budget for [`run`] (instructions on the scalar cores).
 pub const DEFAULT_FUEL: u64 = 200_000_000;
 
 /// Run any program on its machine (styles must match).
@@ -37,55 +39,29 @@ pub fn run(m: &Machine, program: &Program, memory: Vec<u8>) -> Result<SimResult,
     run_with_fuel(m, program, memory, DEFAULT_FUEL)
 }
 
-/// [`run`] with an explicit cycle budget.
+/// [`run`] with an explicit cycle budget. The TTA compiled tier is
+/// configured from the environment with a fresh per-run promotion table;
+/// share one across runs with [`run_with_tiers`].
 pub fn run_with_fuel(
     m: &Machine,
     program: &Program,
     memory: Vec<u8>,
     fuel: u64,
 ) -> Result<SimResult, SimError> {
-    let span = tta_obs::span("simulate");
-    let result = match program {
-        Program::Tta(insts) => tta::run_tta(m, insts, memory, fuel),
-        Program::Vliw(bundles) => vliw::run_vliw(m, bundles, memory, fuel),
-        Program::Scalar(insts) => scalar::run_scalar(m, insts, memory, fuel),
-    };
-    drop(span);
-    flush_obs(&result);
-    result
+    run_with_tiers(m, program, memory, fuel, &Tiers::for_program(program))
 }
 
-/// Run any program while collecting a [`GuestProfile`] (see
-/// [`profile`] for the zero-cost-when-disabled contract). The returned
-/// `SimResult` is bit-identical to [`run_with_fuel`]'s.
-pub fn run_profiled(
-    m: &Machine,
-    program: &Program,
-    memory: Vec<u8>,
-) -> Result<(SimResult, GuestProfile), SimError> {
-    run_profiled_with_fuel(m, program, memory, DEFAULT_FUEL)
-}
-
-/// [`run_profiled`] with an explicit cycle budget.
-pub fn run_profiled_with_fuel(
+/// [`run_with_fuel`] against shared tier state (must have been built for
+/// this same `program`).
+pub fn run_with_tiers(
     m: &Machine,
     program: &Program,
     memory: Vec<u8>,
     fuel: u64,
-) -> Result<(SimResult, GuestProfile), SimError> {
-    let span = tta_obs::span("simulate");
-    let result = match program {
-        Program::Tta(insts) => tta::run_tta_profiled(m, insts, memory, fuel),
-        Program::Vliw(bundles) => vliw::run_vliw_profiled(m, bundles, memory, fuel),
-        Program::Scalar(insts) => scalar::run_scalar_profiled(m, insts, memory, fuel),
-    };
-    drop(span);
-    let plain = result
-        .as_ref()
-        .map(|(r, _)| r.clone())
-        .map_err(|e| e.clone());
-    flush_obs(&plain);
-    result
+    tiers: &Tiers,
+) -> Result<SimResult, SimError> {
+    let tta = tiers.tta_for(program);
+    simulate(m, program, memory, fuel, &mut NoProfile, tta, None)
 }
 
 /// Run a reactive program: like [`run_with_fuel`] with a memory-mapped
@@ -107,9 +83,9 @@ pub fn run_with_io(
     run_with_io_tiers(m, program, memory, fuel, spec, irq_entry, &tiers)
 }
 
-/// [`run_with_io`] against shared compiled-tier state (must have been
-/// built for this same `program`). The I/O system itself is always
-/// per-run: devices and the interrupt controller reset with the guest.
+/// [`run_with_io`] against shared tier state (must have been built for
+/// this same `program`). The I/O system itself is always per-run: devices
+/// and the interrupt controller reset with the guest.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_io_tiers(
     m: &Machine,
@@ -120,60 +96,65 @@ pub fn run_with_io_tiers(
     irq_entry: Option<u32>,
     tiers: &Tiers,
 ) -> Result<SimResult, SimError> {
-    assert_eq!(
-        tiers.program_len,
-        program.len(),
-        "tier state was built for a different program"
-    );
-    use crate::profile::NoProfile;
-    use crate::tier::StyleTiers;
+    let tta = tiers.tta_for(program);
     let mut io = IoSystem::new(spec);
-    let span = tta_obs::span("simulate");
-    let result = {
-        let ctx = Some(IoCtx {
-            sys: &mut io,
-            irq_entry,
-        });
-        match (program, &tiers.style) {
-            (Program::Tta(insts), StyleTiers::Tta(t)) => {
-                tta::run_tta_with(m, insts, memory, fuel, &mut NoProfile, Some(t), ctx)
-            }
-            (Program::Vliw(bundles), StyleTiers::Vliw(t)) => {
-                vliw::run_vliw_with(m, bundles, memory, fuel, &mut NoProfile, Some(t), ctx)
-            }
-            (Program::Scalar(insts), StyleTiers::Scalar(t)) => {
-                scalar::run_scalar_with(m, insts, memory, fuel, &mut NoProfile, Some(t), ctx)
-            }
-            (Program::Tta(insts), StyleTiers::Off) => {
-                tta::run_tta_with(m, insts, memory, fuel, &mut NoProfile, None, ctx)
-            }
-            (Program::Vliw(bundles), StyleTiers::Off) => {
-                vliw::run_vliw_with(m, bundles, memory, fuel, &mut NoProfile, None, ctx)
-            }
-            (Program::Scalar(insts), StyleTiers::Off) => {
-                scalar::run_scalar_with(m, insts, memory, fuel, &mut NoProfile, None, ctx)
-            }
-            _ => panic!("tier state style does not match the program style"),
-        }
+    let ctx = IoCtx {
+        sys: &mut io,
+        irq_entry,
     };
-    drop(span);
-    flush_obs(&result);
-    result
+    simulate(m, program, memory, fuel, &mut NoProfile, tta, Some(ctx))
+}
+
+/// Run any program while collecting a [`GuestProfile`] (see [`profile`]
+/// for the zero-cost-when-disabled contract). The returned `SimResult` is
+/// bit-identical to [`run`]'s.
+pub fn run_profiled(
+    m: &Machine,
+    program: &Program,
+    memory: Vec<u8>,
+) -> Result<(SimResult, GuestProfile), SimError> {
+    let mut sink = Collector::new(m, program.len());
+    let r = simulate(m, program, memory, DEFAULT_FUEL, &mut sink, None, None)?;
+    let mut p = profile::finish(m, program, sink);
+    p.cycles = r.cycles;
+    Ok((r, p))
 }
 
 /// Run any program, also recording the program counter of every executed
-/// instruction (dispatches to the per-style `run_*_traced` entry points).
+/// instruction (for instruction-memory hierarchy studies).
 pub fn run_traced(
     m: &Machine,
     program: &Program,
     memory: Vec<u8>,
     fuel: u64,
 ) -> Result<(SimResult, Vec<u32>), SimError> {
-    match program {
-        Program::Tta(insts) => tta::run_tta_traced(m, insts, memory, fuel),
-        Program::Vliw(bundles) => vliw::run_vliw_traced(m, bundles, memory, fuel),
-        Program::Scalar(insts) => scalar::run_scalar_traced(m, insts, memory, fuel),
-    }
+    let mut sink = TraceSink::for_program(program.len());
+    let r = simulate(m, program, memory, fuel, &mut sink, None, None)?;
+    Ok((r, sink.trace))
+}
+
+/// The one style dispatch behind every entry point. Compiled TTA tiers
+/// are used only with the passive [`NoProfile`] sink (see
+/// [`ProfileSink::PASSIVE`]); the run is timed as a `simulate` span and
+/// its statistics are flushed to the obs counters.
+fn simulate<S: ProfileSink>(
+    m: &Machine,
+    program: &Program,
+    memory: Vec<u8>,
+    fuel: u64,
+    sink: &mut S,
+    tiers: Option<&TtaTiers>,
+    io: Option<IoCtx<'_>>,
+) -> Result<SimResult, SimError> {
+    let span = tta_obs::span("simulate");
+    let result = match program {
+        Program::Tta(insts) => tta::run_tta_with(m, insts, memory, fuel, sink, tiers, io),
+        Program::Vliw(bundles) => vliw::run_vliw_with(m, bundles, memory, fuel, sink, io),
+        Program::Scalar(insts) => scalar::run_scalar_with(m, insts, memory, fuel, sink, io),
+    };
+    drop(span);
+    flush_obs(&result);
+    result
 }
 
 /// Observability: flush the already-collected per-run stats into the

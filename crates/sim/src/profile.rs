@@ -12,12 +12,11 @@
 //!
 //! Profiling mirrors the `TTA_OBS=0` promise of `crates/obs`, but goes one
 //! step further: the cycle loops are generic over a [`ProfileSink`], and the
-//! default entry points ([`crate::run`], `run_tta`, ...) instantiate them
-//! with [`NoProfile`], whose hook methods are empty `#[inline(always)]`
-//! bodies — the profiling code is *compiled out* of that monomorphisation,
-//! not branched around. The profiled entry points
-//! ([`crate::run_profiled`], `run_tta_profiled`, ...) are separate
-//! monomorphisations feeding a [`Collector`]. Either way `SimResult` (cycles,
+//! default entry points ([`crate::run`] and friends) instantiate them with
+//! [`NoProfile`], whose hook methods are empty `#[inline(always)]` bodies —
+//! the profiling code is *compiled out* of that monomorphisation, not
+//! branched around. [`crate::run_profiled`] is a separate monomorphisation
+//! feeding a [`Collector`]. Either way `SimResult` (cycles,
 //! return value, memory image, `SimStats`) is bit-identical — enforced by
 //! `tests/profile_parity.rs` at the workspace root.
 //!
@@ -37,7 +36,7 @@ use tta_isa::{MoveDst, MoveSrc, OpSrc, Program, ScalarInst, TtaInst, VliwBundle,
 use tta_model::{CoreStyle, Machine};
 
 /// Per-cycle hooks the simulator cycle loops invoke. Crate-private: the
-/// public surface is the `run_*_profiled` entry points.
+/// public surface is [`crate::run_profiled`] and [`crate::run_traced`].
 pub(crate) trait ProfileSink {
     /// Whether every hook is a no-op. Only a passive sink permits the
     /// compiled superblock tier (see `crate::tier`): compiled blocks
@@ -64,7 +63,7 @@ impl ProfileSink for NoProfile {
     fn writeback_pressure(&mut self, _writes_per_rf: &[u32]) {}
 }
 
-/// The sink of the `run_*_traced` entry points: records the program
+/// The sink of [`crate::run_traced`]: records the program
 /// counter of every executed instruction. A third monomorphisation of the
 /// same cycle loops, so tracing shares the bit-identity guarantee of the
 /// other sinks instead of threading an `Option<&mut Vec<u32>>` through
@@ -98,22 +97,16 @@ impl ProfileSink for TraceSink {
 pub(crate) struct Collector {
     pc_counts: Vec<u64>,
     /// `wb_hist[rf][k]` = cycles in which `rf` performed exactly `k`
-    /// writebacks. Empty unless created with [`Collector::with_write_hist`].
+    /// writebacks. Only the VLIW core reports writeback pressure; the
+    /// other styles leave it at zero.
     wb_hist: Vec<Vec<u64>>,
 }
 
 impl Collector {
-    /// For cores whose per-PC activity is fully static (TTA, scalar).
-    pub fn for_static(program_len: usize) -> Collector {
-        Collector {
-            pc_counts: vec![0; program_len],
-            wb_hist: Vec::new(),
-        }
-    }
-
-    /// For the VLIW core: also tracks per-cycle writeback pressure, with
-    /// one bucket per possible port count (0 ..= write_ports).
-    pub fn with_write_hist(m: &Machine, program_len: usize) -> Collector {
+    /// A zeroed collector for a `program_len`-instruction program on `m`,
+    /// with one write-pressure bucket per possible port count
+    /// (0 ..= write_ports).
+    pub fn new(m: &Machine, program_len: usize) -> Collector {
         Collector {
             pc_counts: vec![0; program_len],
             wb_hist: m
@@ -358,9 +351,19 @@ fn bump(hist: &mut [u64], k: u32, n: u64) {
     hist[(k as usize).min(last)] += n;
 }
 
+/// Reconstruct the profile of a finished run of `program` from its
+/// collector.
+pub(crate) fn finish(m: &Machine, program: &Program, c: Collector) -> GuestProfile {
+    match program {
+        Program::Tta(insts) => finish_tta(m, insts, c),
+        Program::Vliw(bundles) => finish_vliw(m, bundles, c),
+        Program::Scalar(insts) => finish_scalar(m, insts, c),
+    }
+}
+
 /// Reconstruct a TTA profile from per-PC execution counts (every per-PC
 /// quantity is static; see the module docs).
-pub(crate) fn finish_tta(m: &Machine, program: &[TtaInst], c: Collector) -> GuestProfile {
+fn finish_tta(m: &Machine, program: &[TtaInst], c: Collector) -> GuestProfile {
     let mut p = GuestProfile::base(m, CoreStyle::Tta, m.buses.len());
     let counts = c.pc_counts;
     let mut reads = vec![0u32; m.rfs.len()];
@@ -413,7 +416,7 @@ pub(crate) fn finish_tta(m: &Machine, program: &[TtaInst], c: Collector) -> Gues
 
 /// Reconstruct a VLIW profile: reads and issue are static per PC, write
 /// pressure comes from the collector's dynamic histogram.
-pub(crate) fn finish_vliw(m: &Machine, program: &[VliwBundle], c: Collector) -> GuestProfile {
+fn finish_vliw(m: &Machine, program: &[VliwBundle], c: Collector) -> GuestProfile {
     let mut p = GuestProfile::base(m, CoreStyle::Vliw, m.slots.len());
     let counts = c.pc_counts;
     let mut reads = vec![0u32; m.rfs.len()];
@@ -465,7 +468,7 @@ pub(crate) fn finish_vliw(m: &Machine, program: &[VliwBundle], c: Collector) -> 
 /// unit is the executed instruction (issue cycle); dynamic stall cycles
 /// between instructions carry no port activity and appear only in
 /// `SimStats::stall_cycles`.
-pub(crate) fn finish_scalar(m: &Machine, program: &[ScalarInst], c: Collector) -> GuestProfile {
+fn finish_scalar(m: &Machine, program: &[ScalarInst], c: Collector) -> GuestProfile {
     let mut p = GuestProfile::base(m, CoreStyle::Scalar, 0);
     let counts = c.pc_counts;
     let mut reads = vec![0u32; m.rfs.len()];

@@ -14,21 +14,16 @@
 //! run, and interior instructions execute in a monomorphisation without
 //! the control arm (the scalar model has no delay slots, so block entry
 //! needs no delay-slot clamp — see `crate::tta` for the shared dispatch
-//! structure). Hot runs are promoted into chains of resolved thunks
-//! exactly as in the TTA engine (DESIGN.md §14); dependence stalls and
-//! branch penalties stay fully dynamic in the compiled tier — only the
-//! per-instruction statistics that are static are batched.
+//! structure). There is no compiled tier: the step is already a direct
+//! walk over the predecoded array, and dependence stalls and branch
+//! penalties are dynamic anyway (DESIGN.md §14).
 
-use crate::profile::{finish_scalar, Collector, GuestProfile, NoProfile, ProfileSink, TraceSink};
+use crate::profile::ProfileSink;
 use crate::result::{SimError, SimResult, SimStats};
 use crate::state::{DecOpSrc, FlatRf, IoCtx, NO_DST};
-use crate::tier::TierCounts;
-use tta_isa::{BlockMap, Operation, ScalarInst, TierEntry, TierTable, RETVAL_ADDR};
+use tta_isa::{BlockMap, Operation, ScalarInst, RETVAL_ADDR};
 use tta_model::io::MMIO_BASE;
 use tta_model::{mem, Machine, OpClass, Opcode, ScalarPipeline};
-
-/// Maximum simulated instructions before declaring a runaway program.
-pub const DEFAULT_FUEL: u64 = 200_000_000;
 
 /// One predecoded scalar instruction.
 #[derive(Debug, Clone, Copy)]
@@ -58,55 +53,8 @@ fn decode(rf: &FlatRf, program: &[ScalarInst]) -> Vec<DecInst> {
         .collect()
 }
 
-/// Run a scalar program. The compiled superblock tier is configured from
-/// the environment with a fresh per-run promotion table; share one across
-/// runs with [`crate::run_with_tiers`].
-pub fn run_scalar(
-    m: &Machine,
-    program: &[ScalarInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<SimResult, SimError> {
-    let cfg = tta_isa::TierConfig::from_env();
-    if cfg.enabled {
-        let tier = TierTable::new(program.len(), cfg.threshold);
-        run_scalar_with(m, program, memory, fuel, &mut NoProfile, Some(&tier), None)
-    } else {
-        run_scalar_with(m, program, memory, fuel, &mut NoProfile, None, None)
-    }
-}
-
-/// Like [`run_scalar`], also recording the program counter of every executed
-/// instruction (for instruction-memory hierarchy studies).
-pub fn run_scalar_traced(
-    m: &Machine,
-    program: &[ScalarInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, Vec<u32>), SimError> {
-    let mut sink = TraceSink::for_program(program.len());
-    let r = run_scalar_with(m, program, memory, fuel, &mut sink, None, None)?;
-    Ok((r, sink.trace))
-}
-
-/// Like [`run_scalar`], also collecting a [`GuestProfile`]. The unprofiled
-/// entry points monomorphise the same loop over [`NoProfile`], so their
-/// results are bit-identical (see `crate::profile`).
-pub fn run_scalar_profiled(
-    m: &Machine,
-    program: &[ScalarInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, GuestProfile), SimError> {
-    let mut sink = Collector::for_static(program.len());
-    let r = run_scalar_with(m, program, memory, fuel, &mut sink, None, None)?;
-    let mut p = finish_scalar(m, program, sink);
-    p.cycles = r.cycles;
-    Ok((r, p))
-}
-
 /// Control outcome of one scalar step.
-pub(crate) enum Flow {
+enum Flow {
     /// Fall through to `pc + 1`.
     Next,
     /// Taken branch (penalty already charged by the step).
@@ -116,8 +64,8 @@ pub(crate) enum Flow {
 }
 
 /// Mutable datapath state of one run, shared by every step of the block
-/// dispatch loop and by compiled blocks.
-pub(crate) struct ScalarEngine<'a> {
+/// dispatch loop.
+struct ScalarEngine<'a> {
     pipe: ScalarPipeline,
     dec: &'a [DecInst],
     rf: FlatRf,
@@ -363,253 +311,17 @@ impl ScalarEngine<'_> {
     }
 }
 
-/// One thunk of a compiled scalar run. Scoreboard waits, stall charges
-/// and branch penalties are inherently dynamic, so thunks keep them; the
-/// thunk only removes the per-instruction decode match and the
-/// statically-known statistics traffic.
-#[derive(Debug, Clone, Copy)]
-enum ScalarOp {
-    /// `imm` prefix: one issue cycle.
-    Prefix,
-    /// ALU operation (`one` selects the single-input evaluation form).
-    Alu {
-        op: Opcode,
-        one: bool,
-        a: DecOpSrc,
-        b: DecOpSrc,
-        dst: u32,
-        lat: u32,
-    },
-    /// Load (`b` address).
-    Load {
-        op: Opcode,
-        a: DecOpSrc,
-        b: DecOpSrc,
-        dst: u32,
-        lat: u32,
-    },
-    /// Store (`a` value, `b` address).
-    Store {
-        op: Opcode,
-        a: DecOpSrc,
-        b: DecOpSrc,
-    },
-    /// Halt (terminal instructions only; operands still delay issue).
-    Halt { a: DecOpSrc, b: DecOpSrc },
-    /// Unconditional jump (terminal only; `b` target).
-    Jump { a: DecOpSrc, b: DecOpSrc },
-    /// Conditional jump (terminal only; `b` condition, `a` target).
-    CJump { a: DecOpSrc, b: DecOpSrc, nz: bool },
-}
-
-/// A compiled scalar run: `block(engine, &mut cycle)` with fuel accounted
-/// by the caller (`executed += len`).
-pub(crate) type ScalarBlockFn =
-    Box<dyn for<'e> Fn(&mut ScalarEngine<'e>, &mut u64) -> Result<Flow, SimError> + Send + Sync>;
-
-/// Resolve one operand: scoreboard-delay `issue` for register sources and
-/// yield the value. Statistics are batched by the block delta.
-#[inline(always)]
-fn sread(s: DecOpSrc, eng: &ScalarEngine, issue: &mut u64) -> Option<i32> {
-    match s {
-        DecOpSrc::None => None,
-        DecOpSrc::Reg(i) => {
-            *issue = (*issue).max(eng.ready[i as usize]);
-            Some(eng.rf.vals[i as usize])
-        }
-        DecOpSrc::Imm(v) => Some(v),
-    }
-}
-
-/// Execute a compiled run: straight-line thunk dispatch with the block's
-/// static statistics applied once at the end.
-fn exec_scalar_block(
-    ops: &[ScalarOp],
-    delta: &SimStats,
-    eng: &mut ScalarEngine,
-    cycle: &mut u64,
-) -> Result<Flow, SimError> {
-    let mut c = *cycle;
-    let mut flow = Flow::Next;
-    for op in ops {
-        match *op {
-            ScalarOp::Prefix => c += 1,
-            ScalarOp::Alu {
-                op,
-                one,
-                a,
-                b,
-                dst,
-                lat,
-            } => {
-                let mut issue = c;
-                let va = sread(a, eng, &mut issue);
-                let vb = sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                let r = if one {
-                    op.eval_alu(vb.unwrap(), 0)
-                } else {
-                    op.eval_alu(va.unwrap(), vb.unwrap())
-                };
-                if dst != NO_DST {
-                    eng.rf.vals[dst as usize] = r;
-                    eng.ready[dst as usize] = issue + lat as u64 + eng.extra;
-                }
-            }
-            ScalarOp::Load { op, a, b, dst, lat } => {
-                let mut issue = c;
-                let _va = sread(a, eng, &mut issue);
-                let vb = sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                let addr = vb.unwrap() as u32;
-                let v = eng.mem_load(op, addr, issue)?;
-                if dst != NO_DST {
-                    eng.rf.vals[dst as usize] = v;
-                    eng.ready[dst as usize] = issue + lat as u64 + eng.extra;
-                }
-            }
-            ScalarOp::Store { op, a, b } => {
-                let mut issue = c;
-                let va = sread(a, eng, &mut issue);
-                let vb = sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                let addr = vb.unwrap() as u32;
-                let v = va.unwrap();
-                eng.mem_store(op, addr, v, issue)?;
-            }
-            ScalarOp::Halt { a, b } => {
-                let mut issue = c;
-                sread(a, eng, &mut issue);
-                sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                flow = Flow::Halt;
-            }
-            ScalarOp::Jump { a, b } => {
-                let mut issue = c;
-                let _va = sread(a, eng, &mut issue);
-                let vb = sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                eng.stats.branches_taken += 1;
-                let pen = eng.pipe.branch_penalty as u64;
-                c += pen;
-                eng.stats.stall_cycles += pen;
-                flow = Flow::Jump(vb.unwrap() as u32);
-            }
-            ScalarOp::CJump { a, b, nz } => {
-                let mut issue = c;
-                let va = sread(a, eng, &mut issue);
-                let vb = sread(b, eng, &mut issue);
-                eng.stats.stall_cycles += issue - c;
-                c = issue + 1;
-                if (vb.unwrap() != 0) == nz {
-                    eng.stats.branches_taken += 1;
-                    let pen = eng.pipe.branch_penalty as u64;
-                    c += pen;
-                    eng.stats.stall_cycles += pen;
-                    flow = Flow::Jump(va.unwrap() as u32);
-                }
-            }
-        }
-    }
-    *cycle = c;
-    eng.stats.accumulate(delta);
-    Ok(flow)
-}
-
-/// Compile the run `[pc0, pc0 + len)` into a chain of resolved thunks
-/// with its statically-known statistics folded into one per-block delta
-/// (taken branches and stall cycles stay dynamic).
-fn compile_scalar_block(dec: &[DecInst], pc0: u32, len: u32) -> ScalarBlockFn {
-    let mut ops: Vec<ScalarOp> = Vec::new();
-    let mut delta = SimStats::default();
-    for i in 0..len {
-        let pc = pc0 + i;
-        delta.instructions += 1;
-        match dec[pc as usize] {
-            DecInst::ImmPrefix => ops.push(ScalarOp::Prefix),
-            DecInst::Op { op, a, b, dst } => {
-                delta.payload += 1;
-                for s in [a, b] {
-                    if matches!(s, DecOpSrc::Reg(_)) {
-                        delta.rf_reads += 1;
-                    }
-                }
-                let lat = op.latency();
-                match op.class() {
-                    OpClass::Alu => {
-                        if dst != NO_DST {
-                            delta.rf_writes += 1;
-                        }
-                        ops.push(ScalarOp::Alu {
-                            op,
-                            one: op.num_inputs() == 1,
-                            a,
-                            b,
-                            dst,
-                            lat,
-                        });
-                    }
-                    OpClass::Lsu => {
-                        if op.is_load() {
-                            delta.loads += 1;
-                            if dst != NO_DST {
-                                delta.rf_writes += 1;
-                            }
-                            ops.push(ScalarOp::Load { op, a, b, dst, lat });
-                        } else {
-                            delta.stores += 1;
-                            ops.push(ScalarOp::Store { op, a, b });
-                        }
-                    }
-                    OpClass::Ctrl => ops.push(match op {
-                        Opcode::Halt => ScalarOp::Halt { a, b },
-                        Opcode::Jump => ScalarOp::Jump { a, b },
-                        Opcode::CJnz => ScalarOp::CJump { a, b, nz: true },
-                        Opcode::CJz => ScalarOp::CJump { a, b, nz: false },
-                        _ => unreachable!("non-transfer control opcode"),
-                    }),
-                }
-            }
-        }
-    }
-    let ops = ops.into_boxed_slice();
-    Box::new(move |eng, cycle| exec_scalar_block(&ops, &delta, eng, cycle))
-}
-
-/// The generic engine behind all public entry points: one superblock per
-/// outer-loop iteration, monomorphised over the profile sink. Scalar fuel
-/// counts executed instructions (not cycles), so the block-entry clamp is
-/// `min(run length, fuel − executed)`.
+/// The scalar engine behind [`crate::run`] and friends: one superblock
+/// per outer-loop iteration, monomorphised over the profile sink. Scalar
+/// fuel counts executed instructions (not cycles), so the block-entry
+/// clamp is `min(run length, fuel − executed)`.
 pub(crate) fn run_scalar_with<S: ProfileSink>(
     m: &Machine,
     program: &[ScalarInst],
     memory: Vec<u8>,
     fuel: u64,
     sink: &mut S,
-    tier: Option<&TierTable<ScalarBlockFn>>,
     io: Option<IoCtx<'_>>,
-) -> Result<SimResult, SimError> {
-    let mut tc = TierCounts::default();
-    let r = run_scalar_inner(m, program, memory, fuel, sink, tier, io, &mut tc);
-    tc.flush();
-    r
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_inner<S: ProfileSink>(
-    m: &Machine,
-    program: &[ScalarInst],
-    memory: Vec<u8>,
-    fuel: u64,
-    sink: &mut S,
-    tier: Option<&TierTable<ScalarBlockFn>>,
-    io: Option<IoCtx<'_>>,
-    tc: &mut TierCounts,
 ) -> Result<SimResult, SimError> {
     let pipe = m.scalar.expect("scalar machine");
     let rf = FlatRf::new(m);
@@ -644,49 +356,13 @@ fn run_scalar_inner<S: ProfileSink>(
         // loop at the handler) or learn how many cycles may run before the
         // next one can arrive. The window is in cycles and the clamps below
         // are in instructions; since each instruction costs at least one
-        // cycle this only makes the clamp more conservative, and every tier
+        // cycle this only makes the clamp more conservative, and every sink
         // applies the identical clamp, so delivery points still agree.
         let win = match eng.io_boundary(&mut pc, &mut cycle, &mut shadow) {
             Some(win) => win,
             None => continue,
         };
         let full = blocks.run_len(pc) as u64;
-
-        // Tier-2 dispatch (see `crate::tta::run_tta_with`; the scalar
-        // model has no delay slots, so only fuel can clamp an entry).
-        if S::PASSIVE {
-            if let Some(tab) = tier {
-                if fuel - executed >= full && win >= full {
-                    let block = match tab.entry(pc) {
-                        TierEntry::Compiled(b) => Some(b),
-                        TierEntry::Promote => {
-                            tc.promotions += 1;
-                            tab.install(pc, compile_scalar_block(&dec, pc, full as u32));
-                            tab.get(pc)
-                        }
-                        TierEntry::Cold => None,
-                    };
-                    if let Some(b) = block {
-                        tc.entries += 1;
-                        let flow = b(&mut eng, &mut cycle)?;
-                        executed += full;
-                        match flow {
-                            Flow::Halt => {
-                                if eng.iret(&mut pc, &mut cycle, &mut shadow)? {
-                                    continue;
-                                }
-                                return eng.finish(cycle);
-                            }
-                            Flow::Jump(target) => pc = target,
-                            Flow::Next => pc += full as u32,
-                        }
-                        continue;
-                    }
-                } else if tab.get(pc).is_some() {
-                    tc.fallbacks += 1;
-                }
-            }
-        }
 
         let len = full.min(fuel - executed).min(win);
         // Only the run's terminal instruction can be a control op, and it
@@ -715,13 +391,4 @@ fn run_scalar_inner<S: ProfileSink>(
             }
         }
     }
-}
-
-/// Convenience wrapper with the default fuel.
-pub fn run_scalar_default(
-    m: &Machine,
-    program: &[ScalarInst],
-    memory: Vec<u8>,
-) -> Result<SimResult, SimError> {
-    run_scalar(m, program, memory, DEFAULT_FUEL)
 }

@@ -1,35 +1,31 @@
 //! Shared compiled-tier state: one promotion table per program.
 //!
-//! [`Tiers`] bundles a style-matched [`TierTable`] (TTA, VLIW or scalar)
-//! for one program, so the compiled blocks a run promotes are reused by
-//! every later run through [`crate::run_with_tiers`] — the steady state
-//! the evaluation pipeline and the dispatch benchmark run in. The
-//! default [`crate::run`] entry points build a fresh per-run table from
-//! the environment configuration instead, which keeps them dependency-
-//! free but re-pays promotion each run.
+//! Only the TTA engine has a compiled tier. Its interpreted step routes
+//! every move at run time, which threaded code removes; the VLIW and
+//! scalar steps are already direct walks over predecoded arrays, where
+//! threaded code measured no faster (DESIGN.md §14).
+//!
+//! [`Tiers`] holds the TTA promotion tables for one program, so the
+//! compiled blocks a run promotes are reused by every later run through
+//! [`crate::run_with_tiers`] — the steady state the evaluation pipeline
+//! and the dispatch benchmark run in. [`crate::run`] builds a fresh
+//! per-run table from the environment configuration instead, which keeps
+//! it dependency-free but re-pays promotion each run.
 //!
 //! The promotion-threshold invariant (`tta_isa::tier`) holds across
 //! shared tables too: a block promoted by run N executes compiled in run
 //! N+1 with bit-identical results — `tests/tier_transitions.rs` pins
 //! this boundary.
 
-use crate::result::{SimError, SimResult};
-use tta_isa::{Program, TierConfig, TierTable};
-use tta_model::Machine;
+use crate::tta::TtaTiers;
+use tta_isa::{Program, TierConfig};
 
 /// Per-program compiled-tier state, shareable across runs (and across
-/// threads — promotion is lock-free and promote-once).
+/// threads — promotion is lock-free and promote-once). Holds no tables
+/// for VLIW and scalar programs, or when the tier is disabled.
 pub struct Tiers {
-    pub(crate) style: StyleTiers,
-    pub(crate) program_len: usize,
-}
-
-pub(crate) enum StyleTiers {
-    /// Compiled tier disabled: every run stays interpreted.
-    Off,
-    Tta(crate::tta::TtaTiers),
-    Vliw(crate::vliw::VliwTiers),
-    Scalar(TierTable<crate::scalar::ScalarBlockFn>),
+    tta: Option<TtaTiers>,
+    program_len: usize,
 }
 
 impl Tiers {
@@ -42,37 +38,25 @@ impl Tiers {
     /// Tier state for `program` with an explicit configuration.
     pub fn with_config(program: &Program, cfg: &TierConfig) -> Tiers {
         let program_len = program.len();
-        let style = if !cfg.enabled {
-            StyleTiers::Off
-        } else {
-            match program {
-                Program::Tta(_) => {
-                    StyleTiers::Tta(crate::tta::TtaTiers::new(program_len, cfg.threshold))
-                }
-                Program::Vliw(_) => {
-                    StyleTiers::Vliw(crate::vliw::VliwTiers::new(program_len, cfg.threshold))
-                }
-                Program::Scalar(_) => {
-                    StyleTiers::Scalar(TierTable::new(program_len, cfg.threshold))
-                }
-            }
-        };
-        Tiers { style, program_len }
-    }
-
-    /// Whether the compiled tier is enabled at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self.style, StyleTiers::Off)
+        let tta = (cfg.enabled && matches!(program, Program::Tta(_)))
+            .then(|| TtaTiers::new(program_len, cfg.threshold));
+        Tiers { tta, program_len }
     }
 
     /// Number of program counters with an installed compiled block.
     pub fn compiled_blocks(&self) -> usize {
-        match &self.style {
-            StyleTiers::Off => 0,
-            StyleTiers::Tta(t) => t.compiled_count(),
-            StyleTiers::Vliw(t) => t.compiled_count(),
-            StyleTiers::Scalar(t) => t.compiled_count(),
-        }
+        self.tta.as_ref().map_or(0, TtaTiers::compiled_count)
+    }
+
+    /// The TTA promotion tables, if any, for a run of `program` (which
+    /// must be the program this state was built for).
+    pub(crate) fn tta_for(&self, program: &Program) -> Option<&TtaTiers> {
+        assert_eq!(
+            self.program_len,
+            program.len(),
+            "tier state was built for a different program"
+        );
+        self.tta.as_ref()
     }
 }
 
@@ -98,46 +82,4 @@ impl TierCounts {
             add("sim.jit.fallbacks", self.fallbacks);
         }
     }
-}
-
-/// [`crate::run_with_fuel`] against shared tier state (must have been
-/// built for this same `program`).
-pub fn run_with_tiers(
-    m: &Machine,
-    program: &Program,
-    memory: Vec<u8>,
-    fuel: u64,
-    tiers: &Tiers,
-) -> Result<SimResult, SimError> {
-    assert_eq!(
-        tiers.program_len,
-        program.len(),
-        "tier state was built for a different program"
-    );
-    use crate::profile::NoProfile;
-    let span = tta_obs::span("simulate");
-    let result = match (program, &tiers.style) {
-        (Program::Tta(insts), StyleTiers::Tta(t)) => {
-            crate::tta::run_tta_with(m, insts, memory, fuel, &mut NoProfile, Some(t), None)
-        }
-        (Program::Vliw(bundles), StyleTiers::Vliw(t)) => {
-            crate::vliw::run_vliw_with(m, bundles, memory, fuel, &mut NoProfile, Some(t), None)
-        }
-        (Program::Scalar(insts), StyleTiers::Scalar(t)) => {
-            crate::scalar::run_scalar_with(m, insts, memory, fuel, &mut NoProfile, Some(t), None)
-        }
-        (Program::Tta(insts), StyleTiers::Off) => {
-            crate::tta::run_tta_with(m, insts, memory, fuel, &mut NoProfile, None, None)
-        }
-        (Program::Vliw(bundles), StyleTiers::Off) => {
-            crate::vliw::run_vliw_with(m, bundles, memory, fuel, &mut NoProfile, None, None)
-        }
-        (Program::Scalar(insts), StyleTiers::Off) => {
-            crate::scalar::run_scalar_with(m, insts, memory, fuel, &mut NoProfile, None, None)
-        }
-        _ => panic!("tier state style does not match the program style"),
-    };
-    drop(span);
-    crate::flush_obs(&result);
-    result
 }

@@ -38,16 +38,13 @@
 //! every cycle) shared by both tiers, so a block entered with results in
 //! flight from interpreted code delivers them on exactly the right cycle.
 
-use crate::profile::{finish_tta, Collector, GuestProfile, NoProfile, ProfileSink, TraceSink};
+use crate::profile::{NoProfile, ProfileSink};
 use crate::result::{SimError, SimResult, SimStats};
 use crate::state::{FlatRf, IoCtx, TRAP_CYCLES};
 use crate::tier::TierCounts;
 use tta_isa::{BlockMap, MoveDst, MoveSrc, TierEntry, TierTable, TtaInst, RETVAL_ADDR};
 use tta_model::io::MMIO_BASE;
-use tta_model::{mem, FuKind, Machine, OpClass, Opcode};
-
-/// Maximum simulated cycles before declaring a runaway program.
-pub const DEFAULT_FUEL: u64 = 200_000_000;
+use tta_model::{mem, Machine, OpClass, Opcode};
 
 /// In-flight result budget per function unit. The deepest pipeline is the
 /// longest op latency (3) per trigger move, and a well-formed instruction
@@ -149,53 +146,6 @@ fn decode(rf: &FlatRf, program: &[TtaInst]) -> Decoded {
         });
     }
     d
-}
-
-/// Run a TTA program. The compiled superblock tier is configured from the
-/// environment ([`tta_isa::TierConfig::from_env`]) with a fresh per-run
-/// promotion table; share one across runs with [`crate::run_with_tiers`].
-pub fn run_tta(
-    m: &Machine,
-    program: &[TtaInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<SimResult, SimError> {
-    let cfg = tta_isa::TierConfig::from_env();
-    if cfg.enabled {
-        let tier = TtaTiers::new(program.len(), cfg.threshold);
-        run_tta_with(m, program, memory, fuel, &mut NoProfile, Some(&tier), None)
-    } else {
-        run_tta_with(m, program, memory, fuel, &mut NoProfile, None, None)
-    }
-}
-
-/// Like [`run_tta`], also recording the program counter of every executed
-/// instruction (for instruction-memory hierarchy studies).
-pub fn run_tta_traced(
-    m: &Machine,
-    program: &[TtaInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, Vec<u32>), SimError> {
-    let mut sink = TraceSink::for_program(program.len());
-    let r = run_tta_with(m, program, memory, fuel, &mut sink, None, None)?;
-    Ok((r, sink.trace))
-}
-
-/// Like [`run_tta`], also collecting a [`GuestProfile`]. The unprofiled
-/// entry points monomorphise the same loop over [`NoProfile`], so their
-/// results are bit-identical (see `crate::profile`).
-pub fn run_tta_profiled(
-    m: &Machine,
-    program: &[TtaInst],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, GuestProfile), SimError> {
-    let mut sink = Collector::for_static(program.len());
-    let r = run_tta_with(m, program, memory, fuel, &mut sink, None, None)?;
-    let mut p = finish_tta(m, program, sink);
-    p.cycles = r.cycles;
-    Ok((r, p))
 }
 
 /// Mutable datapath state of one run, shared by every step of the block
@@ -2284,7 +2234,7 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
     })
 }
 
-/// The generic engine behind all public entry points: one superblock per
+/// The TTA engine behind [`crate::run`] and friends: one superblock per
 /// outer-loop iteration, monomorphised over the profile sink. `tier`, if
 /// present, is the promotion table of the compiled tier — consulted only
 /// on unclamped block entries and only for passive sinks.
@@ -2529,15 +2479,4 @@ fn run_tta_inner<S: ProfileSink>(
             }
         }
     }
-}
-
-/// Convenience wrapper asserting the LSU exists and the program is
-/// non-empty; mirrors [`run_tta`] with the default fuel.
-pub fn run_tta_default(
-    m: &Machine,
-    program: &[TtaInst],
-    memory: Vec<u8>,
-) -> Result<SimResult, SimError> {
-    debug_assert!(m.funits.iter().any(|f| f.kind == FuKind::Lsu));
-    run_tta(m, program, memory, DEFAULT_FUEL)
 }

@@ -19,20 +19,16 @@
 //! the fuel check, the pc bounds check and the delay-slot bookkeeping run
 //! once per block and the interior bundles execute in a monomorphisation
 //! without the control arm (see `crate::tta` for the dispatch-loop
-//! invariants — the engines share the same structure). Hot superblocks
-//! are promoted into chains of resolved thunks exactly as in the TTA
-//! engine (DESIGN.md §14).
+//! invariants — the engines share the same structure). There is no
+//! compiled tier: the step is already a direct walk over the predecoded
+//! slot array, so threaded code measured no faster (DESIGN.md §14).
 
-use crate::profile::{finish_vliw, Collector, GuestProfile, NoProfile, ProfileSink, TraceSink};
+use crate::profile::ProfileSink;
 use crate::result::{SimError, SimResult, SimStats};
 use crate::state::{DecOpSrc, FlatRf, IoCtx, NO_DST, TRAP_CYCLES};
-use crate::tier::TierCounts;
-use tta_isa::{BlockMap, Operation, TierEntry, TierTable, VliwBundle, VliwSlot, RETVAL_ADDR};
+use tta_isa::{BlockMap, Operation, VliwBundle, VliwSlot, RETVAL_ADDR};
 use tta_model::io::MMIO_BASE;
 use tta_model::{mem, Machine, OpClass, Opcode};
-
-/// Maximum simulated cycles before declaring a runaway program.
-pub const DEFAULT_FUEL: u64 = 200_000_000;
 
 #[derive(Debug, Clone, Copy)]
 struct Writeback {
@@ -98,56 +94,9 @@ fn decode(rf: &FlatRf, program: &[VliwBundle]) -> (Vec<DecSlot>, Vec<DecBundle>)
     (slots, bundles)
 }
 
-/// Run a VLIW program. The compiled superblock tier is configured from
-/// the environment with a fresh per-run promotion table; share one across
-/// runs with [`crate::run_with_tiers`].
-pub fn run_vliw(
-    m: &Machine,
-    program: &[VliwBundle],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<SimResult, SimError> {
-    let cfg = tta_isa::TierConfig::from_env();
-    if cfg.enabled {
-        let tier = VliwTiers::new(program.len(), cfg.threshold);
-        run_vliw_with(m, program, memory, fuel, &mut NoProfile, Some(&tier), None)
-    } else {
-        run_vliw_with(m, program, memory, fuel, &mut NoProfile, None, None)
-    }
-}
-
-/// Like [`run_vliw`], also recording the program counter of every executed
-/// instruction (for instruction-memory hierarchy studies).
-pub fn run_vliw_traced(
-    m: &Machine,
-    program: &[VliwBundle],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, Vec<u32>), SimError> {
-    let mut sink = TraceSink::for_program(program.len());
-    let r = run_vliw_with(m, program, memory, fuel, &mut sink, None, None)?;
-    Ok((r, sink.trace))
-}
-
-/// Like [`run_vliw`], also collecting a [`GuestProfile`]. The unprofiled
-/// entry points monomorphise the same loop over [`NoProfile`], so their
-/// results are bit-identical (see `crate::profile`).
-pub fn run_vliw_profiled(
-    m: &Machine,
-    program: &[VliwBundle],
-    memory: Vec<u8>,
-    fuel: u64,
-) -> Result<(SimResult, GuestProfile), SimError> {
-    let mut sink = Collector::with_write_hist(m, program.len());
-    let r = run_vliw_with(m, program, memory, fuel, &mut sink, None, None)?;
-    let mut p = finish_vliw(m, program, sink);
-    p.cycles = r.cycles;
-    Ok((r, p))
-}
-
 /// Mutable datapath state of one run, shared by every step of the block
-/// dispatch loop and by compiled blocks.
-pub(crate) struct VliwEngine<'a> {
+/// dispatch loop.
+struct VliwEngine<'a> {
     m: &'a Machine,
     dec_slots: &'a [DecSlot],
     dec_bundles: &'a [DecBundle],
@@ -188,8 +137,8 @@ impl VliwEngine<'_> {
 
     /// End-of-cycle drain: apply due writebacks, checking port budgets.
     /// Cycle-granular by contract (the write-pressure histogram hangs off
-    /// it); shared by the interpreted step and compiled blocks, which
-    /// both call it exactly once per architectural cycle.
+    /// it): the step and the trap drain each call it exactly once per
+    /// architectural cycle.
     #[inline(always)]
     fn drain<S: ProfileSink>(&mut self, sink: &mut S, cycle: u64) -> Result<(), SimError> {
         let bucket = (cycle & 3) as usize;
@@ -469,291 +418,7 @@ impl VliwEngine<'_> {
     }
 }
 
-/// A resolved operand in a compiled block.
-#[derive(Debug, Clone, Copy)]
-enum VSrc {
-    Reg(u32),
-    Imm(i32),
-}
-
-impl VSrc {
-    #[inline(always)]
-    fn read(self, rf: &FlatRf) -> i32 {
-        match self {
-            VSrc::Reg(i) => rf.vals[i as usize],
-            VSrc::Imm(v) => v,
-        }
-    }
-}
-
-/// One thunk of a compiled superblock: a decoded slot with its opcode
-/// match and operand routing already performed. `lat` is the writeback
-/// latency, precomputed.
-#[derive(Debug, Clone, Copy)]
-enum VliwOp {
-    /// End of one bundle: drain writebacks, advance `pc`/`cycle`.
-    Next,
-    /// One-input ALU operation (`b` is the input).
-    Alu1 {
-        op: Opcode,
-        b: VSrc,
-        dst: u32,
-        rf: u16,
-        lat: u32,
-    },
-    /// Two-input ALU operation.
-    Alu2 {
-        op: Opcode,
-        a: VSrc,
-        b: VSrc,
-        dst: u32,
-        rf: u16,
-        lat: u32,
-    },
-    /// Load (`b` is the address).
-    Load {
-        op: Opcode,
-        b: VSrc,
-        dst: u32,
-        rf: u16,
-        lat: u32,
-    },
-    /// Store (`a` value, `b` address).
-    Store { op: Opcode, a: VSrc, b: VSrc },
-    /// Long immediate (writes back at the end of the next cycle).
-    Limm { dst: u32, rf: u16, v: i32 },
-    /// Halt (terminal bundles only).
-    Halt,
-    /// Unconditional jump (terminal bundles only; `b` is the target).
-    Jump { b: VSrc },
-    /// Conditional jump (terminal bundles only; `b` condition, `a` target).
-    CJump { a: VSrc, b: VSrc, nz: bool },
-}
-
-/// A compiled superblock (see [`crate::tta::TtaBlockFn`] — same contract).
-pub(crate) type VliwBlockFn = Box<
-    dyn for<'e> Fn(&mut VliwEngine<'e>, u64, &mut Option<(u32, u32)>) -> Result<bool, SimError>
-        + Send
-        + Sync,
->;
-
-/// Compiled-tier state for one VLIW program: whole superblocks plus
-/// delay-slot segments (see [`crate::tta::TtaTiers`] — same two-table
-/// shape and dispatch contract).
-pub(crate) struct VliwTiers {
-    pub(crate) main: TierTable<VliwBlockFn>,
-    /// Fall-through windows of taken jumps, keyed by entry pc and tagged
-    /// with the segment length they were compiled for.
-    pub(crate) delay: TierTable<(u32, VliwBlockFn)>,
-}
-
-impl VliwTiers {
-    pub(crate) fn new(len: usize, threshold: u32) -> VliwTiers {
-        VliwTiers {
-            main: TierTable::new(len, threshold),
-            delay: TierTable::new(len, threshold),
-        }
-    }
-
-    pub(crate) fn compiled_count(&self) -> usize {
-        self.main.compiled_count() + self.delay.compiled_count()
-    }
-}
-
-/// Execute a compiled block: straight-line thunk dispatch with the
-/// block's static statistics applied once at the end.
-fn exec_vliw_block(
-    ops: &[VliwOp],
-    delta: &SimStats,
-    eng: &mut VliwEngine,
-    pc0: u32,
-    cycle0: u64,
-    pending_jump: &mut Option<(u32, u32)>,
-) -> Result<bool, SimError> {
-    let mut pc = pc0;
-    let mut cycle = cycle0;
-    let mut halt = false;
-    for op in ops {
-        match *op {
-            VliwOp::Next => {
-                eng.drain(&mut NoProfile, cycle)?;
-                pc += 1;
-                cycle += 1;
-            }
-            VliwOp::Alu1 {
-                op,
-                b,
-                dst,
-                rf,
-                lat,
-            } => {
-                let r = op.eval_alu(b.read(&eng.rf), 0);
-                eng.enqueue(cycle + lat as u64, dst, rf, r);
-            }
-            VliwOp::Alu2 {
-                op,
-                a,
-                b,
-                dst,
-                rf,
-                lat,
-            } => {
-                let r = op.eval_alu(a.read(&eng.rf), b.read(&eng.rf));
-                eng.enqueue(cycle + lat as u64, dst, rf, r);
-            }
-            VliwOp::Load {
-                op,
-                b,
-                dst,
-                rf,
-                lat,
-            } => {
-                let addr = b.read(&eng.rf) as u32;
-                let v = eng.mem_load(op, addr, cycle)?;
-                eng.enqueue(cycle + lat as u64, dst, rf, v);
-            }
-            VliwOp::Store { op, a, b } => {
-                let addr = b.read(&eng.rf) as u32;
-                let v = a.read(&eng.rf);
-                eng.mem_store(op, addr, v, cycle)?;
-            }
-            VliwOp::Limm { dst, rf, v } => eng.enqueue(cycle + 1, dst, rf, v),
-            VliwOp::Halt => halt = true,
-            VliwOp::Jump { b } => {
-                let target = b.read(&eng.rf) as u32;
-                eng.take_jump(pc, target, pending_jump)?;
-            }
-            VliwOp::CJump { a, b, nz } => {
-                if (b.read(&eng.rf) != 0) == nz {
-                    let target = a.read(&eng.rf) as u32;
-                    eng.take_jump(pc, target, pending_jump)?;
-                }
-            }
-        }
-    }
-    eng.stats.accumulate(delta);
-    Ok(halt)
-}
-
-/// Compile the superblock `[pc0, pc0 + len)` into a chain of resolved
-/// thunks. Register-file writes are charged dynamically by the drain;
-/// everything statically known (instructions, payload, operand reads,
-/// loads/stores, limms) is folded into one per-block delta. The
-/// reference engine charges an `rf_reads` for *every* register operand,
-/// including ones a one-input operation never evaluates — the delta
-/// preserves that.
-fn compile_vliw_block(
-    dec_slots: &[DecSlot],
-    dec_bundles: &[DecBundle],
-    pc0: u32,
-    len: u32,
-) -> VliwBlockFn {
-    let mut ops: Vec<VliwOp> = Vec::new();
-    let mut delta = SimStats::default();
-    for i in 0..len {
-        let pc = pc0 + i;
-        let bundle = dec_bundles[pc as usize];
-        delta.instructions += 1;
-        for si in bundle.slots.0..bundle.slots.1 {
-            match dec_slots[si as usize] {
-                DecSlot::Limm { dst, dst_rf, value } => {
-                    delta.payload += 1;
-                    delta.limms += 1;
-                    ops.push(VliwOp::Limm {
-                        dst,
-                        rf: dst_rf,
-                        v: value,
-                    });
-                }
-                DecSlot::Op {
-                    op,
-                    a,
-                    b,
-                    dst,
-                    dst_rf,
-                } => {
-                    delta.payload += 1;
-                    let mut vsrc = |s: DecOpSrc| match s {
-                        DecOpSrc::None => None,
-                        DecOpSrc::Reg(i) => {
-                            delta.rf_reads += 1;
-                            Some(VSrc::Reg(i))
-                        }
-                        DecOpSrc::Imm(v) => Some(VSrc::Imm(v)),
-                    };
-                    let va = vsrc(a);
-                    let vb = vsrc(b);
-                    let lat = op.latency();
-                    match op.class() {
-                        OpClass::Alu => {
-                            assert!(dst != NO_DST, "ALU op writes a register");
-                            ops.push(if op.num_inputs() == 1 {
-                                VliwOp::Alu1 {
-                                    op,
-                                    b: vb.unwrap(),
-                                    dst,
-                                    rf: dst_rf,
-                                    lat,
-                                }
-                            } else {
-                                VliwOp::Alu2 {
-                                    op,
-                                    a: va.unwrap(),
-                                    b: vb.unwrap(),
-                                    dst,
-                                    rf: dst_rf,
-                                    lat,
-                                }
-                            });
-                        }
-                        OpClass::Lsu => {
-                            if op.is_load() {
-                                delta.loads += 1;
-                                assert!(dst != NO_DST, "load writes a register");
-                                ops.push(VliwOp::Load {
-                                    op,
-                                    b: vb.unwrap(),
-                                    dst,
-                                    rf: dst_rf,
-                                    lat,
-                                });
-                            } else {
-                                delta.stores += 1;
-                                ops.push(VliwOp::Store {
-                                    op,
-                                    a: va.unwrap(),
-                                    b: vb.unwrap(),
-                                });
-                            }
-                        }
-                        OpClass::Ctrl => ops.push(match op {
-                            Opcode::Halt => VliwOp::Halt,
-                            Opcode::Jump => VliwOp::Jump { b: vb.unwrap() },
-                            Opcode::CJnz => VliwOp::CJump {
-                                a: va.unwrap(),
-                                b: vb.unwrap(),
-                                nz: true,
-                            },
-                            Opcode::CJz => VliwOp::CJump {
-                                a: va.unwrap(),
-                                b: vb.unwrap(),
-                                nz: false,
-                            },
-                            _ => unreachable!("non-transfer control opcode"),
-                        }),
-                    }
-                }
-            }
-        }
-        ops.push(VliwOp::Next);
-    }
-    let ops = ops.into_boxed_slice();
-    Box::new(move |eng, cycle0, pending_jump| {
-        exec_vliw_block(&ops, &delta, eng, pc0, cycle0, pending_jump)
-    })
-}
-
-/// The generic engine behind all public entry points: one superblock per
+/// The VLIW engine behind [`crate::run`] and friends: one superblock per
 /// outer-loop iteration, monomorphised over the profile sink. The dispatch
 /// structure and its invariants mirror `crate::tta::run_tta_with`.
 pub(crate) fn run_vliw_with<S: ProfileSink>(
@@ -762,25 +427,7 @@ pub(crate) fn run_vliw_with<S: ProfileSink>(
     memory: Vec<u8>,
     fuel: u64,
     sink: &mut S,
-    tier: Option<&VliwTiers>,
     io: Option<IoCtx<'_>>,
-) -> Result<SimResult, SimError> {
-    let mut tc = TierCounts::default();
-    let r = run_vliw_inner(m, program, memory, fuel, sink, tier, io, &mut tc);
-    tc.flush();
-    r
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_vliw_inner<S: ProfileSink>(
-    m: &Machine,
-    program: &[VliwBundle],
-    memory: Vec<u8>,
-    fuel: u64,
-    sink: &mut S,
-    tier: Option<&VliwTiers>,
-    io: Option<IoCtx<'_>>,
-    tc: &mut TierCounts,
 ) -> Result<SimResult, SimError> {
     let rf = FlatRf::new(m);
     let (dec_slots, dec_bundles) = decode(&rf, program);
@@ -819,8 +466,8 @@ fn run_vliw_inner<S: ProfileSink>(
         }
         // Interrupt boundary: deliver a pending interrupt (re-entering the
         // loop at the handler) or learn how many cycles may run before the
-        // next one can arrive. Polling only here keeps every tier's
-        // delivery points identical by construction.
+        // next one can arrive. Polling only here keeps the delivery points
+        // of every sink identical by construction.
         let win = match eng.io_boundary(
             sink,
             &mut pc,
@@ -833,123 +480,6 @@ fn run_vliw_inner<S: ProfileSink>(
             None => continue,
         };
         let full = blocks.run_len(pc) as u64;
-
-        // Tier-2 dispatch (see `crate::tta::run_tta_with`): unclamped
-        // entries run whole compiled superblocks, the fall-through
-        // window of a taken jump runs as a compiled delay segment.
-        if S::PASSIVE {
-            if let Some(tab) = tier {
-                match pending_jump {
-                    None if fuel - cycle >= full && win >= full => {
-                        let block = match tab.main.entry(pc) {
-                            TierEntry::Compiled(b) => Some(b),
-                            TierEntry::Promote => {
-                                tc.promotions += 1;
-                                tab.main.install(
-                                    pc,
-                                    compile_vliw_block(&dec_slots, &dec_bundles, pc, full as u32),
-                                );
-                                tab.main.get(pc)
-                            }
-                            TierEntry::Cold => None,
-                        };
-                        if let Some(b) = block {
-                            tc.entries += 1;
-                            let halt = b(&mut eng, cycle, &mut pending_jump)?;
-                            pc += full as u32 - 1;
-                            cycle += full;
-                            if halt {
-                                if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
-                                    continue;
-                                }
-                                return eng.finish(cycle);
-                            }
-                            match pending_jump.take() {
-                                Some((0, target)) => pc = target,
-                                Some((n, target)) => {
-                                    pending_jump = Some((n - 1, target));
-                                    pc += 1;
-                                }
-                                None => pc += 1,
-                            }
-                            continue;
-                        }
-                    }
-                    Some((k, target)) => {
-                        // Delay-slot window: min(k + 1, full) bundles run
-                        // on the fall-through path before the redirect
-                        // (or the run's own terminal, whose nested
-                        // control transfer faults identically in both
-                        // tiers).
-                        let dlen = (k as u64 + 1).min(full);
-                        if fuel - cycle >= dlen && win >= dlen {
-                            let seg = match tab.delay.entry(pc) {
-                                TierEntry::Compiled(s) => Some(s),
-                                TierEntry::Promote => {
-                                    tc.promotions += 1;
-                                    let b = compile_vliw_block(
-                                        &dec_slots,
-                                        &dec_bundles,
-                                        pc,
-                                        dlen as u32,
-                                    );
-                                    tab.delay.install(pc, (dlen as u32, b));
-                                    tab.delay.get(pc)
-                                }
-                                TierEntry::Cold => None,
-                            };
-                            // A pc can be entered with different residual
-                            // delay budgets; only the length the segment
-                            // was compiled for may run it.
-                            if let Some(b) = seg.filter(|s| s.0 as u64 == dlen).map(|s| &s.1) {
-                                tc.entries += 1;
-                                let halt = b(&mut eng, cycle, &mut pending_jump)?;
-                                cycle += dlen;
-                                if halt {
-                                    if eng.iret(
-                                        &mut pc,
-                                        &mut cycle,
-                                        &mut pending_jump,
-                                        &mut shadow,
-                                    )? {
-                                        continue;
-                                    }
-                                    return eng.finish(cycle);
-                                }
-                                if dlen < full {
-                                    // Pure delay window: ends exactly at
-                                    // the redirect.
-                                    debug_assert_eq!(dlen, k as u64 + 1);
-                                    pending_jump = None;
-                                    pc = target;
-                                } else {
-                                    // The whole run fits in the window:
-                                    // its terminal ran; mirror the
-                                    // interpreted bookkeeping.
-                                    let k2 = k - (dlen as u32 - 1);
-                                    if k2 == 0 {
-                                        pending_jump = None;
-                                        pc = target;
-                                    } else {
-                                        pending_jump = Some((k2 - 1, target));
-                                        pc += dlen as u32;
-                                    }
-                                }
-                                continue;
-                            }
-                            tc.fallbacks += 1;
-                        } else if tab.delay.get(pc).is_some() {
-                            tc.fallbacks += 1;
-                        }
-                    }
-                    None => {
-                        if tab.main.get(pc).is_some() {
-                            tc.fallbacks += 1;
-                        }
-                    }
-                }
-            }
-        }
 
         let mut len = full;
         if let Some((k, _)) = pending_jump {

@@ -8,8 +8,8 @@
 use tta_isa::{
     Move, MoveDst, MoveSrc, OpSrc, Operation, Program, ScalarInst, TtaInst, VliwBundle, VliwSlot,
 };
-use tta_model::{presets, FuId, Opcode, RegRef, RfId};
-use tta_sim::SimStats;
+use tta_model::{presets, FuId, Machine, Opcode, RegRef, RfId};
+use tta_sim::{GuestProfile, SimResult, SimStats};
 
 const ALU: FuId = FuId(0);
 const LSU: FuId = FuId(1);
@@ -43,11 +43,18 @@ fn vliw_op(
     VliwSlot::Op(Operation { op, fu, dst, a, b })
 }
 
-fn assert_same_run(a: &tta_sim::SimResult, b: &tta_sim::SimResult) {
+fn assert_same_run(a: &SimResult, b: &SimResult) {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.ret, b.ret);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.memory, b.memory);
+}
+
+/// Run `program` plainly and profiled, each with 64 KiB of memory.
+fn plain_and_profiled(m: &Machine, program: Program) -> (SimResult, SimResult, GuestProfile) {
+    let plain = tta_sim::run(m, &program, vec![0; 1 << 16]).unwrap();
+    let (r, p) = tta_sim::run_profiled(m, &program, vec![0; 1 << 16]).unwrap();
+    (plain, r, p)
 }
 
 /// A small TTA kernel exercising every profiled feature: an RF write, a
@@ -87,8 +94,7 @@ fn tta_program() -> Vec<TtaInst> {
 fn tta_profile_matches_the_static_schedule() {
     let m = presets::m_tta_1();
     let prog = tta_program();
-    let plain = tta_sim::tta::run_tta(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
-    let (r, p) = tta_sim::tta::run_tta_profiled(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let (plain, r, p) = plain_and_profiled(&m, Program::Tta(prog.clone()));
 
     assert_same_run(&plain, &r);
     p.check_against(&r.stats).unwrap();
@@ -193,8 +199,7 @@ fn vliw_profile_measures_dynamic_write_pressure() {
             ],
         },
     ];
-    let plain = tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
-    let (r, p) = tta_sim::vliw::run_vliw_profiled(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let (plain, r, p) = plain_and_profiled(&m, Program::Vliw(prog.clone()));
 
     assert_same_run(&plain, &r);
     p.check_against(&r.stats).unwrap();
@@ -249,8 +254,7 @@ fn scalar_profile_samples_are_instructions_not_cycles() {
             b: Some(OpSrc::Imm(0)),
         }),
     ];
-    let plain = tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
-    let (r, p) = tta_sim::scalar::run_scalar_profiled(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let (plain, r, p) = plain_and_profiled(&m, Program::Scalar(prog.clone()));
 
     assert_same_run(&plain, &r);
     p.check_against(&r.stats).unwrap();
@@ -335,7 +339,7 @@ fn profiled_dispatcher_agrees_with_plain_run_on_all_styles() {
 fn check_against_reports_the_first_inconsistency() {
     let m = presets::m_tta_1();
     let prog = tta_program();
-    let (r, p) = tta_sim::tta::run_tta_profiled(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let (_, r, p) = plain_and_profiled(&m, Program::Tta(prog));
     let mut bad = r.stats;
     bad.rf_reads += 1;
     let msg = p.check_against(&bad).unwrap_err();

@@ -3,9 +3,9 @@
 //! down independently of the compiler.
 
 use tta_isa::{
-    Move, MoveDst, MoveSrc, OpSrc, Operation, ScalarInst, TtaInst, VliwBundle, VliwSlot,
+    Move, MoveDst, MoveSrc, OpSrc, Operation, Program, ScalarInst, TtaInst, VliwBundle, VliwSlot,
 };
-use tta_model::{presets, FuId, Opcode, RegRef, RfId};
+use tta_model::{presets, FuId, Machine, Opcode, RegRef, RfId};
 use tta_sim::{SimError, SimResult};
 
 const ALU: FuId = FuId(0);
@@ -27,7 +27,17 @@ fn mv(src: MoveSrc, dst: MoveDst) -> Option<Move> {
 /// Run a TTA program on m-tta-1 with 64 KiB of memory.
 fn run_tta(insts: Vec<TtaInst>) -> Result<SimResult, SimError> {
     let m = presets::m_tta_1();
-    tta_sim::tta::run_tta(&m, &insts, vec![0; 1 << 16], 10_000)
+    tta_sim::run_with_fuel(&m, &Program::Tta(insts), vec![0; 1 << 16], 10_000)
+}
+
+/// Run a VLIW program on `m` with 64 KiB of memory.
+fn run_vliw(m: &Machine, bundles: &[VliwBundle], fuel: u64) -> Result<SimResult, SimError> {
+    tta_sim::run_with_fuel(m, &Program::Vliw(bundles.to_vec()), vec![0; 1 << 16], fuel)
+}
+
+/// Run a scalar program on `m` with 64 KiB of memory.
+fn run_scalar(m: &Machine, insts: &[ScalarInst], fuel: u64) -> Result<SimResult, SimError> {
+    tta_sim::run_with_fuel(m, &Program::Scalar(insts.to_vec()), vec![0; 1 << 16], fuel)
 }
 
 /// Build an m-tta-1 instruction from up to three slot moves.
@@ -297,7 +307,7 @@ fn vliw_writeback_visible_after_latency_plus_one() {
             ],
         },
     ];
-    let r = tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let r = run_vliw(&m, &prog, 1000).unwrap();
     assert_eq!(r.ret, 12); // cycle-2 store saw the new value
     assert_eq!(
         i32::from_le_bytes(r.memory[16..20].try_into().unwrap()),
@@ -343,7 +353,7 @@ fn vliw_limm_head_behaves_like_a_one_cycle_op() {
             ],
         },
     ];
-    let r = tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let r = run_vliw(&m, &prog, 1000).unwrap();
     assert_eq!(r.ret, 1 << 30);
     assert_eq!(r.stats.limms, 1);
 }
@@ -387,7 +397,7 @@ fn scalar_load_use_stall_is_charged() {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    let r1 = tta_sim::scalar::run_scalar(&m, &independent, vec![0; 1 << 16], 1000).unwrap();
+    let r1 = run_scalar(&m, &independent, 1000).unwrap();
     assert_eq!(r1.stats.stall_cycles, 0);
 
     let dependent = vec![
@@ -408,7 +418,7 @@ fn scalar_load_use_stall_is_charged() {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    let r2 = tta_sim::scalar::run_scalar(&m, &dependent, vec![0; 1 << 16], 1000).unwrap();
+    let r2 = run_scalar(&m, &dependent, 1000).unwrap();
     assert!(
         r2.stats.stall_cycles >= 2,
         "load-use must stall: {:?}",
@@ -433,7 +443,7 @@ fn scalar_taken_branch_pays_the_pipeline_penalty() {
             ),
             scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
         ];
-        tta_sim::scalar::run_scalar(m, &prog, vec![0; 1 << 16], 1000).unwrap()
+        run_scalar(m, &prog, 1000).unwrap()
     };
     let r3 = make(&presets::mblaze_3());
     let r5 = make(&presets::mblaze_5());
@@ -467,8 +477,8 @@ fn scalar_imm_prefix_costs_one_cycle() {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    let r1 = tta_sim::scalar::run_scalar(&m, &with_prefix, vec![0; 1 << 16], 100).unwrap();
-    let r2 = tta_sim::scalar::run_scalar(&m, &without, vec![0; 1 << 16], 100).unwrap();
+    let r1 = run_scalar(&m, &with_prefix, 100).unwrap();
+    let r2 = run_scalar(&m, &without, 100).unwrap();
     assert_eq!(r1.cycles - r2.cycles, 1);
 }
 
@@ -515,9 +525,8 @@ fn scalar_without_forwarding_pays_an_extra_cycle_per_dependence() {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    let slow = tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 100).unwrap();
-    let fast =
-        tta_sim::scalar::run_scalar(&presets::mblaze_3(), &prog, vec![0; 1 << 16], 100).unwrap();
+    let slow = run_scalar(&m, &prog, 100).unwrap();
+    let fast = run_scalar(&presets::mblaze_3(), &prog, 100).unwrap();
     assert_eq!(slow.ret, 4); // ((1+1)+1)+1
     assert_eq!(fast.ret, 4);
     assert!(
@@ -627,9 +636,7 @@ fn vliw_alu(op: Opcode, a: i32, b: i32) -> i32 {
             None,
         ],
     });
-    tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000)
-        .unwrap()
-        .ret
+    run_vliw(&m, &prog, 1000).unwrap().ret
 }
 
 /// Evaluate `op(a, b)` on mblaze-3 (the interlocked pipeline resolves
@@ -655,9 +662,7 @@ fn scalar_alu(op: Opcode, a: i32, b: i32) -> i32 {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 1000)
-        .unwrap()
-        .ret
+    run_scalar(&m, &prog, 1000).unwrap().ret
 }
 
 /// All three styles must agree with the shared reference semantics.
@@ -844,9 +849,7 @@ fn vliw_subword(store_op: Opcode, load_op: Opcode, value: i32, addr: i32) -> i32
             None,
         ],
     });
-    tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000)
-        .unwrap()
-        .ret
+    run_vliw(&m, &prog, 1000).unwrap().ret
 }
 
 /// The same round trip on mblaze-3.
@@ -872,9 +875,7 @@ fn scalar_subword(store_op: Opcode, load_op: Opcode, value: i32, addr: i32) -> i
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 1000)
-        .unwrap()
-        .ret
+    run_scalar(&m, &prog, 1000).unwrap().ret
 }
 
 fn check_subword(store_op: Opcode, load_op: Opcode, value: i32, addr: i32, want: i32) {
@@ -920,10 +921,7 @@ fn word_access_at_unaligned_address_faults_on_all_styles() {
         scalar_op(Opcode::Ldw, LSU, Some(rr(1)), None, Some(OpSrc::Imm(18))),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    assert!(matches!(
-        tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 1000),
-        Err(SimError::Mem(_))
-    ));
+    assert!(matches!(run_scalar(&m, &prog, 1000), Err(SimError::Mem(_))));
 
     let tta_prog = vec![
         inst([
@@ -949,7 +947,7 @@ fn word_access_at_unaligned_address_faults_on_all_styles() {
         ],
     }];
     assert!(matches!(
-        tta_sim::vliw::run_vliw(&mv2, &vliw_prog, vec![0; 1 << 16], 1000),
+        run_vliw(&mv2, &vliw_prog, 1000),
         Err(SimError::Mem(_))
     ));
 }
@@ -1009,7 +1007,7 @@ fn stall_cycles_semantics_are_scalar_only() {
             ],
         },
     ];
-    let r = tta_sim::vliw::run_vliw(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let r = run_vliw(&m, &prog, 1000).unwrap();
     assert_eq!(r.ret, 5);
     assert_eq!(r.stats.stall_cycles, 0);
     assert_eq!(r.cycles, r.stats.instructions);
@@ -1037,7 +1035,7 @@ fn stall_cycles_semantics_are_scalar_only() {
         ),
         scalar_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0))),
     ];
-    let r = tta_sim::scalar::run_scalar(&m, &prog, vec![0; 1 << 16], 1000).unwrap();
+    let r = run_scalar(&m, &prog, 1000).unwrap();
     assert!(
         r.stats.stall_cycles > 0,
         "load-use must stall: {:?}",
