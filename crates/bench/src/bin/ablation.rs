@@ -8,7 +8,7 @@
 //!
 //!     cargo run --release -p tta-bench --bin ablation
 
-use tta_compiler::{compile_with, TtaOptions};
+use tta_compiler::{compile_prepared, prepare, TtaOptions};
 use tta_model::presets;
 
 fn variants() -> Vec<(&'static str, TtaOptions)> {
@@ -59,9 +59,11 @@ fn main() {
     );
     for kernel in tta_chstone::all_kernels() {
         let module = (kernel.build)();
+        // The variants differ only in the back end: prepare once.
+        let front = prepare(&module).expect("prepares");
         print!("{:10}", kernel.name);
         for (_, opts) in variants() {
-            let compiled = compile_with(&module, &machine, opts).expect("compiles");
+            let compiled = compile_prepared(&front, &machine, opts).expect("compiles");
             let r =
                 tta_sim::run(&machine, &compiled.program, module.initial_memory()).expect("runs");
             assert_eq!(

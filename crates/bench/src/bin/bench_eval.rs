@@ -7,93 +7,28 @@
 //! working directory). The file embeds the observability run report under
 //! the `"obs"` key; `bench_report` diffs two such files in CI.
 
-use std::time::Instant;
-
-use tta_obs::json::Json;
-
-fn round(v: f64, places: i32) -> f64 {
-    let p = 10f64.powi(places);
-    (v * p).round() / p
-}
-
 fn main() {
     tta_obs::init_from_env();
     let reps: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(5);
-
-    // Warm-up run: faults in the kernel IR builders and touches the page
-    // cache so rep timings measure the pipeline, not first-run effects.
-    let reports = tta_bench::full_evaluation();
-    let pairs: usize = reports.iter().map(|r| r.runs.len()).sum();
-
-    let mut totals_s: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = tta_bench::full_evaluation();
-        std::hint::black_box(&r);
-        totals_s.push(t.elapsed().as_secs_f64());
-    }
-    totals_s.sort_by(|a, b| a.total_cmp(b));
-    let min = totals_s[0];
-    let median = totals_s[totals_s.len() / 2];
-
-    let timing = tta_explore::eval::last_timing();
-    // Single-threaded runs are not comparable against multi-core baselines;
-    // flag them loudly in both the log and the JSON so `bench_report`
-    // consumers can tell the configurations apart.
-    let threads_warning = timing.threads <= 1;
-    if threads_warning {
+    let json = tta_bench::eval_bench_json(reps, tta_bench::full_evaluation);
+    let num = |k: &str| json.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
+    if json.get("threads_warning").is_some() {
         eprintln!(
             "WARNING: evaluate_all ran on 1 worker thread (TTA_EVAL_THREADS or a \
              single-core host); wall-clock numbers are not comparable to \
              multi-threaded baselines"
         );
     }
-    let mut fields = vec![
-        ("bench".into(), Json::Str("evaluate_all".into())),
-        ("machines".into(), Json::Num(reports.len() as f64)),
-        (
-            "kernels".into(),
-            Json::Num(reports.first().map_or(0, |r| r.runs.len()) as f64),
-        ),
-        ("pairs".into(), Json::Num(pairs as f64)),
-        ("reps".into(), Json::Num(reps as f64)),
-        ("wall_s_min".into(), Json::Num(round(min, 6))),
-        ("wall_s_median".into(), Json::Num(round(median, 6))),
-        (
-            "pairs_per_s".into(),
-            Json::Num(round(pairs as f64 / min, 2)),
-        ),
-        (
-            "stages_s".into(),
-            Json::Obj(vec![
-                ("build_ir".into(), Json::Num(round(timing.build_ir_s, 6))),
-                (
-                    "golden_interp".into(),
-                    Json::Num(round(timing.golden_interp_s, 6)),
-                ),
-                ("compile".into(), Json::Num(round(timing.compile_s, 6))),
-                ("simulate".into(), Json::Num(round(timing.simulate_s, 6))),
-                (
-                    "verify_estimate".into(),
-                    Json::Num(round(timing.verify_estimate_s, 6)),
-                ),
-            ]),
-        ),
-        ("threads".into(), Json::Num(timing.threads as f64)),
-    ];
-    if threads_warning {
-        fields.push((
-            "threads_warning".into(),
-            Json::Str("single-threaded run; not comparable to multi-core baselines".into()),
-        ));
-    }
-    fields.push(("obs".into(), tta_bench::harness::obs_report_json()));
-    let json = Json::Obj(fields);
     let text = json.to_pretty();
     std::fs::write("BENCH_eval.json", &text).expect("write BENCH_eval.json");
     print!("{text}");
-    eprintln!("wrote BENCH_eval.json ({pairs} pairs, min {min:.3}s, median {median:.3}s)");
+    eprintln!(
+        "wrote BENCH_eval.json ({} pairs, min {:.3}s, median {:.3}s)",
+        num("pairs"),
+        num("wall_s_min"),
+        num("wall_s_median")
+    );
 }

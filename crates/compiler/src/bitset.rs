@@ -50,6 +50,19 @@ impl BitSet {
         changed
     }
 
+    /// `self |= a - b`; returns whether `self` changed.
+    pub fn union_with_difference(&mut self, a: &BitSet, b: &BitSet) -> bool {
+        debug_assert_eq!(self.capacity, a.capacity);
+        debug_assert_eq!(self.capacity, b.capacity);
+        let mut changed = false;
+        for ((s, x), y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+            let old = *s;
+            *s |= x & !y;
+            changed |= *s != old;
+        }
+        changed
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -104,6 +117,19 @@ mod tests {
         assert!(a.union_with(&b));
         assert!(!a.union_with(&b));
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 99]);
+    }
+
+    #[test]
+    fn union_with_difference() {
+        let (mut s, mut a, mut b) = (BitSet::new(130), BitSet::new(130), BitSet::new(130));
+        s.insert(0);
+        for i in [1, 64, 129] {
+            a.insert(i);
+        }
+        b.insert(64);
+        assert!(s.union_with_difference(&a, &b));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 129]);
+        assert!(!s.union_with_difference(&a, &b));
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! The top-level compilation driver: verified IR module in, validated
 //! machine program out.
 //!
-//! Pipeline: verify → exhaustive inlining → constant legalisation →
-//! linear-scan register allocation → located-code lowering → style-specific
-//! scheduling (TTA / VLIW / scalar) → block layout and branch-target
-//! patching → program validation.
+//! Pipeline, split at the machine boundary:
+//!
+//! * front half ([`prepare`], machine-independent): verify → exhaustive
+//!   inlining → constant folding ↔ dead-code elimination to a fixpoint;
+//! * back end ([`compile_prepared`], per machine): constant legalisation →
+//!   linear-scan register allocation → located-code lowering →
+//!   style-specific scheduling (TTA / VLIW / scalar) → block layout and
+//!   branch-target patching → program validation.
+//!
+//! [`compile`] runs both halves; callers that compile one module for many
+//! machines prepare it once and run only the back end per machine.
 
 use crate::consts::ConstStats;
 use crate::inline::inline_module;
 use crate::loc::lower;
 use crate::regalloc::allocate;
 use crate::scalar_sched::{ScalarCodegen, WhichSrc};
-use crate::tta_sched::{TtaScheduler, TtaStats};
+use crate::tta_sched::{TtaOptions, TtaScheduler, TtaStats};
 use crate::vliw_sched::VliwScheduler;
-use tta_ir::Module;
+use tta_ir::{Function, Module};
 use tta_isa::encoding::{fits_signed, vliw_imm_bits};
 use tta_isa::{OpSrc, Program, ScalarInst, VliwSlot};
 use tta_model::{CoreStyle, Machine, RegRef, RfId};
@@ -142,7 +149,7 @@ pub fn vliw_bt_reg(m: &Machine) -> RegRef {
 
 /// Compile `module` for `machine` with every TTA freedom enabled.
 pub fn compile(module: &Module, machine: &Machine) -> Result<Compiled, CompileError> {
-    compile_with(module, machine, crate::tta_sched::TtaOptions::default())
+    compile_with(module, machine, TtaOptions::default())
 }
 
 /// Compile with explicit TTA-freedom toggles (no effect on VLIW/scalar
@@ -150,9 +157,60 @@ pub fn compile(module: &Module, machine: &Machine) -> Result<Compiled, CompileEr
 pub fn compile_with(
     module: &Module,
     machine: &Machine,
-    opts: crate::tta_sched::TtaOptions,
+    opts: TtaOptions,
 ) -> Result<Compiled, CompileError> {
     let _compile_span = tta_obs::span("compile");
+    back_end(&front_half(module)?, machine, opts)
+}
+
+/// The machine-independent front half of a compilation: the module
+/// verified, inlined into its entry function (and into its `__irq`
+/// handler, when it declares one) and folded/DCE'd to a fixpoint.
+///
+/// [`prepare`] builds it once per module; [`compile_prepared`] turns it
+/// into a program for any machine. A caller that compiles one module for
+/// many machines (the fuzz oracle, the compile cache, the profiler) pays
+/// for the front half once instead of once per machine.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    main: Segment,
+    irq: Option<Segment>,
+}
+
+/// One code region of a [`Prepared`] module.
+#[derive(Debug, Clone)]
+struct Segment {
+    /// The flattened, optimised function.
+    flat: Function,
+    /// Where the register allocator spills.
+    spill_base: u32,
+    /// Instructions removed by dead-code elimination.
+    dce_removed: usize,
+    /// Instructions rewritten by constant folding.
+    folded: usize,
+}
+
+/// Run the machine-independent front half of [`compile`] once: verify,
+/// check the entry signature, inline and optimise the entry function and
+/// the `__irq` handler view. Charged to a `compile` span, like the rest
+/// of the compiler.
+pub fn prepare(module: &Module) -> Result<Prepared, CompileError> {
+    let _compile_span = tta_obs::span("compile");
+    front_half(module)
+}
+
+/// Compile a [`prepare`]d module for `machine`: the machine-dependent
+/// back end of [`compile_with`], with an identical result.
+pub fn compile_prepared(
+    prepared: &Prepared,
+    machine: &Machine,
+    opts: TtaOptions,
+) -> Result<Compiled, CompileError> {
+    let _compile_span = tta_obs::span("compile");
+    back_end(prepared, machine, opts)
+}
+
+fn front_half(module: &Module) -> Result<Prepared, CompileError> {
     {
         let _s = tta_obs::span("verify");
         tta_ir::verify::verify_module(module).map_err(CompileError::Verify)?;
@@ -162,19 +220,60 @@ pub fn compile_with(
             "entry functions must take no parameters".into(),
         ));
     }
-    let spill_base = module.mem_size.saturating_sub(4096);
-    let (mut program, mut block_starts, mut stats) =
-        compile_segment(module, machine, opts, spill_base, 0)?;
+    let main = optimise(module, module.mem_size.saturating_sub(4096))?;
+    // The handler's spill slots live in a separate area so a trap can
+    // never clobber a spilled main value.
+    let irq = irq_view(module)
+        .map(|hview| optimise(&hview, module.mem_size.saturating_sub(2048)))
+        .transpose()?;
+    let folded = main.folded + irq.as_ref().map_or(0, |h| h.folded);
+    tta_obs::counter::add("compiler.prepares", 1);
+    tta_obs::counter::add("compiler.folded", folded as u64);
+    Ok(Prepared { main, irq })
+}
+
+/// Inline `module.entry_func()` and iterate constant folding and DCE to
+/// a fixpoint.
+fn optimise(module: &Module, spill_base: u32) -> Result<Segment, CompileError> {
+    let mut flat = {
+        let _s = tta_obs::span("inline");
+        inline_module(module).map_err(|e| CompileError::Inline(e.0))?
+    };
+    // Folding exposes dead code and vice versa; iterate the pair to a
+    // fixpoint (bounded — each round strictly shrinks or stops).
+    let mut dce_removed = 0;
+    let mut folded = 0;
+    let _opt_span = tta_obs::span("opt");
+    loop {
+        let f = crate::fold::fold_constants(&mut flat)
+            + crate::fold::propagate_single_def_constants(&mut flat);
+        let d = crate::dce::eliminate_dead_code(&mut flat);
+        folded += f;
+        dce_removed += d;
+        if f == 0 && d == 0 {
+            break;
+        }
+    }
+    Ok(Segment {
+        flat,
+        spill_base,
+        dce_removed,
+        folded,
+    })
+}
+
+/// The machine-dependent half: compile the main segment, append the
+/// `__irq` handler as a second code region, validate.
+fn back_end(p: &Prepared, machine: &Machine, opts: TtaOptions) -> Result<Compiled, CompileError> {
+    let (mut program, mut block_starts, mut stats) = compile_segment(&p.main, machine, opts, 0)?;
 
     // The `__irq` handler compiles as a second code region appended
-    // after the main program. Its spill slots live in a separate area
-    // (512 words each) so a trap can never clobber a spilled main value.
+    // after the main program, with its own spill area (512 words each).
     let mut irq_entry = None;
-    if let Some(hview) = irq_view(module) {
+    if let Some(handler) = &p.irq {
         const SPILL_WORDS: usize = 512;
         let base = program.len() as u32;
-        let hspill = module.mem_size.saturating_sub(2048);
-        let (hprog, hstarts, hstats) = compile_segment(&hview, machine, opts, hspill, base)?;
+        let (hprog, hstarts, hstats) = compile_segment(handler, machine, opts, base)?;
         if stats.spilled > SPILL_WORDS || hstats.spilled > SPILL_WORDS {
             return Err(CompileError::Alloc(format!(
                 "spill areas overflow with an interrupt handler: main {} / handler {} (max {})",
@@ -198,7 +297,6 @@ pub fn compile_with(
     tta_obs::counter::add("compiler.compiles", 1);
     tta_obs::counter::add("compiler.blocks", stats.blocks as u64);
     tta_obs::counter::add("compiler.insts", stats.ops as u64);
-    tta_obs::counter::add("compiler.folded", stats.folded as u64);
     Ok(Compiled {
         program,
         machine: machine.name.clone(),
@@ -242,37 +340,17 @@ fn append_program(main: &mut Program, seg: Program) {
     }
 }
 
-/// One pipeline pass over `module.entry_func()`: inline, optimise,
-/// legalise constants, allocate registers (spilling at `spill_base`),
-/// schedule, and lay blocks out starting at absolute pc `base` (branch
-/// targets are patched to absolute addresses).
+/// The back end over one prepared segment: legalise constants, allocate
+/// registers (spilling at the segment's spill base), schedule, and lay
+/// blocks out starting at absolute pc `base` (branch targets are patched
+/// to absolute addresses).
 fn compile_segment(
-    module: &Module,
+    seg: &Segment,
     machine: &Machine,
-    opts: crate::tta_sched::TtaOptions,
-    spill_base: u32,
+    opts: TtaOptions,
     base: u32,
 ) -> Result<(Program, Vec<u32>, CompileStats), CompileError> {
-    let mut flat = {
-        let _s = tta_obs::span("inline");
-        inline_module(module).map_err(|e| CompileError::Inline(e.0))?
-    };
-    // Folding exposes dead code and vice versa; iterate the pair to a
-    // fixpoint (bounded — each round strictly shrinks or stops).
-    let mut dce_removed = 0;
-    let mut folded = 0;
-    let opt_span = tta_obs::span("opt");
-    loop {
-        let f = crate::fold::fold_constants(&mut flat)
-            + crate::fold::propagate_single_def_constants(&mut flat);
-        let d = crate::dce::eliminate_dead_code(&mut flat);
-        folded += f;
-        dce_removed += d;
-        if f == 0 && d == 0 {
-            break;
-        }
-    }
-    drop(opt_span);
+    let mut flat = seg.flat.clone();
 
     // Constant legalisation with the style's inline-immediate reach.
     let fits: Box<dyn Fn(i32) -> bool> = match machine.style {
@@ -303,8 +381,8 @@ fn compile_segment(
         CoreStyle::Vliw => vec![vliw_bt_reg(machine)],
         _ => vec![],
     };
-    let alloc =
-        allocate(&flat, machine, &reserved, spill_base).map_err(|e| CompileError::Alloc(e.0))?;
+    let alloc = allocate(&flat, machine, &reserved, seg.spill_base)
+        .map_err(|e| CompileError::Alloc(e.0))?;
     let spilled = alloc.spilled;
     let lf = {
         let _s = tta_obs::span("lower");
@@ -316,8 +394,8 @@ fn compile_segment(
         ops: lf.blocks.iter().map(|b| b.ops.len()).sum(),
         spilled,
         consts: const_stats,
-        dce_removed,
-        folded,
+        dce_removed: seg.dce_removed,
+        folded: seg.folded,
         tta: TtaStats::default(),
     };
 
@@ -480,8 +558,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn irq_handler_compiles_as_appended_region() {
+    /// A module whose `__irq` handler bumps a counter `main` reads back.
+    fn irq_module() -> Module {
         use tta_ir::inst::MemRegion;
         let mut mb = ModuleBuilder::new("withirq");
         let buf = mb.buffer(8);
@@ -497,8 +575,70 @@ mod tests {
         fb.ret(v);
         let id = mb.add(fb.finish());
         mb.set_entry(id);
-        let m = mb.finish();
+        mb.finish()
+    }
 
+    /// `main` calls `f(0)`; `f` calls itself on its (never taken)
+    /// recursive branch, so the module runs but cannot be inlined.
+    fn recursive_module() -> Module {
+        let mut mb = ModuleBuilder::new("rec");
+        let f_id = mb.declare("f");
+        let mut fb = FunctionBuilder::new("f", 1, true);
+        let n = fb.param(0);
+        let c = fb.lt(n, 1);
+        let (base, rec) = (fb.new_block(), fb.new_block());
+        fb.branch(c, base, rec);
+        fb.switch_to(base);
+        let zero = fb.copy(0);
+        fb.ret(zero);
+        fb.switch_to(rec);
+        let n1 = fb.sub(n, 1);
+        let r = fb.call(f_id, &[tta_ir::Operand::Reg(n1)]);
+        fb.ret(r);
+        mb.define(f_id, fb.finish());
+        let mut main = FunctionBuilder::new("main", 0, true);
+        let r = main.call(f_id, &[tta_ir::Operand::Imm(0)]);
+        main.ret(r);
+        let id = mb.add(main.finish());
+        mb.set_entry(id);
+        mb.finish()
+    }
+
+    #[test]
+    fn prepare_reports_front_half_errors() {
+        let e = prepare(&recursive_module()).unwrap_err();
+        assert!(
+            matches!(e, CompileError::Inline(ref m) if m.contains("recursive")),
+            "{e}"
+        );
+
+        let mut mb = ModuleBuilder::new("param");
+        let mut fb = FunctionBuilder::new("main", 1, true);
+        let p = fb.param(0);
+        fb.ret(p);
+        let id = mb.add(fb.finish());
+        mb.set_entry(id);
+        let e = prepare(&mb.finish()).unwrap_err();
+        assert!(matches!(e, CompileError::Unsupported(_)), "{e}");
+    }
+
+    #[test]
+    fn prepared_back_end_matches_compile() {
+        for m in [irq_module(), sum_module(10)] {
+            let p = prepare(&m).unwrap();
+            for machine in presets::all_design_points() {
+                let whole = compile(&m, &machine).unwrap();
+                let split = compile_prepared(&p, &machine, TtaOptions::default()).unwrap();
+                assert_eq!(split.irq_entry, whole.irq_entry, "{}", machine.name);
+                assert_eq!(split.block_starts, whole.block_starts, "{}", machine.name);
+                assert_eq!(split.program, whole.program, "{}", machine.name);
+            }
+        }
+    }
+
+    #[test]
+    fn irq_handler_compiles_as_appended_region() {
+        let m = irq_module();
         for machine in presets::all_design_points() {
             let c = compile(&m, &machine).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
             let entry = c

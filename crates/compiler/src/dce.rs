@@ -78,6 +78,20 @@ mod tests {
     }
 
     #[test]
+    fn removes_an_overwritten_def_of_a_used_register() {
+        // x = 1; x = 2; ret x: x has a use, but the first def never
+        // reaches it. Liveness sees that; a per-register def/use count
+        // would not (this IR is not SSA).
+        let mut fb = FunctionBuilder::new("f", 0, true);
+        let x = fb.copy(1);
+        fb.copy_to(x, 2);
+        fb.ret(x);
+        let mut f = fb.finish();
+        assert_eq!(eliminate_dead_code(&mut f), 1);
+        assert_eq!(f.blocks[0].insts.len(), 1);
+    }
+
+    #[test]
     fn keeps_stores_and_loads_feeding_them() {
         let mut fb = FunctionBuilder::new("f", 0, false);
         let v = fb.ldw(16, MemRegion(1));

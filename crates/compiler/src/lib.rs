@@ -10,7 +10,10 @@
 //! one writeback cycle on every dependence); the [`scalar_sched`] backend
 //! emits a single-issue stream for the MicroBlaze-like baselines.
 //!
-//! Entry point: [`compile::compile`].
+//! Entry points: [`compile::compile`] for one module on one machine;
+//! [`compile::prepare`] once per module, then [`compile::compile_prepared`]
+//! per machine, when one module is compiled for many machines (the
+//! machine-independent front half then runs once).
 
 #![warn(missing_docs)]
 
@@ -29,5 +32,8 @@ pub mod scalar_sched;
 pub mod tta_sched;
 pub mod vliw_sched;
 
-pub use compile::{compile, compile_with, CompileError, CompileStats, Compiled};
+pub use compile::{
+    compile, compile_prepared, compile_with, prepare, CompileError, CompileStats, Compiled,
+    Prepared,
+};
 pub use tta_sched::TtaOptions;

@@ -13,13 +13,19 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Compute liveness for a function with a standard backward dataflow.
+    /// Compute liveness for a function with a standard backward dataflow,
+    /// in place on the sets' words.
+    ///
+    /// `live_in` starts at each block's upward-exposed uses (`gen`) rather
+    /// than empty: every solution contains `gen`, and the rounds only ever
+    /// add to both sets (`out |= in[succ]`, `in |= out - kill`), so they
+    /// stop at the same least fixpoint without allocating anything.
     pub fn compute(f: &Function) -> Liveness {
         let nregs = f.next_vreg as usize;
         let nblocks = f.blocks.len();
 
         // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut gen = Vec::with_capacity(nblocks);
+        let mut live_in = Vec::with_capacity(nblocks);
         let mut kill = Vec::with_capacity(nblocks);
         for b in &f.blocks {
             let mut g = BitSet::new(nregs);
@@ -41,11 +47,10 @@ impl Liveness {
                     }
                 }
             }
-            gen.push(g);
+            live_in.push(g);
             kill.push(k);
         }
 
-        let mut live_in: Vec<BitSet> = vec![BitSet::new(nregs); nblocks];
         let mut live_out: Vec<BitSet> = vec![BitSet::new(nregs); nblocks];
         let succs: Vec<Vec<u32>> = f
             .blocks
@@ -62,25 +67,10 @@ impl Liveness {
         while changed {
             changed = false;
             for bi in (0..nblocks).rev() {
-                let mut out = BitSet::new(nregs);
                 for &s in &succs[bi] {
-                    out.union_with(&live_in[s as usize]);
+                    changed |= live_out[bi].union_with(&live_in[s as usize]);
                 }
-                // in = gen | (out - kill)
-                let mut inp = gen[bi].clone();
-                for e in out.iter() {
-                    if !kill[bi].contains(e) {
-                        inp.insert(e);
-                    }
-                }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                if inp != live_in[bi] {
-                    live_in[bi] = inp;
-                    changed = true;
-                }
+                changed |= live_in[bi].union_with_difference(&live_out[bi], &kill[bi]);
             }
         }
         Liveness { live_in, live_out }
@@ -142,6 +132,63 @@ mod tests {
         assert!(l.live_out[body_i].contains(i.0 as usize));
         // The condition is block-local to head.
         assert!(!l.live_out[head_i].contains(c.0 as usize));
+    }
+
+    /// The textbook round-robin solver: fresh sets every round, `in`
+    /// rebuilt from empty as `gen ∪ (out − kill)`.
+    fn reference(f: &Function) -> Liveness {
+        let n = f.next_vreg as usize;
+        let (mut gen, mut kill) = (Vec::new(), Vec::new());
+        for b in &f.blocks {
+            let (mut g, mut k) = (BitSet::new(n), BitSet::new(n));
+            let term_uses = b.term.iter().flat_map(|t| t.uses());
+            let steps = b.insts.iter().map(|i| (i.uses(), i.def()));
+            for (uses, def) in steps.chain(std::iter::once((term_uses.collect(), None))) {
+                for u in uses {
+                    if !k.contains(u.0 as usize) {
+                        g.insert(u.0 as usize);
+                    }
+                }
+                if let Some(d) = def {
+                    k.insert(d.0 as usize);
+                }
+            }
+            gen.push(g);
+            kill.push(k);
+        }
+        let nb = f.blocks.len();
+        let mut l = Liveness {
+            live_in: vec![BitSet::new(n); nb],
+            live_out: vec![BitSet::new(n); nb],
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for bi in (0..nb).rev() {
+                let mut out = BitSet::new(n);
+                for s in f.blocks[bi].term.iter().flat_map(|t| t.successors()) {
+                    out.union_with(&l.live_in[s.0 as usize]);
+                }
+                let mut inp = gen[bi].clone();
+                for e in out.iter().filter(|&e| !kill[bi].contains(e)) {
+                    inp.insert(e);
+                }
+                changed |= out != l.live_out[bi] || inp != l.live_in[bi];
+                l.live_out[bi] = out;
+                l.live_in[bi] = inp;
+            }
+        }
+        l
+    }
+
+    #[test]
+    fn matches_the_reference_solver_on_every_kernel() {
+        for k in tta_chstone::all_kernels() {
+            let f = crate::inline::inline_module(&(k.build)()).unwrap();
+            let (got, want) = (Liveness::compute(&f), reference(&f));
+            assert_eq!(got.live_in, want.live_in, "{}", k.name);
+            assert_eq!(got.live_out, want.live_out, "{}", k.name);
+        }
     }
 
     #[test]

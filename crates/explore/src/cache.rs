@@ -29,9 +29,11 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tta_compiler::{compile, Compiled};
+use tta_compiler::{compile_prepared, Compiled, TtaOptions};
 use tta_model::Machine;
 use tta_obs as obs;
+
+use crate::eval::PreparedKernel;
 
 /// A cached compile artefact: the compiled program plus its shared
 /// compiled-tier promotion state.
@@ -106,22 +108,18 @@ impl CompileCache {
         (hash_of(&format!("{machine:?}")), ir_hash)
     }
 
-    /// Look up `key`, or compile `module` for `machine` and insert. The
-    /// hit path still charges a (tiny) `compile` span so stage accounting
-    /// always reflects the stage that ran; misses are charged in full by
-    /// `compile` itself. Hit/miss totals land on the
-    /// `eval.compile_cache.{hits,misses}` counters.
+    /// Look up `key`, or compile `kernel` for `machine` and insert. A
+    /// miss runs only the compiler's back end, from the kernel's front
+    /// half ([`PreparedKernel::front`], built on the kernel's first miss).
+    /// The hit path still charges a (tiny) `compile` span so stage
+    /// accounting always reflects the stage that ran; misses are charged
+    /// in full by the compiler's own `compile` spans. Hit/miss totals land
+    /// on the `eval.compile_cache.{hits,misses}` counters.
     ///
     /// Compilation happens *outside* the shard lock: a racing worker may
     /// compile the same key concurrently and insert second, but both
     /// artefacts have identical content, so last-write-wins is fine.
-    pub fn get_or_compile(
-        &self,
-        key: Key,
-        module: &tta_ir::Module,
-        machine: &Machine,
-        what: &str,
-    ) -> Entry {
+    pub fn get_or_compile(&self, key: Key, kernel: &PreparedKernel, machine: &Machine) -> Entry {
         {
             let _s = obs::span("compile");
             if let Some(hit) = self.shard(key).lock().unwrap().map.get(&key) {
@@ -130,9 +128,12 @@ impl CompileCache {
             }
         }
         obs::counter::add("eval.compile_cache.misses", 1);
-        let compiled = Arc::new(
-            compile(module, machine).unwrap_or_else(|e| panic!("{what} on {}: {e}", machine.name)),
-        );
+        let compiled = kernel
+            .front()
+            .map_err(Clone::clone)
+            .and_then(|p| compile_prepared(p, machine, TtaOptions::default()))
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, machine.name));
+        let compiled = Arc::new(compiled);
         let tiers = Arc::new(tta_sim::Tiers::for_program(&compiled.program));
         let entry = (compiled, tiers);
         self.insert(key, entry.clone());
@@ -194,18 +195,18 @@ mod tests {
     use super::*;
     use tta_model::presets;
 
-    fn small_module() -> tta_ir::Module {
-        tta_chstone::by_name("sha").map(|k| (k.build)()).unwrap()
+    fn small_kernel() -> PreparedKernel {
+        crate::eval::prepare_kernel(&tta_chstone::by_name("sha").unwrap())
     }
 
     #[test]
     fn hit_returns_the_same_artefact() {
         let cache = CompileCache::new();
-        let module = small_module();
+        let kernel = small_kernel();
         let machine = presets::mblaze_3();
         let key = CompileCache::key_for(&machine, hash_of("sha-ir"));
-        let a = cache.get_or_compile(key, &module, &machine, "sha");
-        let b = cache.get_or_compile(key, &module, &machine, "sha");
+        let a = cache.get_or_compile(key, &kernel, &machine);
+        let b = cache.get_or_compile(key, &kernel, &machine);
         assert!(Arc::ptr_eq(&a.0, &b.0), "hit must share the artefact");
         assert!(Arc::ptr_eq(&a.1, &b.1), "hit must share the tier table");
         assert_eq!(cache.len(), 1);
@@ -214,10 +215,10 @@ mod tests {
     #[test]
     fn distinct_machines_get_distinct_entries() {
         let cache = CompileCache::new();
-        let module = small_module();
+        let kernel = small_kernel();
         let ir = hash_of("sha-ir");
         for m in [presets::mblaze_3(), presets::m_vliw_2(), presets::m_tta_2()] {
-            cache.get_or_compile(CompileCache::key_for(&m, ir), &module, &m, "sha");
+            cache.get_or_compile(CompileCache::key_for(&m, ir), &kernel, &m);
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.shard_count(), SHARDS);
@@ -234,7 +235,7 @@ mod tests {
         // evicts the oldest one.
         let cache = CompileCache::with_capacity(SHARDS);
         assert_eq!(cache.capacity(), SHARDS);
-        let module = small_module();
+        let kernel = small_kernel();
         let machine = presets::mblaze_3();
         let key = |i: u64| CompileCache::key_for(&machine, i);
         let before = tta_obs::counter::get("cache.evictions").unwrap_or(0);
@@ -242,7 +243,7 @@ mod tests {
         // evictions no matter how the hashes land.
         let n = 4 * SHARDS as u64;
         let first: Vec<Entry> = (0..n)
-            .map(|i| cache.get_or_compile(key(i), &module, &machine, "sha"))
+            .map(|i| cache.get_or_compile(key(i), &kernel, &machine))
             .collect();
         assert!(
             cache.len() <= cache.capacity(),
@@ -258,12 +259,12 @@ mod tests {
 
         // The newest key is resident in its shard and hits; the oldest
         // was evicted and recompiles into a fresh artefact.
-        let last = cache.get_or_compile(key(n - 1), &module, &machine, "sha");
+        let last = cache.get_or_compile(key(n - 1), &kernel, &machine);
         assert!(
             Arc::ptr_eq(&last.0, &first[n as usize - 1].0),
             "resident key must hit"
         );
-        let again = cache.get_or_compile(key(0), &module, &machine, "sha");
+        let again = cache.get_or_compile(key(0), &kernel, &machine);
         assert!(
             !Arc::ptr_eq(&again.0, &first[0].0),
             "oldest key was evicted and must recompile"
@@ -280,13 +281,13 @@ mod tests {
     #[test]
     fn reinserting_the_same_key_does_not_count_as_growth() {
         let cache = CompileCache::with_capacity(SHARDS);
-        let module = small_module();
+        let kernel = small_kernel();
         let machine = presets::mblaze_3();
         let key = CompileCache::key_for(&machine, 7);
-        let first = cache.get_or_compile(key, &module, &machine, "sha");
+        let first = cache.get_or_compile(key, &kernel, &machine);
         for _ in 0..4 {
             // An eviction would drop the only entry and recompile it.
-            let hit = cache.get_or_compile(key, &module, &machine, "sha");
+            let hit = cache.get_or_compile(key, &kernel, &machine);
             assert!(Arc::ptr_eq(&hit.0, &first.0), "hits never evict");
         }
         assert_eq!(cache.len(), 1);
@@ -295,14 +296,14 @@ mod tests {
     #[test]
     fn concurrent_lookups_converge_on_one_entry_per_key() {
         let cache = CompileCache::new();
-        let module = small_module();
+        let kernel = small_kernel();
         let machine = presets::mblaze_3();
         let key = CompileCache::key_for(&machine, hash_of("sha-ir"));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..3 {
-                        let e = cache.get_or_compile(key, &module, &machine, "sha");
+                        let e = cache.get_or_compile(key, &kernel, &machine);
                         assert!(!e.0.program.is_empty());
                     }
                 });

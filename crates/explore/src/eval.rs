@@ -9,10 +9,10 @@
 //! [`last_timing`] reads that subtree back in the historical
 //! [`EvalTiming`] shape.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use tta_chstone::reactive::ReactiveGuest;
 use tta_chstone::Kernel;
-use tta_compiler::{compile, Compiled};
+use tta_compiler::{compile, CompileError, Compiled, Prepared};
 use tta_fpga::Resources;
 use tta_ir::interp::Interpreter;
 use tta_isa::encoding;
@@ -139,7 +139,9 @@ impl MachineReport {
 
 /// A kernel with its IR module built and golden return value interpreted —
 /// both machine-independent, so [`evaluate`] (and the batch server) does
-/// this once per kernel instead of once per (kernel × machine).
+/// this once per kernel instead of once per (kernel × machine). The
+/// compiler's machine-independent front half is kept here too, built on
+/// the first compile-cache miss ([`PreparedKernel::front`]).
 pub struct PreparedKernel {
     /// Kernel name.
     pub name: &'static str,
@@ -153,6 +155,20 @@ pub struct PreparedKernel {
     pub golden_stats: tta_ir::interp::ExecStats,
     /// Content hash of the kernel's IR text (compile-cache key half).
     pub ir_hash: u64,
+    /// The compiler front half, filled once by [`PreparedKernel::front`].
+    front: OnceLock<Result<Prepared, CompileError>>,
+}
+
+impl PreparedKernel {
+    /// The module run through the compiler's machine-independent front
+    /// half ([`tta_compiler::prepare`], charged to a `compile` span), on
+    /// the first call only. [`prepare_kernel`] leaves it empty: callers
+    /// that only hit the compile cache never pay for it.
+    pub fn front(&self) -> Result<&Prepared, &CompileError> {
+        self.front
+            .get_or_init(|| tta_compiler::prepare(&self.module))
+            .as_ref()
+    }
 }
 
 /// Build a kernel's IR module and run the golden interpreter once,
@@ -173,6 +189,7 @@ pub fn prepare_kernel(kernel: &Kernel) -> PreparedKernel {
         golden_ret: golden.ret,
         golden_stats: golden.stats,
         ir_hash,
+        front: OnceLock::new(),
     }
 }
 
@@ -184,7 +201,7 @@ pub fn compile_cached(
     machine: &Machine,
 ) -> (Arc<Compiled>, Arc<tta_sim::Tiers>) {
     let key = CompileCache::key_for(machine, p.ir_hash);
-    cache::global().get_or_compile(key, &p.module, machine, p.name)
+    cache::global().get_or_compile(key, p, machine)
 }
 
 /// Compile + simulate one prepared kernel on one machine and verify the

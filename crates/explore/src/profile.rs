@@ -17,7 +17,7 @@
 //! port traffic, FU starts per cycle bucket) as counter tracks below it.
 
 use tta_chstone::Kernel;
-use tta_compiler::compile;
+use tta_compiler::{compile, compile_prepared, prepare, Prepared, TtaOptions};
 use tta_ir::interp::Interpreter;
 use tta_model::{CoreStyle, Machine};
 use tta_obs::json::Json;
@@ -70,12 +70,13 @@ fn style_name(style: CoreStyle) -> &'static str {
 /// Panics on a compile/simulate failure or a profile inconsistency —
 /// both indicate repo bugs, exactly like [`crate::evaluate`].
 pub fn profile(machines: &[Machine], kernels: &[Kernel]) -> ProfileReport {
-    let prepared: Vec<(String, tta_ir::Module, Option<i32>)> = kernels
+    let prepared: Vec<(String, tta_ir::Module, Option<i32>, Prepared)> = kernels
         .iter()
         .map(|k| {
             let module = (k.build)();
             let golden = Interpreter::new(&module).run(&[]).expect("interpreter");
-            (k.name.to_string(), module, golden.ret)
+            let front = prepare(&module).unwrap_or_else(|e| panic!("{}: {e}", k.name));
+            (k.name.to_string(), module, golden.ret, front)
         })
         .collect();
     let machines = machines
@@ -83,8 +84,8 @@ pub fn profile(machines: &[Machine], kernels: &[Kernel]) -> ProfileReport {
         .map(|machine| {
             let kernels = prepared
                 .iter()
-                .map(|(name, module, golden_ret)| {
-                    let compiled = compile(module, machine)
+                .map(|(name, module, golden_ret, front)| {
+                    let compiled = compile_prepared(front, machine, TtaOptions::default())
                         .unwrap_or_else(|e| panic!("{name} on {}: {e}", machine.name));
                     let (r, p) =
                         tta_sim::run_profiled(machine, &compiled.program, module.initial_memory())

@@ -25,7 +25,7 @@
 //! prove the whole detect-and-minimise pipeline works even when the real
 //! toolchain is clean.
 
-use tta_compiler::compile;
+use tta_compiler::{compile_prepared, prepare, TtaOptions};
 use tta_ir::{Inst, Interpreter, Module};
 use tta_model::io::{IoSpec, IoSystem, IrqAt, SOFT_LINE};
 use tta_model::{presets, Machine, Opcode};
@@ -433,12 +433,20 @@ impl Oracle {
 
         let lo = MEM_COMPARE_LO.min(module.mem_size as usize);
         let hi = module.mem_size.saturating_sub(MEM_COMPARE_HEADROOM) as usize;
+        // The machine-independent front half runs once per module; a
+        // failure there is reported on the first machine, where a full
+        // compile would have failed first.
+        let prepared = prepare(&compiled_view);
         let mut runs = Vec::with_capacity(self.machines.len());
         for machine in &self.machines {
-            let compiled = compile(&compiled_view, machine).map_err(|e| Divergence::Compile {
-                machine: machine.name.clone(),
-                error: e.to_string(),
-            })?;
+            let compiled = prepared
+                .as_ref()
+                .map_err(Clone::clone)
+                .and_then(|p| compile_prepared(p, machine, TtaOptions::default()))
+                .map_err(|e| Divergence::Compile {
+                    machine: machine.name.clone(),
+                    error: e.to_string(),
+                })?;
             let run = || {
                 tta_sim::run_with_io(
                     machine,
@@ -560,6 +568,41 @@ mod tests {
         });
         let d = Oracle::all_presets().check(&m).unwrap_err();
         assert!(!d.is_semantic(), "{d}");
+    }
+
+    #[test]
+    fn front_half_failure_is_a_compile_divergence_on_the_first_machine() {
+        // `main` calls `f(0)`; `f` recurses only on a branch never taken,
+        // so the interpreter returns 0 but the module cannot be inlined.
+        let mut mb = ModuleBuilder::new("rec");
+        let f_id = mb.declare("f");
+        let mut fb = FunctionBuilder::new("f", 1, true);
+        let n = fb.param(0);
+        let c = fb.lt(n, 1);
+        let (base, rec) = (fb.new_block(), fb.new_block());
+        fb.branch(c, base, rec);
+        fb.switch_to(base);
+        let zero = fb.copy(0);
+        fb.ret(zero);
+        fb.switch_to(rec);
+        let n1 = fb.sub(n, 1);
+        let r = fb.call(f_id, &[Operand::Reg(n1)]);
+        fb.ret(r);
+        mb.define(f_id, fb.finish());
+        let mut main = FunctionBuilder::new("main", 0, true);
+        let r = main.call(f_id, &[Operand::Imm(0)]);
+        main.ret(r);
+        let id = mb.add(main.finish());
+        mb.set_entry(id);
+
+        let oracle = Oracle::all_presets();
+        match oracle.check(&mb.finish()) {
+            Err(Divergence::Compile { machine, error }) => {
+                assert_eq!(machine, oracle.machines[0].name);
+                assert!(error.contains("recursive function f"), "{error}");
+            }
+            other => panic!("expected a compile divergence, got {other:?}"),
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -73,6 +73,12 @@ pub struct ServerConfig {
     /// on `/v1/metrics`: at most this many kernels get their own
     /// `kernel="..."` label, the rest fold into `kernel="_other"`.
     pub kernel_series_budget: usize,
+}
+
+impl ServerConfig {
+    fn io_timeout(&self) -> Duration {
+        Duration::from_millis(self.io_timeout_ms.max(1))
+    }
 }
 
 impl Default for ServerConfig {
@@ -304,7 +310,9 @@ struct HttpRequest {
 /// Read and frame one HTTP request (request line, headers,
 /// `Content-Length` body). The body-size limit is enforced on the
 /// declared length *before* the body is read, so an oversized upload is
-/// rejected without buffering it.
+/// rejected without buffering it. Only `Content-Length` framing is
+/// spoken: a `Transfer-Encoding` header or a second `Content-Length` is a
+/// 400, never a guess at where the body ends.
 fn read_request(stream: &mut TcpStream, cfg: &ServerConfig) -> Result<HttpRequest, ApiError> {
     const MAX_HEADER: usize = 16 * 1024;
     let bad = |m: String| ApiError::new(ErrorCode::BadRequest, m);
@@ -337,21 +345,31 @@ fn read_request(stream: &mut TcpStream, cfg: &ServerConfig) -> Result<HttpReques
     if method.is_empty() || path.is_empty() {
         return Err(bad("malformed request line".into()));
     }
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut trace = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("bad Content-Length".into()))?;
+                if content_length.is_some() {
+                    return Err(bad("duplicate Content-Length".into()));
+                }
+                content_length = Some(
+                    value
+                        .trim()
+                        .parse()
+                        .map_err(|_| bad("bad Content-Length".into()))?,
+                );
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(bad(
+                    "Transfer-Encoding is not supported; send a Content-Length body".into(),
+                ));
             } else if name.eq_ignore_ascii_case("x-trace-id") {
                 trace = sanitize_trace(value);
             }
         }
     }
+    let content_length: usize = content_length.unwrap_or(0);
     if content_length > cfg.max_body_bytes {
         return Err(ApiError::new(
             ErrorCode::Oversized,
@@ -428,8 +446,9 @@ fn write_text(
 }
 
 /// Write a whole-request error (traced body), bump the aggregate and
-/// per-class error counters, and leave a flight event behind.
-fn write_error(stream: &mut TcpStream, e: &ApiError, trace: &str) {
+/// per-class error counters, leave a flight event behind, and wind the
+/// connection down with [`drain_and_close`].
+fn write_error(stream: &mut TcpStream, e: &ApiError, trace: &str, io_timeout: Duration) {
     obs::counter::add("serve.errors", 1);
     obs::counter::add(e.code.counter_name(), 1);
     obs::flight::record(
@@ -438,6 +457,35 @@ fn write_error(stream: &mut TcpStream, e: &ApiError, trace: &str) {
         format!("{}: {}", e.code.as_str(), e.message),
     );
     let _ = write_json(stream, e.code.http_status(), &e.to_body_traced(trace));
+    drain_and_close(stream, io_timeout);
+}
+
+/// Most request bytes [`drain_and_close`] reads and discards.
+const DRAIN_LIMIT: usize = 1 << 20;
+
+/// Finish a response that may have left request bytes unread (an error
+/// can be sent before the body is read): half-close the write side, then
+/// read and discard until the client closes, [`DRAIN_LIMIT`] bytes or
+/// `io_timeout`. Closing a socket with unread input makes the kernel
+/// send a TCP RST, which can destroy the response before the client has
+/// read it.
+fn drain_and_close(stream: &mut TcpStream, io_timeout: Duration) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + io_timeout;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_LIMIT {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// The per-route request counter (`serve.requests.<route>`); static so
@@ -497,7 +545,7 @@ fn healthz_body(shared: &Shared) -> Json {
 /// Dispatch one accepted connection.
 fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
     let _span = obs::span("serve.request");
-    let io_timeout = Duration::from_millis(shared.cfg.io_timeout_ms.max(1));
+    let io_timeout = shared.cfg.io_timeout();
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
     let _ = stream.set_nodelay(true);
@@ -510,7 +558,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
             let trace = fresh_trace_id();
             obs::counter::add("serve.requests.invalid", 1);
             eprintln!("tta-serve: [{trace}] <unreadable request>: {}", e.message);
-            return write_error(&mut stream, &e, &trace);
+            return write_error(&mut stream, &e, &trace, io_timeout);
         }
     };
     let trace = req.trace.clone().unwrap_or_else(fresh_trace_id);
@@ -564,12 +612,14 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                     format!("{} is not valid for {}", req.method, req.path),
                 ),
                 &trace,
+                io_timeout,
             )
         }
         _ => write_error(
             &mut stream,
             &ApiError::new(ErrorCode::NotFound, format!("no route for {}", req.path)),
             &trace,
+            io_timeout,
         ),
     }
     obs::flight::record("req.end", &trace, format!("{} {}", req.method, req.path));
@@ -639,10 +689,11 @@ fn handle_batch(
     trace: &str,
 ) -> io::Result<()> {
     let start = Instant::now();
+    let io_timeout = shared.cfg.io_timeout();
     let req: BatchRequest = match schema::parse_batch(body, shared.cfg.max_jobs) {
         Ok(r) => r,
         Err(e) => {
-            write_error(&mut stream, &e, trace);
+            write_error(&mut stream, &e, trace, io_timeout);
             return Ok(());
         }
     };
@@ -664,6 +715,7 @@ fn handle_batch(
                             format!("jobs[{i}]: unknown machine \"{}\"", spec.machine),
                         ),
                         trace,
+                        io_timeout,
                     );
                     return Ok(());
                 }
@@ -677,6 +729,7 @@ fn handle_batch(
                     format!("jobs[{i}]: unknown kernel \"{}\"", spec.kernel),
                 ),
                 trace,
+                io_timeout,
             );
             return Ok(());
         };

@@ -3,7 +3,8 @@
 //! determinism, parity with the batch evaluation pipeline, deadlines, and
 //! graceful shutdown.
 
-use std::net::SocketAddr;
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use tta_obs::json::Json;
@@ -127,6 +128,61 @@ fn malformed_oversized_and_unknown_names_are_structured_errors() {
         (400, "unknown_kernel".into())
     );
 
+    server.shutdown();
+}
+
+/// Send `raw` as the whole request, then read the whole response:
+/// `(status, error.code)`.
+fn raw_request(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect_timeout(&addr, TIMEOUT).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.set_write_timeout(Some(TIMEOUT)).unwrap();
+    stream.write_all(raw).expect("send request");
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("read response");
+    let (head, body) = text.split_once("\r\n\r\n").expect("head/body split");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let resp = client::Response {
+        status,
+        body: body.to_string(),
+    };
+    (status, error_code(&resp))
+}
+
+#[test]
+fn oversized_upload_gets_its_413_before_the_connection_closes() {
+    // The server answers from the headers alone, with most of this body
+    // still unread; it must drain it rather than reset the connection
+    // under its own response.
+    let server = spawn_with(|cfg| cfg.max_body_bytes = 256);
+    let body = vec![b'x'; 256 * 1024];
+    let mut raw = format!(
+        "POST /v1/batch HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(&body);
+    for _ in 0..5 {
+        assert_eq!(raw_request(server.addr(), &raw), (413, "oversized".into()));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn transfer_encoding_is_a_bad_request() {
+    let server = spawn();
+    let raw = b"POST /v1/batch HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+                2\r\n{}\r\n0\r\n\r\n";
+    assert_eq!(raw_request(server.addr(), raw), (400, "bad_request".into()));
+    server.shutdown();
+}
+
+#[test]
+fn duplicate_content_length_is_a_bad_request() {
+    let server = spawn();
+    let raw = b"POST /v1/batch HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\
+                Content-Length: 2\r\n\r\n{}";
+    assert_eq!(raw_request(server.addr(), raw), (400, "bad_request".into()));
     server.shutdown();
 }
 
