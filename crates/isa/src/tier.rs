@@ -1,13 +1,13 @@
 //! Hotness-tiered promotion table for superblock execution.
 //!
 //! The simulators in `tta-sim` execute a program in tiers (DESIGN.md
-//! §14): decoded instructions (tier 0) are dispatched a superblock at a
-//! time (tier 1, [`crate::BlockMap`]), and in the TTA engine superblocks
-//! whose entry pc crosses a hotness threshold are *promoted* — compiled
-//! once into a chain of resolved thunks and executed directly from then
-//! on (tier 2). This module owns the engine-independent half of that
-//! machinery: the per-pc heat counters, the promote-once discipline and
-//! the environment configuration. The compiled-block representation
+//! §14): the program is decoded per run (tier 1) and interpreted a
+//! superblock at a time (tier 2, [`crate::BlockMap`]), and in the TTA
+//! engine superblocks whose entry pc crosses a hotness threshold are
+//! *promoted* — compiled once into an array of resolved thunks and
+//! executed directly from then on (tier 3). This module owns the
+//! engine-independent half of that machinery: the per-pc heat counters,
+//! the promote-once discipline and the environment configuration. The compiled-block representation
 //! itself lives with the engine; the table is generic over it.
 //!
 //! The promotion-threshold invariant: the tier a block executes in is

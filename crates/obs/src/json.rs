@@ -198,12 +198,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a small document of nothing but
+/// `[` overflows the caller's stack. At 512 levels a parse needs under
+/// 256 KiB of stack in a release build and under 1 MiB in a debug build,
+/// inside the 2 MiB of a spawned thread; real documents nest a few levels.
+const MAX_DEPTH: usize = 512;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than 512 levels rejected).
 pub fn parse(src: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -217,6 +225,8 @@ pub fn parse(src: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -257,8 +267,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -344,6 +365,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.at + 1..self.at + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
@@ -432,6 +454,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+        // `\u` takes exactly four hex digits (no sign).
+        assert!(parse("\"\\u+041\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.msg.as_str(), e.at), ("nesting too deep", MAX_DEPTH));
+        let objects = "{\"a\": ".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().msg, "nesting too deep");
+        // A megabyte of `[` is an error, not a stack overflow.
+        assert_eq!(
+            parse(&"[".repeat(1 << 20)).unwrap_err().msg,
+            "nesting too deep"
+        );
     }
 
     #[test]

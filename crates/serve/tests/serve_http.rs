@@ -131,6 +131,24 @@ fn malformed_oversized_and_unknown_names_are_structured_errors() {
     server.shutdown();
 }
 
+#[test]
+fn deeply_nested_body_is_malformed_json_not_a_crash() {
+    // One connection thread parses this body; unbounded recursion in
+    // the JSON parser would overflow its stack and abort the process.
+    let server = spawn();
+    let addr = server.addr();
+    let body = format!(r#"{{"req_version": 1, "jobs": {}"#, "[".repeat(20_000));
+    let resp = client::post(addr, "/v1/batch", &body, TIMEOUT).unwrap();
+    assert_eq!(
+        (resp.status, error_code(&resp)),
+        (400, "malformed_json".into())
+    );
+    assert!(resp.body.contains("nesting too deep"), "{}", resp.body);
+    let resp = client::get(addr, "/healthz", TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200);
+    server.shutdown();
+}
+
 /// Send `raw` as the whole request, then read the whole response:
 /// `(status, error.code)`.
 fn raw_request(addr: SocketAddr, raw: &[u8]) -> (u16, String) {

@@ -66,7 +66,7 @@ impl Tiers {
 pub(crate) struct TierCounts {
     /// Blocks compiled and installed by this run.
     pub promotions: u64,
-    /// Block entries dispatched to the compiled tier.
+    /// Block entries dispatched to the compiled tier (tier 3).
     pub entries: u64,
     /// Clamped entries (pending jump or fuel) of a pc that has a
     /// compiled block, executed interpreted instead.
@@ -78,6 +78,8 @@ impl TierCounts {
         if (self.promotions | self.entries | self.fallbacks) != 0 && tta_obs::enabled() {
             use tta_obs::counter::add;
             add("sim.jit.promotions", self.promotions);
+            // Counts compiled-block (tier-3) entries; the name predates
+            // DESIGN.md's tier numbering and stays for existing scrapers.
             add("sim.jit.tier2_entries", self.entries);
             add("sim.jit.fallbacks", self.fallbacks);
         }

@@ -16,6 +16,9 @@
 //!
 //! ## Fused-block dispatch and the compiled tier
 //!
+//! The tiers are numbered as in DESIGN.md §14: decode (tier 1), fused-block
+//! interpretation (tier 2) and compiled blocks (tier 3).
+//!
 //! The program is predecoded once per run: empty slots are dropped, moves
 //! are split into source/write/trigger classes, every register reference
 //! is resolved to a flat index, and the program is segmented into
@@ -28,15 +31,18 @@
 //! behaviour are bit-identical to per-cycle execution; the fuel-exhaustion
 //! boundary is pinned by `tests/fuel_boundary.rs`.
 //!
-//! Hot superblocks are additionally *promoted* into compiled blocks
-//! (DESIGN.md §14): [`compile_tta_block`] matches every decoded move once
-//! and emits a flat chain of resolved thunks ([`TtaOp`]) with the run's
-//! static `SimStats` contribution precomputed, so steady-state execution
-//! pays neither the per-move decode match nor the per-move statistics
-//! traffic. Completions ride a four-deep wheel (`wheel[cycle & 3]`, valid
-//! because every pipelined latency is 1–3 cycles and the wheel is drained
-//! every cycle) shared by both tiers, so a block entered with results in
-//! flight from interpreted code delivers them on exactly the right cycle.
+//! Hot superblocks are additionally *promoted* into compiled blocks:
+//! [`compile_tta_block`] matches every decoded move once and emits flat
+//! arrays of resolved thunks ([`TtaOp`] values: one per move, plus cycle
+//! boundaries and completion deliveries) with the block's static
+//! `SimStats` contribution precomputed. The block is one boxed closure
+//! over those arrays, and [`exec_tta_block`] dispatches them with a
+//! single `match`, so steady-state execution pays neither the per-move
+//! decode match nor the per-move statistics traffic. Completions ride a
+//! four-deep wheel (`wheel[cycle & 3]`, valid because every pipelined
+//! latency is 1–3 cycles and the wheel is drained every cycle) shared by
+//! both tiers, so a block entered with results in flight from interpreted
+//! code delivers them on exactly the right cycle.
 
 use crate::profile::{NoProfile, ProfileSink};
 use crate::result::{SimError, SimResult, SimStats};
@@ -697,8 +703,9 @@ fn err_nested_jump(pc: u32) -> SimError {
     SimError::Machine(format!("jump triggered during an in-flight jump (pc {pc})"))
 }
 
-/// A resolved value source in a compiled block (control thunks only —
-/// the straight-line thunks flatten the source into the variant).
+/// A resolved value source in a compiled block, carried by the
+/// scratch-launch and control thunks; every other thunk flattens the
+/// source kind into its variant instead.
 #[derive(Debug, Clone, Copy)]
 enum Src {
     Rf(u32),
@@ -738,8 +745,10 @@ struct Dims {
 /// One thunk of a compiled superblock: a decoded move with its opcode
 /// match, register resolution and value routing already performed, and
 /// the source kind flattened into the variant so dispatch is a single
-/// jump. Instruction boundaries are explicit (`Next` advances the cycle
-/// and delivers completions), so fuel accounting stays exact.
+/// jump. Instruction boundaries are explicit (`Next`/`NextD` advance the
+/// cycle, `NextD` also delivering completions), so fuel accounting stays
+/// exact. Adjacent thunks are not fused into mega-ops (DESIGN.md §14,
+/// "Why no fusion").
 #[derive(Debug, Clone, Copy)]
 enum TtaOp {
     /// End of one instruction: advance `pc`/`cycle`. Emitted only for
@@ -960,138 +969,6 @@ enum TtaOp {
         slot: u16,
         fu: u16,
     },
-    /// Fused operand-move + two-input trigger on one unit (direct
-    /// landing): `a` goes to the operand port, `op(a, b)` to the result
-    /// port. One dispatch for the dominant TTA cycle shape.
-    PairA2D {
-        a: Src,
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// [`TtaOp::PairA2D`] with a wheel launch (dynamic landing).
-    PairA2W {
-        a: Src,
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// Fused value-move + store trigger on one unit.
-    PairSt {
-        addr: Src,
-        val: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// [`TtaOp::PairA2D`] as a whole cycle (trailing `Next` absorbed).
-    CycA2D {
-        a: Src,
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// [`TtaOp::PairA2W`] as a whole cycle.
-    CycA2W {
-        a: Src,
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// [`TtaOp::PairSt`] as a whole cycle.
-    CycSt {
-        addr: Src,
-        val: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// Fused cycle boundary + scratch delivery (`Next` + `DeliverS`).
-    NextDS {
-        slot: u16,
-        fu: u16,
-    },
-    /// [`TtaOp::NextDS`] + an operand move: the three-thunk prologue of
-    /// the dominant scratch-scheduled ALU loop cycle, in one dispatch.
-    NextDSOp {
-        slot: u16,
-        fu: u16,
-        src: Src,
-        f: u16,
-    },
-    /// Fused write-back + scratch launch (`RfFu` + `A2Sc`): the loop-
-    /// carried accumulate shape (read old result, launch next op).
-    WbA2Sc {
-        f: u16,
-        d: u32,
-        src: Src,
-        fu: u16,
-        slot: u16,
-        op: Opcode,
-    },
-    /// [`TtaOp::WbA2Sc`] as a whole cycle (trailing `Next` absorbed).
-    CycWbA2Sc {
-        f: u16,
-        d: u32,
-        src: Src,
-        fu: u16,
-        slot: u16,
-        op: Opcode,
-    },
-    /// `A2Sc` as a whole cycle.
-    CycA2Sc {
-        src: Src,
-        fu: u16,
-        slot: u16,
-        op: Opcode,
-    },
-    /// `LdSc` as a whole cycle.
-    CycLdSc {
-        src: Src,
-        slot: u16,
-        op: Opcode,
-    },
-    /// Fused operand move + write-back (`Op*` + `RfFu`), the two-move
-    /// body of three-move cycles.
-    MovOpWb {
-        src: Src,
-        f: u16,
-        wf: u16,
-        d: u32,
-    },
-    /// A lone operand move as a whole cycle.
-    CycMovOp {
-        src: Src,
-        f: u16,
-    },
-    /// A lone register write as a whole cycle.
-    CycMovRf {
-        src: Src,
-        d: u32,
-    },
-    /// A lone direct-launch trigger as a whole cycle, by trigger kind.
-    CycTrigA1D {
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// Two-input variant of [`TtaOp::CycTrigA1D`].
-    CycTrigA2D {
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// Load variant of [`TtaOp::CycTrigA1D`].
-    CycTrigLdD {
-        b: Src,
-        fu: u16,
-        op: Opcode,
-    },
-    /// A lone long-immediate write as a whole cycle.
-    CycLimm {
-        k: u8,
-        v: i32,
-    },
-    /// Two consecutive pure cycle boundaries (an empty stall cycle).
-    Next2,
     /// [`TtaOp::Next`] plus completion delivery, for cycles the wheel
     /// can still be non-empty (entry in-flight lands in the first three
     /// cycles; in-block wheel launches land at recorded cycles).
@@ -1208,153 +1085,6 @@ fn exec_tta_block(
                 TtaOp::DeliverS { slot, fu } => {
                     let v = *eng.jit_tmp.get_unchecked(slot as usize);
                     eng.set_result(fu, v);
-                }
-                TtaOp::PairA2D { a, b, fu, op } => {
-                    let av = a.read(eng, pc)?;
-                    let bv = b.read(eng, pc)?;
-                    eng.set_operand(fu, av);
-                    eng.set_result(fu, op.eval_alu(av, bv));
-                }
-                TtaOp::CycA2D { a, b, fu, op } => {
-                    let av = a.read(eng, pc)?;
-                    let bv = b.read(eng, pc)?;
-                    eng.set_operand(fu, av);
-                    eng.set_result(fu, op.eval_alu(av, bv));
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::PairA2W { a, b, fu, op } => {
-                    let av = a.read(eng, pc)?;
-                    let bv = b.read(eng, pc)?;
-                    eng.set_operand(fu, av);
-                    eng.launch_fast(fu, op, op.eval_alu(av, bv), cycle, pc)?;
-                }
-                TtaOp::CycA2W { a, b, fu, op } => {
-                    let av = a.read(eng, pc)?;
-                    let bv = b.read(eng, pc)?;
-                    eng.set_operand(fu, av);
-                    eng.launch_fast(fu, op, op.eval_alu(av, bv), cycle, pc)?;
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::PairSt { addr, val, fu, op } => {
-                    let v = val.read(eng, pc)?;
-                    eng.set_operand(fu, v);
-                    let ad = addr.read(eng, pc)? as u32;
-                    eng.mem_store(op, ad, v, cycle)?;
-                }
-                TtaOp::CycSt { addr, val, fu, op } => {
-                    let v = val.read(eng, pc)?;
-                    eng.set_operand(fu, v);
-                    let ad = addr.read(eng, pc)? as u32;
-                    eng.mem_store(op, ad, v, cycle)?;
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::NextDS { slot, fu } => {
-                    pc += 1;
-                    cycle += 1;
-                    let v = *eng.jit_tmp.get_unchecked(slot as usize);
-                    eng.set_result(fu, v);
-                }
-                TtaOp::NextDSOp { slot, fu, src, f } => {
-                    pc += 1;
-                    cycle += 1;
-                    let v = *eng.jit_tmp.get_unchecked(slot as usize);
-                    eng.set_result(fu, v);
-                    let v = src.read(eng, pc)?;
-                    eng.set_operand(f, v);
-                }
-                TtaOp::WbA2Sc {
-                    f,
-                    d,
-                    src,
-                    fu,
-                    slot,
-                    op,
-                } => {
-                    let v = eng.result(f, pc)?;
-                    eng.rf_set(d, v);
-                    let v = src.read(eng, pc)?;
-                    let a = eng.operand(fu);
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = op.eval_alu(a, v);
-                }
-                TtaOp::CycWbA2Sc {
-                    f,
-                    d,
-                    src,
-                    fu,
-                    slot,
-                    op,
-                } => {
-                    let v = eng.result(f, pc)?;
-                    eng.rf_set(d, v);
-                    let v = src.read(eng, pc)?;
-                    let a = eng.operand(fu);
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = op.eval_alu(a, v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycA2Sc { src, fu, slot, op } => {
-                    let v = src.read(eng, pc)?;
-                    let a = eng.operand(fu);
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = op.eval_alu(a, v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycLdSc { src, slot, op } => {
-                    let addr = src.read(eng, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = v;
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::MovOpWb { src, f, wf, d } => {
-                    let v = src.read(eng, pc)?;
-                    eng.set_operand(f, v);
-                    let v = eng.result(wf, pc)?;
-                    eng.rf_set(d, v);
-                }
-                TtaOp::CycMovOp { src, f } => {
-                    let v = src.read(eng, pc)?;
-                    eng.set_operand(f, v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycMovRf { src, d } => {
-                    let v = src.read(eng, pc)?;
-                    eng.rf_set(d, v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycTrigA1D { b, fu, op } => {
-                    let v = b.read(eng, pc)?;
-                    eng.set_result(fu, op.eval_alu(v, 0));
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycTrigA2D { b, fu, op } => {
-                    let v = b.read(eng, pc)?;
-                    let a = eng.operand(fu);
-                    eng.set_result(fu, op.eval_alu(a, v));
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycTrigLdD { b, fu, op } => {
-                    let addr = b.read(eng, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.set_result(fu, v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::CycLimm { k, v } => {
-                    *eng.immregs.get_unchecked_mut(k as usize) = Some(v);
-                    pc += 1;
-                    cycle += 1;
-                }
-                TtaOp::Next2 => {
-                    pc += 2;
-                    cycle += 2;
                 }
                 TtaOp::A1DRf { s, fu, op } => {
                     let v = eng.rf_get(s);
@@ -1755,259 +1485,14 @@ fn emit_tta_variant(
     (ops.into_boxed_slice(), scratch)
 }
 
-/// Peephole fusion over an emitted thunk stream. Dispatch cost (one
-/// indirect branch per thunk) dominates the compiled tier's runtime, so
-/// the adjacent shapes that dominate the dynamic digram histogram are
-/// folded into single thunks. Every fused thunk executes exactly the
-/// component semantics in the original emission order, so the rewrite is
-/// behaviour-preserving by construction; the only reorderings are
-/// operand-port writes relative to reads that cannot observe them
-/// (trigger sources never read operand ports).
-///
-/// Greedy longest-match, left to right. A pure [`TtaOp::Next`] followed
-/// by [`TtaOp::DeliverS`] is reserved for the `NextDS*` rules (never
-/// absorbed into the preceding cycle), because fusing the boundary into
-/// the delivery covers three thunks instead of two. [`TtaOp::NextD`] is
-/// never fused (it delivers from the wheel).
-fn fuse_tta(ops: &[TtaOp]) -> Box<[TtaOp]> {
-    fn op_move(op: TtaOp) -> Option<(Src, u16)> {
-        Some(match op {
-            TtaOp::OpRf { s, f } => (Src::Rf(s), f),
-            TtaOp::OpImm { v, f } => (Src::Imm(v), f),
-            TtaOp::OpFu { s, f } => (Src::Fu(s), f),
-            TtaOp::OpIr { k, f } => (Src::ImmReg(k), f),
-            _ => return None,
-        })
-    }
-    fn rf_move(op: TtaOp) -> Option<(Src, u32)> {
-        Some(match op {
-            TtaOp::RfRf { s, d } => (Src::Rf(s), d),
-            TtaOp::RfImm { v, d } => (Src::Imm(v), d),
-            TtaOp::RfFu { f, d } => (Src::Fu(f), d),
-            TtaOp::RfIr { k, d } => (Src::ImmReg(k), d),
-            _ => return None,
-        })
-    }
-    /// Fuse the operand move `(a, f)` with a following trigger on the
-    /// same unit (two-input ALU forms and stores; one-input forms don't
-    /// read the operand port written by the move).
-    fn pair(a: Src, f: u16, trig: TtaOp) -> Option<TtaOp> {
-        let (b, fu, op, wheel, store) = match trig {
-            TtaOp::A2DRf { s, fu, op } => (Src::Rf(s), fu, op, false, false),
-            TtaOp::A2DImm { v, fu, op } => (Src::Imm(v), fu, op, false, false),
-            TtaOp::A2DFu { s, fu, op } => (Src::Fu(s), fu, op, false, false),
-            TtaOp::A2DIr { k, fu, op } => (Src::ImmReg(k), fu, op, false, false),
-            TtaOp::A2Rf { s, fu, op } => (Src::Rf(s), fu, op, true, false),
-            TtaOp::A2Imm { v, fu, op } => (Src::Imm(v), fu, op, true, false),
-            TtaOp::A2Fu { s, fu, op } => (Src::Fu(s), fu, op, true, false),
-            TtaOp::A2Ir { k, fu, op } => (Src::ImmReg(k), fu, op, true, false),
-            TtaOp::StRf { s, fu, op } => (Src::Rf(s), fu, op, false, true),
-            TtaOp::StImm { v, fu, op } => (Src::Imm(v), fu, op, false, true),
-            TtaOp::StFu { s, fu, op } => (Src::Fu(s), fu, op, false, true),
-            TtaOp::StIr { k, fu, op } => (Src::ImmReg(k), fu, op, false, true),
-            _ => return None,
-        };
-        if fu != f {
-            return None;
-        }
-        Some(if store {
-            TtaOp::PairSt {
-                addr: b,
-                val: a,
-                fu,
-                op,
-            }
-        } else if wheel {
-            TtaOp::PairA2W { a, b, fu, op }
-        } else {
-            TtaOp::PairA2D { a, b, fu, op }
-        })
-    }
-    /// Lone direct-launch trigger as a whole cycle.
-    fn cyc_trig(trig: TtaOp) -> Option<TtaOp> {
-        Some(match trig {
-            TtaOp::A1DRf { s, fu, op } => TtaOp::CycTrigA1D {
-                b: Src::Rf(s),
-                fu,
-                op,
-            },
-            TtaOp::A1DImm { v, fu, op } => TtaOp::CycTrigA1D {
-                b: Src::Imm(v),
-                fu,
-                op,
-            },
-            TtaOp::A1DFu { s, fu, op } => TtaOp::CycTrigA1D {
-                b: Src::Fu(s),
-                fu,
-                op,
-            },
-            TtaOp::A1DIr { k, fu, op } => TtaOp::CycTrigA1D {
-                b: Src::ImmReg(k),
-                fu,
-                op,
-            },
-            TtaOp::A2DRf { s, fu, op } => TtaOp::CycTrigA2D {
-                b: Src::Rf(s),
-                fu,
-                op,
-            },
-            TtaOp::A2DImm { v, fu, op } => TtaOp::CycTrigA2D {
-                b: Src::Imm(v),
-                fu,
-                op,
-            },
-            TtaOp::A2DFu { s, fu, op } => TtaOp::CycTrigA2D {
-                b: Src::Fu(s),
-                fu,
-                op,
-            },
-            TtaOp::A2DIr { k, fu, op } => TtaOp::CycTrigA2D {
-                b: Src::ImmReg(k),
-                fu,
-                op,
-            },
-            TtaOp::LdDRf { s, fu, op } => TtaOp::CycTrigLdD {
-                b: Src::Rf(s),
-                fu,
-                op,
-            },
-            TtaOp::LdDImm { v, fu, op } => TtaOp::CycTrigLdD {
-                b: Src::Imm(v),
-                fu,
-                op,
-            },
-            TtaOp::LdDFu { s, fu, op } => TtaOp::CycTrigLdD {
-                b: Src::Fu(s),
-                fu,
-                op,
-            },
-            TtaOp::LdDIr { k, fu, op } => TtaOp::CycTrigLdD {
-                b: Src::ImmReg(k),
-                fu,
-                op,
-            },
-            _ => return None,
-        })
-    }
-    fn absorb_next(p: TtaOp) -> TtaOp {
-        match p {
-            TtaOp::PairA2D { a, b, fu, op } => TtaOp::CycA2D { a, b, fu, op },
-            TtaOp::PairA2W { a, b, fu, op } => TtaOp::CycA2W { a, b, fu, op },
-            TtaOp::PairSt { addr, val, fu, op } => TtaOp::CycSt { addr, val, fu, op },
-            TtaOp::WbA2Sc {
-                f,
-                d,
-                src,
-                fu,
-                slot,
-                op,
-            } => TtaOp::CycWbA2Sc {
-                f,
-                d,
-                src,
-                fu,
-                slot,
-                op,
-            },
-            TtaOp::A2Sc { src, fu, slot, op } => TtaOp::CycA2Sc { src, fu, slot, op },
-            TtaOp::LdSc { src, slot, op } => TtaOp::CycLdSc { src, slot, op },
-            TtaOp::Limm { k, v } => TtaOp::CycLimm { k, v },
-            TtaOp::Next => TtaOp::Next2,
-            _ => unreachable!("absorb_next only sees fusable heads"),
-        }
-    }
-
-    let mut out: Vec<TtaOp> = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        let o0 = ops[i];
-        let o1 = ops.get(i + 1).copied();
-        // A pure boundary whose successor delivers a scratch slot is
-        // reserved: `takes_next` refuses it so the NextDS* rules below
-        // get the longer (three-thunk) match when the scan reaches it.
-        let next_at = |j: usize| {
-            matches!(ops.get(j), Some(TtaOp::Next))
-                && !matches!(ops.get(j + 1), Some(TtaOp::DeliverS { .. }))
-        };
-
-        // Boundary + delivery (+ operand move of the new cycle).
-        if let (TtaOp::Next, Some(TtaOp::DeliverS { slot, fu })) = (o0, o1) {
-            if let Some((src, f)) = ops.get(i + 2).copied().and_then(op_move) {
-                out.push(TtaOp::NextDSOp { slot, fu, src, f });
-                i += 3;
-            } else {
-                out.push(TtaOp::NextDS { slot, fu });
-                i += 2;
-            }
-            continue;
-        }
-        // Operand move + same-unit trigger, or + write-back.
-        if let Some((a, f)) = op_move(o0) {
-            if let Some(p) = o1.and_then(|t| pair(a, f, t)) {
-                if next_at(i + 2) {
-                    out.push(absorb_next(p));
-                    i += 3;
-                } else {
-                    out.push(p);
-                    i += 2;
-                }
-                continue;
-            }
-            if let Some(TtaOp::RfFu { f: wf, d }) = o1 {
-                out.push(TtaOp::MovOpWb { src: a, f, wf, d });
-                i += 2;
-                continue;
-            }
-        }
-        // Write-back + scratch launch (the loop-carried accumulate).
-        if let (TtaOp::RfFu { f, d }, Some(TtaOp::A2Sc { src, fu, slot, op })) = (o0, o1) {
-            let p = TtaOp::WbA2Sc {
-                f,
-                d,
-                src,
-                fu,
-                slot,
-                op,
-            };
-            if next_at(i + 2) {
-                out.push(absorb_next(p));
-                i += 3;
-            } else {
-                out.push(p);
-                i += 2;
-            }
-            continue;
-        }
-        // Single head + pure boundary → whole-cycle thunk.
-        if next_at(i + 1) {
-            let fused = match o0 {
-                TtaOp::A2Sc { .. } | TtaOp::LdSc { .. } | TtaOp::Limm { .. } | TtaOp::Next => {
-                    Some(absorb_next(o0))
-                }
-                _ => op_move(o0)
-                    .map(|(src, f)| TtaOp::CycMovOp { src, f })
-                    .or_else(|| rf_move(o0).map(|(src, d)| TtaOp::CycMovRf { src, d }))
-                    .or_else(|| cyc_trig(o0)),
-            };
-            if let Some(p) = fused {
-                out.push(p);
-                i += 2;
-                continue;
-            }
-        }
-        out.push(o0);
-        i += 1;
-    }
-    out.into_boxed_slice()
-}
-
-/// Compile the superblock `[pc0, pc0 + len)` into a chain of resolved
-/// thunks. Each decoded move is matched exactly once, here; per-move
-/// statistics are folded into a static per-block delta (taken branches
-/// stay dynamic, and hazardous instructions fall back to the reference
-/// phase order with their statistics excluded from the delta). Every
-/// emitted register/unit/limm-register index is asserted against `dims`,
-/// which licenses the unchecked accesses of [`exec_tta_block`].
+/// Compile the superblock `[pc0, pc0 + len)` into one boxed closure over
+/// arrays of resolved thunks. Each decoded move is matched exactly once,
+/// here; per-move statistics are folded into a static per-block delta
+/// (taken branches stay dynamic, and hazardous instructions fall back to
+/// the reference phase order with their statistics excluded from the
+/// delta). Every emitted register/unit/limm-register index is asserted
+/// against `dims`, which licenses the unchecked accesses of
+/// [`exec_tta_block`].
 ///
 /// Completions are scheduled statically where the block structure allows
 /// (see [`emit_tta_variant`]); the block carries two emitted variants
@@ -2187,7 +1672,6 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
 
     let (cons_ops, cons_scratch) =
         emit_tta_variant(&cinsts, &reads, &launches, len, false, wheel_only);
-    let cons_ops = fuse_tta(&cons_ops);
     if wheel_only {
         return Box::new(move |eng, cycle0, pending_jump| {
             exec_tta_block(
@@ -2204,7 +1688,6 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
         });
     }
     let (fast_ops, fast_scratch) = emit_tta_variant(&cinsts, &reads, &launches, len, true, false);
-    let fast_ops = fuse_tta(&fast_ops);
     Box::new(move |eng, cycle0, pending_jump| {
         if eng.wheel_is_empty() {
             exec_tta_block(
@@ -2307,7 +1790,7 @@ fn run_tta_inner<S: ProfileSink>(
             };
         let full = blocks.run_len(pc) as u64;
 
-        // Tier-2 dispatch: an unclamped entry (no pending jump, fuel
+        // Tier-3 dispatch: an unclamped entry (no pending jump, fuel
         // covers the whole run) of a hot block executes compiled; the
         // fall-through window of a taken jump executes as a compiled
         // delay segment; a clamped entry of a compiled pc falls back

@@ -9,6 +9,10 @@
 //! Only the TTA engine has a compiled tier; the VLIW and scalar cases
 //! pin that their tier state stays empty and changes nothing.
 //!
+//! Beyond the kernels, every program of the fixed generator stream that
+//! `program_snapshot` hashes (plain and reactive modules) must also run
+//! identically compiled and interpreted on every TTA preset.
+//!
 //! These tests pin the boundary with explicit [`TierConfig`] values so
 //! they are independent of the `TTA_JIT` / `TTA_JIT_THRESHOLD`
 //! environment; the CI `jit-parity` job covers the environment-driven
@@ -17,9 +21,11 @@
 
 use std::sync::OnceLock;
 
+use tta_compiler::{compile_prepared, prepare, TtaOptions};
+use tta_fuzz::gen::{generate, generate_reactive, GenConfig};
 use tta_isa::Program;
-use tta_model::{presets, Machine};
-use tta_sim::{run_with_tiers, TierConfig, Tiers, DEFAULT_FUEL};
+use tta_model::{presets, CoreStyle, Machine};
+use tta_sim::{run_with_io_tiers, run_with_tiers, IoSpec, TierConfig, Tiers, DEFAULT_FUEL};
 
 struct Case {
     kernel: &'static str,
@@ -161,4 +167,55 @@ fn threshold_extremes_match_disabled() {
             c.kernel, c.machine.name
         );
     }
+}
+
+/// Generated programs, compiled for every TTA preset: the tier disabled
+/// and promote-on-first-entry must agree on every field of the result
+/// (or on the error). Same seed stream as `program_snapshot`.
+#[test]
+fn generated_programs_match_across_tiers() {
+    let cfg = GenConfig::default();
+    let machines: Vec<Machine> = presets::all_design_points()
+        .into_iter()
+        .filter(|m| m.style == CoreStyle::Tta)
+        .collect();
+    assert_eq!(machines.len(), 7);
+    let (mut pairs, mut compiled_blocks) = (0, 0);
+    for seed in 0..200 {
+        let plain = (generate(seed, &cfg), IoSpec::default());
+        for (kind, (module, spec)) in [
+            ("plain", plain),
+            ("reactive", generate_reactive(seed, &cfg)),
+        ] {
+            let front =
+                prepare(&module).unwrap_or_else(|e| panic!("{kind} seed {seed}: prepare: {e}"));
+            for machine in &machines {
+                let compiled = compile_prepared(&front, machine, TtaOptions::default())
+                    .unwrap_or_else(|e| panic!("{kind} seed {seed} on {}: {e}", machine.name));
+                let run = |tiers: &Tiers| {
+                    run_with_io_tiers(
+                        machine,
+                        &compiled.program,
+                        module.initial_memory(),
+                        DEFAULT_FUEL,
+                        &spec,
+                        compiled.irq_entry,
+                        tiers,
+                    )
+                };
+                let hot = Tiers::with_config(&compiled.program, &TierConfig::with_threshold(0));
+                let off = Tiers::with_config(&compiled.program, &TierConfig::disabled());
+                assert_eq!(
+                    run(&hot),
+                    run(&off),
+                    "{kind} seed {seed} on {}: compiled tier diverged",
+                    machine.name
+                );
+                compiled_blocks += hot.compiled_blocks();
+                pairs += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 2800);
+    assert!(compiled_blocks > 0, "threshold 0 compiled no block");
 }
