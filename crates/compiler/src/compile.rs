@@ -399,72 +399,58 @@ fn compile_segment(
         tta: TtaStats::default(),
     };
 
-    // Schedule + layout + patch.
+    // Schedule + layout + patch. Each block's branch-target patches are
+    // applied in place, then its instructions are moved into the program.
     let (program, block_starts) = match machine.style {
         CoreStyle::Vliw => {
             let sched = VliwScheduler::new(machine, vliw_bt_reg(machine));
-            let blocks = sched.schedule(&lf);
+            let mut blocks = sched.schedule(&lf);
             let _layout = tta_obs::span("layout");
-            let mut starts = Vec::with_capacity(blocks.len());
-            let mut insts = Vec::new();
-            for b in &blocks {
-                starts.push(insts.len() as u32);
-                insts.extend(b.bundles.iter().cloned());
-            }
-            // Patch branch-target long immediates.
-            for (bi, b) in blocks.iter().enumerate() {
+            let starts = block_offsets(blocks.iter().map(|b| b.bundles.len()));
+            for b in &mut blocks {
                 for p in &b.patches {
-                    let at = (starts[bi] + p.cycle) as usize;
                     let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut insts[at].slots[p.slot] {
+                    match &mut b.bundles[p.cycle as usize].slots[p.slot] {
                         Some(VliwSlot::LimmHead { value, .. }) => *value = target,
                         other => panic!("patch site is not a limm head: {other:?}"),
                     }
                 }
             }
+            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.bundles.len()).sum());
+            insts.extend(blocks.into_iter().flat_map(|b| b.bundles));
             (Program::Vliw(insts), starts)
         }
         CoreStyle::Tta => {
             let mut sched = TtaScheduler::with_options(machine, opts);
-            let blocks = sched.schedule(&lf);
+            let mut blocks = sched.schedule(&lf);
             stats.tta = sched.stats;
             let _layout = tta_obs::span("layout");
-            let mut starts = Vec::with_capacity(blocks.len());
-            let mut insts = Vec::new();
-            for b in &blocks {
-                starts.push(insts.len() as u32);
-                insts.extend(b.insts.iter().cloned());
-            }
-            for (bi, b) in blocks.iter().enumerate() {
+            let starts = block_offsets(blocks.iter().map(|b| b.insts.len()));
+            for b in &mut blocks {
                 for p in &b.patches {
-                    let at = (starts[bi] + p.cycle) as usize;
                     let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut insts[at].limm {
+                    match &mut b.insts[p.cycle as usize].limm {
                         Some((_, value)) => *value = target,
                         None => panic!("patch site has no long immediate"),
                     }
                 }
             }
+            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.insts.len()).sum());
+            insts.extend(blocks.into_iter().flat_map(|b| b.insts));
             (Program::Tta(insts), starts)
         }
         CoreStyle::Scalar => {
             let cg = ScalarCodegen::new(machine);
-            let blocks = {
+            let mut blocks = {
                 let _s = tta_obs::span("sched");
                 cg.generate(&lf)
             };
             let _layout = tta_obs::span("layout");
-            let mut starts = Vec::with_capacity(blocks.len());
-            let mut insts = Vec::new();
-            for b in &blocks {
-                starts.push(insts.len() as u32);
-                insts.extend(b.insts.iter().cloned());
-            }
-            for (bi, b) in blocks.iter().enumerate() {
+            let starts = block_offsets(blocks.iter().map(|b| b.insts.len()));
+            for b in &mut blocks {
                 for p in &b.patches {
-                    let at = (starts[bi] + p.index) as usize;
                     let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut insts[at] {
+                    match &mut b.insts[p.index as usize] {
                         ScalarInst::Op(o) => {
                             let field = match p.which {
                                 WhichSrc::A => &mut o.a,
@@ -476,12 +462,25 @@ fn compile_segment(
                     }
                 }
             }
+            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.insts.len()).sum());
+            insts.extend(blocks.into_iter().flat_map(|b| b.insts));
             (Program::Scalar(insts), starts)
         }
     };
 
     let block_starts = block_starts.into_iter().map(|s| base + s).collect();
     Ok((program, block_starts, stats))
+}
+
+/// The start offset of each block when blocks of the given lengths are
+/// laid out back to back.
+fn block_offsets(lens: impl Iterator<Item = usize>) -> Vec<u32> {
+    lens.scan(0, |at, len| {
+        let start = *at;
+        *at += len as u32;
+        Some(start)
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! each op, which in-block op (if any) produced the value — the information
 //! the TTA scheduler needs to attempt software bypassing.
 
-use crate::loc::{LocBlock, LocSrc};
-use std::collections::HashMap;
-use tta_model::RegRef;
+use crate::loc::{LocBlock, LocSrc, LocTerm};
+use crate::resource::{RegIndex, NONE};
+use tta_model::Machine;
 
 /// Dependence kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +34,14 @@ pub struct Dep {
     pub kind: DepKind,
 }
 
-/// The dependence graph of one block.
-#[derive(Debug, Clone)]
+/// The dependence graph of one block. A scheduler keeps one per function
+/// and [`rebuild`](Ddg::rebuild)s it for each block, reusing its storage.
+#[derive(Debug, Clone, Default)]
 pub struct Ddg {
-    /// Incoming edges per node.
-    pub preds: Vec<Vec<Dep>>,
-    /// Outgoing edges per node.
-    pub succs: Vec<Vec<Dep>>,
+    /// Incoming edges of every node, node by node.
+    edges: Vec<Dep>,
+    /// `edges[edge_start[i]..edge_start[i + 1]]` are node `i`'s.
+    edge_start: Vec<usize>,
     /// For each node, the in-block producer of its `a` and `b` inputs
     /// (`None` = live-in register or immediate).
     pub src_def: Vec<[Option<usize>; 2]>,
@@ -49,192 +50,219 @@ pub struct Ddg {
     /// Scheduling priority: longest latency-weighted path to any sink
     /// (higher = more critical).
     pub priority: Vec<u32>,
-    /// For each node, in-block ops that read its result (via register
+    /// For each node, how many in-block ops read its result (via register
     /// name) before the register is redefined.
-    pub consumers: Vec<Vec<usize>>,
+    pub consumers: Vec<usize>,
     /// Whether the terminator consumes node's result directly.
     pub term_consumes: Vec<bool>,
+    /// Nodes in a topological order that respects all edges, by descending
+    /// priority among ready nodes (the list scheduler's dispatch order).
+    pub order: Vec<usize>,
+    regs: RegIndex,
+    /// Per register: the node that last defined it.
+    last_def: Vec<usize>,
+    /// Per register: its newest read since its last def, heading a list of
+    /// (reader, next older read) threaded through `reads`.
+    reads_head: Vec<usize>,
+    reads: Vec<(usize, usize)>,
+    stores_so_far: Vec<usize>,
+    loads_since_store: Vec<usize>,
+    /// Per node: its newest outgoing edge, heading a list of (edge's
+    /// node, next outgoing edge) threaded through `succs` like `edges`.
+    succ_head: Vec<usize>,
+    succs: Vec<(usize, usize)>,
+    remaining: Vec<usize>,
+    ready: Vec<usize>,
 }
 
 impl Ddg {
-    /// Build the graph for a block.
-    pub fn build(block: &LocBlock) -> Ddg {
-        let n = block.ops.len();
-        let mut preds: Vec<Vec<Dep>> = vec![Vec::new(); n];
-        let mut src_def: Vec<[Option<usize>; 2]> = vec![[None, None]; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut term_consumes = vec![false; n];
+    /// An empty graph for blocks of code allocated on `m`.
+    pub fn new(m: &Machine) -> Ddg {
+        let regs = RegIndex::new(m);
+        Ddg {
+            last_def: vec![NONE; regs.count()],
+            reads_head: vec![NONE; regs.count()],
+            regs,
+            ..Ddg::default()
+        }
+    }
 
-        // Register state walking forward.
-        let mut last_def: HashMap<RegRef, usize> = HashMap::new();
-        let mut reads_since_def: HashMap<RegRef, Vec<usize>> = HashMap::new();
-        // Memory state.
-        let mut stores_so_far: Vec<usize> = Vec::new();
-        let mut loads_since_store: Vec<usize> = Vec::new();
+    /// Incoming edges of node `i`, ordered by (from, kind).
+    pub fn preds(&self, i: usize) -> &[Dep] {
+        &self.edges[self.edge_start[i]..self.edge_start[i + 1]]
+    }
+
+    /// Rebuild the graph, and with it [`order`](Ddg::order), for `block`.
+    pub fn rebuild(&mut self, block: &LocBlock) {
+        let n = block.ops.len();
+        self.edges.clear();
+        self.edge_start.clear();
+        self.src_def.clear();
+        self.src_def.resize(n, [None, None]);
+        self.consumers.clear();
+        self.consumers.resize(n, 0);
+        self.term_consumes.clear();
+        self.term_consumes.resize(n, false);
+        self.last_def.fill(NONE);
+        self.reads_head.fill(NONE);
+        self.reads.clear();
+        self.stores_so_far.clear();
+        self.loads_since_store.clear();
+        self.succ_head.clear();
+        self.succ_head.resize(n, NONE);
+        self.succs.clear();
 
         for (i, op) in block.ops.iter().enumerate() {
+            let start = self.edges.len();
+            self.edge_start.push(start);
+            let edge = |from: usize, kind| Dep { from, kind };
             // Input data deps.
             for (which, s) in [op.a, op.b].into_iter().enumerate() {
                 if let Some(LocSrc::Reg(r)) = s {
-                    if let Some(&d) = last_def.get(&r) {
-                        preds[i].push(Dep {
-                            from: d,
-                            kind: DepKind::Data,
-                        });
-                        src_def[i][which] = Some(d);
-                        if !consumers[d].contains(&i) {
-                            consumers[d].push(i);
+                    let k = self.regs.of(r);
+                    let d = self.last_def[k];
+                    if d != NONE {
+                        self.edges.push(edge(d, DepKind::Data));
+                        self.src_def[i][which] = Some(d);
+                        if which == 0 || self.src_def[i][0] != Some(d) {
+                            self.consumers[d] += 1;
                         }
                     }
-                    reads_since_def.entry(r).or_default().push(i);
+                    self.reads.push((i, self.reads_head[k]));
+                    self.reads_head[k] = self.reads.len() - 1;
                 }
             }
             // Memory deps.
             if let Some((region, is_store)) = op.mem_region() {
+                for &p in &self.stores_so_far {
+                    if aliases(block, p, region) {
+                        self.edges.push(edge(p, DepKind::Mem));
+                    }
+                }
                 if is_store {
-                    for &p in &stores_so_far {
+                    for &p in &self.loads_since_store {
                         if aliases(block, p, region) {
-                            preds[i].push(Dep {
-                                from: p,
-                                kind: DepKind::Mem,
-                            });
+                            self.edges.push(edge(p, DepKind::Mem));
                         }
                     }
-                    for &p in &loads_since_store {
-                        if aliases(block, p, region) {
-                            preds[i].push(Dep {
-                                from: p,
-                                kind: DepKind::Mem,
-                            });
-                        }
-                    }
-                    stores_so_far.push(i);
+                    self.stores_so_far.push(i);
                     // A load may leave the list only once this store
                     // covers it: every later store aliasing the load must
                     // then alias this store too, and so stays ordered after
                     // the load through it. That holds when this store is
                     // ANY or in the load's own region — not for an ANY
                     // load under a store to one region.
-                    loads_since_store.retain(|&l| !covers(block, l, region));
+                    self.loads_since_store
+                        .retain(|&l| !covers(block, l, region));
                 } else {
-                    for &p in &stores_so_far {
-                        if aliases(block, p, region) {
-                            preds[i].push(Dep {
-                                from: p,
-                                kind: DepKind::Mem,
-                            });
-                        }
-                    }
-                    loads_since_store.push(i);
+                    self.loads_since_store.push(i);
                 }
             }
             // Register anti/output deps for the destination.
             if let Some(d) = op.dst {
-                if let Some(rs) = reads_since_def.get(&d) {
-                    for &r in rs {
-                        if r != i {
-                            preds[i].push(Dep {
-                                from: r,
-                                kind: DepKind::Anti,
-                            });
-                        }
+                let k = self.regs.of(d);
+                let mut at = std::mem::replace(&mut self.reads_head[k], NONE);
+                while at != NONE {
+                    let (reader, next) = self.reads[at];
+                    if reader != i {
+                        self.edges.push(edge(reader, DepKind::Anti));
                     }
+                    at = next;
                 }
-                if let Some(&p) = last_def.get(&d) {
-                    preds[i].push(Dep {
-                        from: p,
-                        kind: DepKind::Output,
-                    });
+                let p = std::mem::replace(&mut self.last_def[k], i);
+                if p != NONE {
+                    self.edges.push(edge(p, DepKind::Output));
                 }
-                last_def.insert(d, i);
-                reads_since_def.insert(d, Vec::new());
+            }
+            // Dedup this node's edges (scheduling only needs ordering, and
+            // Data identity via src_def).
+            self.edges[start..].sort_unstable_by_key(|d| (d.from, d.kind as u8));
+            let mut kept = start;
+            for e in start..self.edges.len() {
+                if kept == start || self.edges[e] != self.edges[kept - 1] {
+                    self.edges[kept] = self.edges[e];
+                    kept += 1;
+                }
+            }
+            self.edges.truncate(kept);
+            for e in start..kept {
+                let from = self.edges[e].from;
+                self.succs.push((i, self.succ_head[from]));
+                self.succ_head[from] = e;
             }
         }
+        self.edge_start.push(self.edges.len());
 
         // Terminator inputs.
-        let mut term_def = None;
+        self.term_def = None;
         let term_src = match block.term {
-            crate::loc::LocTerm::Branch { cond, .. } => Some(cond),
-            crate::loc::LocTerm::Ret(v) => v,
-            crate::loc::LocTerm::Jump(_) => None,
+            LocTerm::Branch { cond, .. } => Some(cond),
+            LocTerm::Ret(v) => v,
+            LocTerm::Jump(_) => None,
         };
         if let Some(LocSrc::Reg(r)) = term_src {
-            if let Some(&d) = last_def.get(&r) {
-                term_def = Some(d);
-                term_consumes[d] = true;
-            }
-        }
-
-        // Dedup pred edges (keep strongest kind first occurrence is fine —
-        // scheduling only needs ordering + Data identity via src_def).
-        for p in &mut preds {
-            p.sort_by_key(|d| (d.from, d.kind as u8));
-            p.dedup();
-        }
-
-        let mut succs: Vec<Vec<Dep>> = vec![Vec::new(); n];
-        for (i, ps) in preds.iter().enumerate() {
-            for d in ps {
-                succs[d.from].push(Dep {
-                    from: i,
-                    kind: d.kind,
-                });
+            let d = self.last_def[self.regs.of(r)];
+            if d != NONE {
+                self.term_def = Some(d);
+                self.term_consumes[d] = true;
             }
         }
 
         // Priorities: reverse topological accumulation. Blocks are acyclic
-        // by construction (edges always point forward in program order).
-        let mut priority = vec![0u32; n];
+        // by construction (edges always point forward in program order), so
+        // every successor of `i` is final before `i` is reached and pushes
+        // its path length back along its incoming edges.
+        self.priority.clear();
+        self.priority.resize(n, 0);
         for i in (0..n).rev() {
-            let mut h = block.ops[i].latency();
-            for s in &succs[i] {
-                let w = match s.kind {
-                    DepKind::Data => block.ops[i].latency() + 1,
+            let lat = block.ops[i].latency();
+            let mut h = lat.max(self.priority[i]);
+            if self.term_consumes[i] {
+                h = h.max(lat + 2);
+            }
+            self.priority[i] = h;
+            for e in self.edge_start[i]..self.edge_start[i + 1] {
+                let Dep { from, kind } = self.edges[e];
+                let w = match kind {
+                    DepKind::Data => block.ops[from].latency() + 1,
                     _ => 1,
                 };
-                h = h.max(priority[s.from] + w);
+                self.priority[from] = self.priority[from].max(h + w);
             }
-            if term_consumes[i] {
-                h = h.max(block.ops[i].latency() + 2);
-            }
-            priority[i] = h;
         }
-
-        Ddg {
-            preds,
-            succs,
-            src_def,
-            term_def,
-            priority,
-            consumers,
-            term_consumes,
-        }
+        self.order_by_priority(n);
     }
 
-    /// Nodes in a topological order that respects all edges, by descending
-    /// priority among ready nodes (the list scheduler's dispatch order).
-    pub fn priority_order(&self) -> Vec<usize> {
-        let n = self.preds.len();
-        let mut remaining: Vec<usize> = self.preds.iter().map(|p| p.len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-        let mut out = Vec::with_capacity(n);
-        while let Some(pos) = ready
+    /// List-schedule the nodes into `order`: repeatedly take the ready node
+    /// of highest priority (lowest index on ties).
+    fn order_by_priority(&mut self, n: usize) {
+        self.remaining.clear();
+        let starts = self.edge_start.windows(2);
+        self.remaining.extend(starts.map(|w| w[1] - w[0]));
+        self.ready.clear();
+        self.ready
+            .extend((0..n).filter(|&i| self.remaining[i] == 0));
+        self.order.clear();
+        while let Some(pos) = self
+            .ready
             .iter()
             .enumerate()
             .max_by_key(|(_, &i)| (self.priority[i], std::cmp::Reverse(i)))
             .map(|(p, _)| p)
         {
-            let i = ready.swap_remove(pos);
-            out.push(i);
-            for s in &self.succs[i] {
-                remaining[s.from] -= 1;
-                if remaining[s.from] == 0 {
-                    ready.push(s.from);
+            let i = self.ready.swap_remove(pos);
+            self.order.push(i);
+            let mut e = self.succ_head[i];
+            while e != NONE {
+                let (s, next) = self.succs[e];
+                self.remaining[s] -= 1;
+                if self.remaining[s] == 0 {
+                    self.ready.push(s);
                 }
+                e = next;
             }
         }
-        debug_assert_eq!(out.len(), n, "dependence graph must be acyclic");
-        out
+        debug_assert_eq!(self.order.len(), n, "dependence graph must be acyclic");
     }
 }
 
@@ -277,6 +305,12 @@ mod tests {
         }
     }
 
+    fn graph(b: &LocBlock) -> Ddg {
+        let mut g = Ddg::new(&tta_model::presets::m_tta_1());
+        g.rebuild(b);
+        g
+    }
+
     fn block(ops: Vec<LocOp>) -> LocBlock {
         LocBlock {
             ops,
@@ -292,14 +326,15 @@ mod tests {
             alu(2, LocSrc::Reg(r(1)), LocSrc::Imm(3)),
             alu(3, LocSrc::Reg(r(2)), LocSrc::Reg(r(1))),
         ]);
-        let g = Ddg::build(&b);
+        let g = graph(&b);
         assert_eq!(g.src_def[1][0], Some(0));
         assert_eq!(g.src_def[2][0], Some(1));
         assert_eq!(g.src_def[2][1], Some(0));
-        assert!(g.preds[2]
+        assert!(g
+            .preds(2)
             .iter()
             .any(|d| d.from == 1 && d.kind == DepKind::Data));
-        assert_eq!(g.consumers[0], vec![1, 2]);
+        assert_eq!(g.consumers[0], 2);
         // Priorities decrease along the chain.
         assert!(g.priority[0] > g.priority[1]);
         assert!(g.priority[1] > g.priority[2]);
@@ -311,9 +346,9 @@ mod tests {
             alu(1, LocSrc::Imm(1), LocSrc::Imm(2)),
             alu(2, LocSrc::Imm(3), LocSrc::Imm(4)),
         ]);
-        let g = Ddg::build(&b);
-        assert!(g.preds[0].is_empty());
-        assert!(g.preds[1].is_empty());
+        let g = graph(&b);
+        assert!(g.preds(0).is_empty());
+        assert!(g.preds(1).is_empty());
     }
 
     #[test]
@@ -323,11 +358,13 @@ mod tests {
             alu(2, LocSrc::Reg(r(1)), LocSrc::Imm(0)), // read r1
             alu(1, LocSrc::Imm(5), LocSrc::Imm(6)),    // redef r1
         ]);
-        let g = Ddg::build(&b);
-        assert!(g.preds[2]
+        let g = graph(&b);
+        assert!(g
+            .preds(2)
             .iter()
             .any(|d| d.from == 1 && d.kind == DepKind::Anti));
-        assert!(g.preds[2]
+        assert!(g
+            .preds(2)
             .iter()
             .any(|d| d.from == 0 && d.kind == DepKind::Output));
     }
@@ -348,17 +385,19 @@ mod tests {
         };
         // store r1 / load r1 → dep; store r1 / load r2 → none.
         let b = block(vec![st(1), ld(1, 1), ld(2, 2), st(2)]);
-        let g = Ddg::build(&b);
-        assert!(g.preds[1]
+        let g = graph(&b);
+        assert!(g
+            .preds(1)
             .iter()
             .any(|d| d.from == 0 && d.kind == DepKind::Mem));
-        assert!(g.preds[2].iter().all(|d| d.kind != DepKind::Mem));
+        assert!(g.preds(2).iter().all(|d| d.kind != DepKind::Mem));
         // The region-2 store depends on the region-2 load (WAR-mem) but not
         // on the region-1 accesses.
-        assert!(g.preds[3]
+        assert!(g
+            .preds(3)
             .iter()
             .any(|d| d.from == 2 && d.kind == DepKind::Mem));
-        assert!(!g.preds[3].iter().any(|d| d.from == 0));
+        assert!(!g.preds(3).iter().any(|d| d.from == 0));
     }
 
     #[test]
@@ -370,9 +409,9 @@ mod tests {
             b: Some(LocSrc::Imm(16)),
         };
         let b = block(vec![st(1), st(0), st(2)]);
-        let g = Ddg::build(&b);
-        assert!(g.preds[1].iter().any(|d| d.from == 0));
-        assert!(g.preds[2].iter().any(|d| d.from == 1));
+        let g = graph(&b);
+        assert!(g.preds(1).iter().any(|d| d.from == 0));
+        assert!(g.preds(2).iter().any(|d| d.from == 1));
     }
 
     #[test]
@@ -400,18 +439,17 @@ mod tests {
                 b: Some(LocSrc::Imm(16)),
             },
         ]);
-        let g = Ddg::build(&b);
+        let g = graph(&b);
         for store in [1, 2] {
             assert!(
-                g.preds[store]
+                g.preds(store)
                     .iter()
                     .any(|d| d.from == 0 && d.kind == DepKind::Mem),
                 "store {store} must stay after the ANY load: {:?}",
-                g.preds[store]
+                g.preds(store)
             );
         }
-        let order = g.priority_order();
-        let pos = |i: usize| order.iter().position(|&o| o == i).unwrap();
+        let pos = |i: usize| g.order.iter().position(|&o| o == i).unwrap();
         assert!(pos(0) < pos(2));
     }
 
@@ -423,11 +461,10 @@ mod tests {
             alu(3, LocSrc::Imm(9), LocSrc::Imm(9)),
             alu(4, LocSrc::Reg(r(2)), LocSrc::Reg(r(3))),
         ]);
-        let g = Ddg::build(&b);
-        let order = g.priority_order();
+        let g = graph(&b);
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
-            for (k, &i) in order.iter().enumerate() {
+            for (k, &i) in g.order.iter().enumerate() {
                 p[i] = k;
             }
             p
@@ -445,7 +482,7 @@ mod tests {
             if_true: tta_ir::BlockId(0),
             if_false: tta_ir::BlockId(0),
         };
-        let g = Ddg::build(&b);
+        let g = graph(&b);
         assert_eq!(g.term_def, Some(0));
         assert!(g.term_consumes[0]);
     }

@@ -28,6 +28,7 @@ pub mod inline;
 pub mod liveness;
 pub mod loc;
 pub mod regalloc;
+pub(crate) mod resource;
 pub mod scalar_sched;
 pub mod tta_sched;
 pub mod vliw_sched;

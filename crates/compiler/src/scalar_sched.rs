@@ -58,6 +58,7 @@ impl<'m> ScalarCodegen<'m> {
 
     /// Generate code for all blocks.
     pub fn generate(&self, f: &LocFunc) -> Vec<ScalarBlock> {
+        let mut ddg = Ddg::new(self.m);
         f.blocks
             .iter()
             .enumerate()
@@ -67,7 +68,7 @@ impl<'m> ScalarCodegen<'m> {
                 } else {
                     None
                 };
-                self.generate_block(b, next)
+                self.generate_block(b, next, &mut ddg)
             })
             .collect()
     }
@@ -114,10 +115,15 @@ impl<'m> ScalarCodegen<'m> {
         );
     }
 
-    fn generate_block(&self, block: &LocBlock, next: Option<BlockId>) -> ScalarBlock {
-        let ddg = Ddg::build(block);
+    fn generate_block(
+        &self,
+        block: &LocBlock,
+        next: Option<BlockId>,
+        ddg: &mut Ddg,
+    ) -> ScalarBlock {
+        ddg.rebuild(block);
         let mut insts = Vec::with_capacity(block.ops.len() + 4);
-        for i in ddg.priority_order() {
+        for &i in &ddg.order {
             self.emit_op(&mut insts, &block.ops[i]);
         }
 

@@ -25,9 +25,9 @@
 // attempt counter; clippy's counter-loop lint would obscure that.
 #![allow(clippy::explicit_counter_loop)]
 
-use crate::ddg::Ddg;
+use crate::ddg::{Ddg, DepKind};
 use crate::loc::{LocBlock, LocFunc, LocKind, LocOp, LocSrc, LocTerm, RETVAL_ADDR};
-use std::collections::HashMap;
+use crate::resource::{bits, first, Cycles, Resources, NONE};
 use tta_ir::BlockId;
 use tta_isa::{Move, MoveDst, MoveSrc, TtaInst};
 use tta_model::{DstConn, FuId, FuKind, Machine, Opcode, RegRef, SrcConn};
@@ -141,21 +141,27 @@ struct ImmRegState {
     in_use: bool,
 }
 
-/// The per-block scheduling engine.
+/// The per-block scheduling engine. One serves a whole function: its
+/// buffers are reset, not rebuilt, for each block.
 struct BlockSched<'m> {
     m: &'m Machine,
+    res: Resources,
     opts: TtaOptions,
     insts: Vec<TtaInst>,
-    rf_reads: Vec<Vec<u8>>,
-    rf_writes: Vec<Vec<u8>>,
+    /// Busy buses (long-immediate templates included) and RF port use.
+    cycles: Cycles,
     fu: Vec<FuState>,
     nodes: Vec<NodeState>,
-    reg_last_rf_read: HashMap<RegRef, u32>,
-    reg_last_rf_write: HashMap<RegRef, u32>,
-    /// Most recently *scheduled* defining node per register (defs of one
-    /// register schedule in program order thanks to Output edges).
-    reg_last_def: HashMap<RegRef, usize>,
+    /// Per dense register: earliest legal RF write, after its last RF read
+    /// and its last RF write.
+    reg_write_floor: Vec<u32>,
+    /// Per dense register: most recently *scheduled* defining node (defs of
+    /// one register schedule in program order thanks to Output edges).
+    reg_last_def: Vec<usize>,
+    /// Per dense register: live out of the block.
+    live_out: Vec<bool>,
     immregs: Vec<ImmRegState>,
+    /// Statistics, accumulated over the function.
     stats: TtaStats,
     patches: Vec<TtaPatch>,
     /// Highest cycle with any activity (move, limm, trigger, writeback).
@@ -172,43 +178,52 @@ enum ReadPlan {
 }
 
 impl<'m> BlockSched<'m> {
-    fn new(m: &'m Machine, opts: TtaOptions, n_nodes: usize) -> Self {
+    fn new(m: &'m Machine, opts: TtaOptions, stats: TtaStats) -> Self {
+        let res = Resources::new(m);
+        let regs = res.regs.count();
         BlockSched {
             m,
+            res,
             opts,
             insts: Vec::new(),
-            rf_reads: Vec::new(),
-            rf_writes: Vec::new(),
+            cycles: Cycles::new(m.rfs.len(), m.buses.len()),
             fu: vec![FuState::default(); m.funits.len()],
-            nodes: vec![NodeState::default(); n_nodes],
-            reg_last_rf_read: HashMap::new(),
-            reg_last_rf_write: HashMap::new(),
-            reg_last_def: HashMap::new(),
+            nodes: Vec::new(),
+            reg_write_floor: vec![0; regs],
+            reg_last_def: vec![NONE; regs],
+            live_out: vec![false; regs],
             immregs: vec![ImmRegState::default(); m.limm.imm_regs as usize],
-            stats: TtaStats::default(),
+            stats,
             patches: Vec::new(),
             last_activity: 0,
         }
     }
 
+    /// Start scheduling `block`.
+    fn reset(&mut self, block: &LocBlock) {
+        self.cycles.clear();
+        for f in &mut self.fu {
+            f.ops.clear();
+            f.port_val = None;
+            f.port_write = 0;
+        }
+        self.nodes.clear();
+        self.nodes.resize(block.ops.len(), NodeState::default());
+        self.reg_write_floor.fill(0);
+        self.reg_last_def.fill(NONE);
+        self.live_out.fill(false);
+        for &r in &block.live_out {
+            self.live_out[self.res.regs.of(r)] = true;
+        }
+        self.immregs.fill(ImmRegState::default());
+        self.last_activity = 0;
+    }
+
     fn grow(&mut self, cycle: u32) {
         while self.insts.len() <= cycle as usize {
             self.insts.push(TtaInst::nop(self.m.buses.len()));
-            self.rf_reads.push(vec![0; self.m.rfs.len()]);
-            self.rf_writes.push(vec![0; self.m.rfs.len()]);
         }
-    }
-
-    fn bus_free(&mut self, c: u32, b: usize) -> bool {
-        self.grow(c);
-        if self.insts[c as usize].slots[b].is_some() {
-            return false;
-        }
-        // Slots repurposed by a long immediate are unavailable.
-        if self.insts[c as usize].limm.is_some() && b < self.m.limm.bus_slots as usize {
-            return false;
-        }
-        true
+        self.cycles.grow(cycle);
     }
 
     /// Find a bus able to carry `src -> dst` at cycle `c`.
@@ -226,35 +241,33 @@ impl<'m> BlockSched<'m> {
         excl: Option<usize>,
     ) -> Option<usize> {
         self.grow(c);
-        (0..self.m.buses.len()).find(|&b| {
-            if Some(b) == excl {
-                return false;
-            }
-            if !self.bus_free(c, b) {
-                return false;
-            }
-            let bus = &self.m.buses[b];
-            if !bus.writes(dst) {
-                return false;
-            }
-            match src {
-                ReadPlan::Rf(r) => bus.reads(SrcConn::RfRead(r.rf)),
-                ReadPlan::Bypass(f, _) => bus.reads(SrcConn::FuResult(*f)),
-                ReadPlan::Imm(v) => bus.simm_fits(*v),
-                ReadPlan::ImmReg(_) => true,
-            }
-        })
+        let reads = match *src {
+            ReadPlan::Rf(r) => self.res.src(SrcConn::RfRead(r.rf)),
+            ReadPlan::Bypass(f, _) => self.res.src(SrcConn::FuResult(f)),
+            ReadPlan::Imm(v) => self.res.simm(v),
+            ReadPlan::ImmReg(_) => u64::MAX,
+        };
+        let excl = excl.map_or(0, |b| 1 << b);
+        first(!self.cycles.busy[c as usize] & !excl & reads & self.res.dst(dst))
     }
 
     /// Whether the RF read/write port budget allows one more access at `c`.
     fn rf_read_ok(&mut self, c: u32, r: RegRef) -> bool {
         self.grow(c);
-        self.rf_reads[c as usize][r.rf.0 as usize] < self.m.rf(r.rf).read_ports
+        self.cycles.read_ok(&self.res, c, r.rf, 1)
     }
 
     fn rf_write_ok(&mut self, c: u32, r: RegRef) -> bool {
         self.grow(c);
-        self.rf_writes[c as usize][r.rf.0 as usize] < self.m.rf(r.rf).write_ports
+        self.cycles.write_ok(&self.res, c, r.rf)
+    }
+
+    /// First cycle FU `f`'s operand port is free: after its last trigger.
+    fn port_free(&self, f: FuId) -> u32 {
+        self.fu[f.0 as usize]
+            .ops
+            .last()
+            .map_or(0, |&(_, pt, _)| pt + 1)
     }
 
     /// The result-port window of node `i` is still open at cycle `c` (no
@@ -275,41 +288,32 @@ impl<'m> BlockSched<'m> {
     }
 
     /// All the ways value `src` (with in-block producer `producer`) can be
-    /// read at cycle `c`. Does not commit anything.
-    fn read_plans(&mut self, src: LocSrc, producer: Option<usize>, c: u32) -> Vec<ReadPlan> {
-        let mut plans = Vec::new();
-        match src {
-            LocSrc::Imm(v) => plans.push(ReadPlan::Imm(v)),
-            LocSrc::Reg(r) => {
-                match producer {
-                    Some(p) => {
-                        let st = self.nodes[p];
-                        // Bypass from the producer's result port (copies
-                        // have no port).
-                        if self.opts.bypass {
-                            if let Some(f) = st.fu {
-                                if st.done <= c && self.port_window_open(p, c) {
-                                    plans.push(ReadPlan::Bypass(f, p));
-                                }
-                            }
-                        }
-                        // RF read after the producer's writeback.
-                        if let Some(w) = st.rf_write {
-                            if c > w && self.rf_read_ok(c, r) {
-                                plans.push(ReadPlan::Rf(r));
-                            }
-                        }
-                    }
-                    None => {
-                        // Live-in: in the RF from cycle 0.
-                        if self.rf_read_ok(c, r) {
-                            plans.push(ReadPlan::Rf(r));
-                        }
-                    }
-                }
+    /// read at cycle `c`, in order of preference. Does not commit anything.
+    fn read_plans(
+        &mut self,
+        src: LocSrc,
+        producer: Option<usize>,
+        c: u32,
+    ) -> [Option<ReadPlan>; 2] {
+        let r = match src {
+            LocSrc::Imm(v) => return [Some(ReadPlan::Imm(v)), None],
+            LocSrc::Reg(r) => r,
+        };
+        let Some(p) = producer else {
+            // Live-in: in the RF from cycle 0.
+            return [self.rf_read_ok(c, r).then_some(ReadPlan::Rf(r)), None];
+        };
+        let st = self.nodes[p];
+        // Bypass from the producer's result port (copies have no port).
+        let bypass = match st.fu {
+            Some(f) if self.opts.bypass && st.done <= c && self.port_window_open(p, c) => {
+                Some(ReadPlan::Bypass(f, p))
             }
-        }
-        plans
+            _ => None,
+        };
+        // RF read after the producer's writeback.
+        let rf = st.rf_write.is_some_and(|w| c > w) && self.rf_read_ok(c, r);
+        [bypass, rf.then_some(ReadPlan::Rf(r))]
     }
 
     /// Commit a move at cycle `c` on bus `b`.
@@ -317,9 +321,9 @@ impl<'m> BlockSched<'m> {
         self.grow(c);
         let msrc = match src {
             ReadPlan::Rf(r) => {
-                self.rf_reads[c as usize][r.rf.0 as usize] += 1;
-                let e = self.reg_last_rf_read.entry(r).or_insert(0);
-                *e = (*e).max(c);
+                self.cycles.add_read(c, r.rf);
+                let floor = &mut self.reg_write_floor[self.res.regs.of(r)];
+                *floor = (*floor).max(c);
                 self.stats.rf_reads += 1;
                 MoveSrc::Rf(r)
             }
@@ -335,14 +339,15 @@ impl<'m> BlockSched<'m> {
             }
         };
         if let MoveDst::Rf(r) = dst {
-            self.rf_writes[c as usize][r.rf.0 as usize] += 1;
-            let e = self.reg_last_rf_write.entry(r).or_insert(0);
-            *e = (*e).max(c);
+            self.cycles.add_write(c, r.rf);
+            let floor = &mut self.reg_write_floor[self.res.regs.of(r)];
+            *floor = (*floor).max(c + 1);
         }
         debug_assert!(
-            self.insts[c as usize].slots[b].is_none(),
+            self.cycles.busy[c as usize] >> b & 1 == 0,
             "move slot double-booked at cycle {c} bus {b}"
         );
+        self.cycles.busy[c as usize] |= 1 << b;
         self.insts[c as usize].slots[b] = Some(Move { src: msrc, dst });
         self.stats.moves += 1;
         self.last_activity = self.last_activity.max(c);
@@ -350,9 +355,7 @@ impl<'m> BlockSched<'m> {
 
     /// Earliest legal cycle for an RF write to `r`.
     fn rf_write_floor(&self, r: RegRef) -> u32 {
-        let read = self.reg_last_rf_read.get(&r).copied().unwrap_or(0);
-        let write = self.reg_last_rf_write.get(&r).map(|w| w + 1).unwrap_or(0);
-        read.max(write)
+        self.reg_write_floor[self.res.regs.of(r)]
     }
 
     /// Schedule the RF write of node `i`'s result (if not already done).
@@ -367,25 +370,20 @@ impl<'m> BlockSched<'m> {
             .fu
             .expect("copies are written at schedule time");
         let mut c = self.nodes[i].done.max(self.rf_write_floor(r));
+        let plan = ReadPlan::Bypass(f, i);
         for _ in 0..MAX_SLACK {
-            if self.port_window_open(i, c)
-                && self.rf_write_ok(c, r)
-                && self
-                    .find_bus(c, &ReadPlan::Bypass(f, i), DstConn::RfWrite(r.rf))
-                    .is_some()
-            {
-                let b = self
-                    .find_bus(c, &ReadPlan::Bypass(f, i), DstConn::RfWrite(r.rf))
-                    .unwrap();
-                // The RF write itself reads the result port.
-                self.commit_move(c, b, ReadPlan::Bypass(f, i), MoveDst::Rf(r));
-                // A writeback is not a "bypass" in the statistics sense.
-                self.stats.bypassed -= 1;
-                self.nodes[i].rf_write = Some(c);
-                return true;
-            }
             if !self.port_window_open(i, c) {
                 return false;
+            }
+            if self.rf_write_ok(c, r) {
+                if let Some(b) = self.find_bus(c, &plan, DstConn::RfWrite(r.rf)) {
+                    // The RF write itself reads the result port.
+                    self.commit_move(c, b, plan, MoveDst::Rf(r));
+                    // A writeback is not a "bypass" in the statistics sense.
+                    self.stats.bypassed -= 1;
+                    self.nodes[i].rf_write = Some(c);
+                    return true;
+                }
             }
             c += 1;
         }
@@ -398,10 +396,9 @@ impl<'m> BlockSched<'m> {
         let mut c = min_cycle;
         loop {
             self.grow(c);
-            let inst_free = self.insts[c as usize].limm.is_none()
-                && (0..self.m.limm.bus_slots as usize)
-                    .all(|s| self.insts[c as usize].slots[s].is_none());
-            if inst_free {
+            // Free of moves on the template's buses and of another limm
+            // (which marks those buses busy).
+            if self.cycles.busy[c as usize] & self.res.limm == 0 {
                 // An imm register is reusable at cycle c when its current
                 // tenancy lies entirely before c: written earlier (writes to
                 // one register must be monotonic in machine time, or a
@@ -414,6 +411,7 @@ impl<'m> BlockSched<'m> {
                 });
                 if let Some(k) = reg {
                     self.insts[c as usize].limm = Some((k as u8, value));
+                    self.cycles.busy[c as usize] |= self.res.limm;
                     self.immregs[k] = ImmRegState {
                         write: c,
                         last_read: c,
@@ -452,10 +450,10 @@ impl<'m> BlockSched<'m> {
         }
         let needs_rf = !self.nodes[prev].rf_closed
             && self.nodes[prev].rf_write.is_none()
-            && (self.nodes[prev].pending_consumers > 0 || {
-                let r = block.ops[prev].dst;
-                r.map(|r| block.live_out.contains(&r)).unwrap_or(false)
-            });
+            && (self.nodes[prev].pending_consumers > 0
+                || block.ops[prev]
+                    .dst
+                    .is_some_and(|r| self.live_out[self.res.regs.of(r)]));
         if !needs_rf {
             return true;
         }
@@ -508,6 +506,8 @@ impl<'m> TtaScheduler<'m> {
     pub fn schedule(&mut self, f: &LocFunc) -> Vec<TtaBlock> {
         let _span = tta_obs::span("sched");
         let before = self.stats;
+        let mut ddg = Ddg::new(self.m);
+        let mut s = BlockSched::new(self.m, self.opts, before);
         let blocks: Vec<TtaBlock> = f
             .blocks
             .iter()
@@ -518,10 +518,11 @@ impl<'m> TtaScheduler<'m> {
                 } else {
                     None
                 };
-                self.schedule_block(b, next)
+                self.schedule_block(b, next, &mut ddg, &mut s)
             })
             .collect();
-        let d = self.stats;
+        let d = s.stats;
+        self.stats = d;
         tta_obs::counter::add("compiler.tta_moves", d.moves - before.moves);
         tta_obs::counter::add("compiler.tta_bypassed", d.bypassed - before.bypassed);
         tta_obs::counter::add("compiler.tta_limms", d.limms - before.limms);
@@ -529,32 +530,37 @@ impl<'m> TtaScheduler<'m> {
             "compiler.tta_dead_results",
             d.dead_results - before.dead_results,
         );
+        tta_obs::counter::add(
+            "compiler.tta_operand_shares",
+            d.operand_shares - before.operand_shares,
+        );
+        tta_obs::counter::add("compiler.tta_rf_reads", d.rf_reads - before.rf_reads);
         blocks
     }
 
-    fn min_simm_fits(&self, v: i32) -> bool {
-        self.m.buses.iter().all(|b| b.simm_fits(v))
-    }
-
-    fn schedule_block(&mut self, block: &LocBlock, next: Option<BlockId>) -> TtaBlock {
-        let ddg = Ddg::build(block);
-        let mut s = BlockSched::new(self.m, self.opts, block.ops.len());
+    fn schedule_block(
+        &mut self,
+        block: &LocBlock,
+        next: Option<BlockId>,
+        ddg: &mut Ddg,
+        s: &mut BlockSched,
+    ) -> TtaBlock {
+        ddg.rebuild(block);
+        s.reset(block);
         for (i, n) in s.nodes.iter_mut().enumerate() {
-            n.pending_consumers = ddg.consumers[i].len() + usize::from(ddg.term_consumes[i]);
+            n.pending_consumers = ddg.consumers[i] + usize::from(ddg.term_consumes[i]);
         }
 
-        for i in ddg.priority_order() {
-            self.schedule_node(i, block, &ddg, &mut s);
+        for &i in &ddg.order {
+            self.schedule_node(i, block, ddg, s);
         }
 
         // Flush: last defs of live-out registers must be in the RF. Walk
         // the ops in program order so the emitted program is deterministic.
         for (i, op) in block.ops.iter().enumerate() {
             let Some(r) = op.dst else { continue };
-            if s.nodes[i].rf_write.is_none()
-                && block.live_out.contains(&r)
-                && block.ops[i + 1..].iter().all(|later| later.dst != Some(r))
-            {
+            let k = s.res.regs.of(r);
+            if s.nodes[i].rf_write.is_none() && s.live_out[k] && s.reg_last_def[k] == i {
                 if s.nodes[i].fu.is_none() {
                     // Copies write the RF when scheduled.
                     debug_assert!(!s.nodes[i].scheduled);
@@ -573,34 +579,27 @@ impl<'m> TtaScheduler<'m> {
             }
         }
 
-        self.emit_terminator(block, next, &ddg, &mut s);
-
-        self.stats.moves += s.stats.moves;
-        self.stats.bypassed += s.stats.bypassed;
-        self.stats.dead_results += s.stats.dead_results;
-        self.stats.operand_shares += s.stats.operand_shares;
-        self.stats.limms += s.stats.limms;
-        self.stats.rf_reads += s.stats.rf_reads;
+        self.emit_terminator(block, next, ddg, s);
 
         TtaBlock {
-            insts: s.insts,
-            patches: s.patches,
+            insts: std::mem::take(&mut s.insts),
+            patches: std::mem::take(&mut s.patches),
         }
     }
 
     /// Dependence-imposed lower bound for node `i`'s trigger cycle.
     fn dep_floor(&self, i: usize, ddg: &Ddg, block: &LocBlock, s: &BlockSched) -> u32 {
         let mut t = 0u32;
-        for d in &ddg.preds[i] {
+        for d in ddg.preds(i) {
             let p = d.from;
             let min = match d.kind {
-                crate::ddg::DepKind::Data => {
+                DepKind::Data => {
                     // The read move can happen at done(p) at the earliest;
                     // the trigger itself no earlier than that.
                     s.nodes[p].done
                 }
-                crate::ddg::DepKind::Anti | crate::ddg::DepKind::Output => 0,
-                crate::ddg::DepKind::Mem => {
+                DepKind::Anti | DepKind::Output => 0,
+                DepKind::Mem => {
                     let prior_is_load = matches!(block.ops[p].kind, LocKind::Load(..));
                     let cur_is_store = matches!(block.ops[i].kind, LocKind::Store(..));
                     if prior_is_load && cur_is_store {
@@ -623,8 +622,8 @@ impl<'m> TtaScheduler<'m> {
         }
         s.nodes[i].scheduled = true;
         // Consumers bookkeeping: this node consumed its producers.
-        for d in &ddg.preds[i] {
-            if d.kind == crate::ddg::DepKind::Data {
+        for d in ddg.preds(i) {
+            if d.kind == DepKind::Data {
                 s.nodes[d.from].pending_consumers =
                     s.nodes[d.from].pending_consumers.saturating_sub(1);
             }
@@ -634,7 +633,8 @@ impl<'m> TtaScheduler<'m> {
         // that order), so if it has not written the RF by now it never may —
         // a late write would clobber the newer value.
         if let Some(r) = block.ops[i].dst {
-            if let Some(prev) = s.reg_last_def.insert(r, i) {
+            let prev = std::mem::replace(&mut s.reg_last_def[s.res.regs.of(r)], i);
+            if prev != NONE {
                 s.nodes[prev].rf_closed = true;
             }
         }
@@ -652,7 +652,7 @@ impl<'m> TtaScheduler<'m> {
 
         // Wide immediate: long immediate then ImmReg -> RF.
         if let LocSrc::Imm(v) = src {
-            if !self.min_simm_fits(v) {
+            if !self.m.buses.iter().all(|b| b.simm_fits(v)) {
                 let (k, lc) = s.place_limm(v, floor);
                 let mut c = (lc + 1).max(wfloor);
                 let deadline = c + MAX_SLACK;
@@ -684,11 +684,8 @@ impl<'m> TtaScheduler<'m> {
         // the copy executes as `add src, #0` through an ALU (with the side
         // benefit that consumers may then bypass it).
         if let LocSrc::Reg(r) = src {
-            let routed = self
-                .m
-                .buses_connecting(SrcConn::RfRead(r.rf), DstConn::RfWrite(dst.rf))
-                .next()
-                .is_some();
+            let routed =
+                s.res.src(SrcConn::RfRead(r.rf)) & s.res.dst(DstConn::RfWrite(dst.rf)) != 0;
             if !routed {
                 let alu_copy = LocOp {
                     kind: LocKind::Alu(Opcode::Add),
@@ -710,8 +707,7 @@ impl<'m> TtaScheduler<'m> {
                     }
                 }
             }
-            let plans = s.read_plans(src, producer, c);
-            for plan in plans {
+            for plan in s.read_plans(src, producer, c).into_iter().flatten() {
                 if !s.rf_write_ok(c, dst) {
                     break;
                 }
@@ -759,7 +755,7 @@ impl<'m> TtaScheduler<'m> {
             LocKind::Alu(o) | LocKind::Load(o, _) | LocKind::Store(o, _) => o,
             LocKind::Copy => unreachable!(),
         };
-        let units: Vec<FuId> = self.m.units_for(opcode).collect();
+        let units = s.res.units(opcode);
         let lat = opcode.latency();
         let floor = self.dep_floor(i, ddg, block, s);
         let b_src = op.b.expect("every FU op has a trigger input");
@@ -767,9 +763,9 @@ impl<'m> TtaScheduler<'m> {
 
         let mut t = floor;
         for attempt in 0..MAX_SLACK {
-            for &f in &units {
+            for f in bits(units).map(|f| FuId(f as u16)) {
                 if self.try_place_fu_op(
-                    i, f, t, lat, opcode, op.dst, a_src, a_producer, b_src, b_producer, block, s,
+                    i, f, t, lat, opcode, a_src, a_producer, b_src, b_producer, block, s,
                 ) {
                     return;
                 }
@@ -784,7 +780,6 @@ impl<'m> TtaScheduler<'m> {
                         t,
                         lat,
                         opcode,
-                        op.dst,
                         Some(b_src),
                         b_producer,
                         a_src.unwrap(),
@@ -823,7 +818,6 @@ impl<'m> TtaScheduler<'m> {
         t: u32,
         lat: u32,
         opcode: Opcode,
-        _dst: Option<RegRef>,
         a_src: Option<LocSrc>,
         a_producer: Option<usize>,
         b_src: LocSrc,
@@ -832,17 +826,16 @@ impl<'m> TtaScheduler<'m> {
         s: &mut BlockSched,
     ) -> bool {
         // Trigger monotonicity on the unit.
-        if let Some(&(_, pt, _)) = s.fu[f.0 as usize].ops.last() {
-            if t <= pt {
-                return false;
-            }
+        if t < s.port_free(f) {
+            return false;
         }
         // Trigger slot free (one trigger per FU per cycle is implied by
         // monotonicity; the bus slot is checked below).
         // 1. Find the trigger move: b value -> FuTrigger at exactly t.
-        let trig_plans = s.read_plans(b_src, b_producer, t);
-        let Some((trig_plan, trig_bus)) = trig_plans
+        let Some((trig_plan, trig_bus)) = s
+            .read_plans(b_src, b_producer, t)
             .into_iter()
+            .flatten()
             .find_map(|p| s.find_bus(t, &p, DstConn::FuTrigger(f)).map(|b| (p, b)))
         else {
             return false;
@@ -867,32 +860,22 @@ impl<'m> TtaScheduler<'m> {
                 shared = true;
             } else {
                 // The port is free after the previous trigger on this unit.
-                let port_free = fu_state.ops.last().map(|&(_, pt, _)| pt + 1).unwrap_or(0);
-                let lo = port_free;
                 let mut found = None;
-                for c in lo..=t {
-                    let mut plans = s.read_plans(a, a_producer, c);
-                    // The trigger read at t is not committed yet: if both
-                    // reads land in cycle t on the same register file, the
-                    // port budget must cover them together.
-                    if c == t {
-                        if let ReadPlan::Rf(tr) = trig_plan {
-                            plans.retain(|p| match p {
-                                ReadPlan::Rf(or) if or.rf == tr.rf => {
-                                    s.rf_reads[t as usize][tr.rf.0 as usize] + 2
-                                        <= s.m.rf(tr.rf).read_ports
-                                }
-                                _ => true,
-                            });
-                        }
-                    }
+                'cycles: for c in s.port_free(f)..=t {
                     let excl = if c == t { Some(trig_bus) } else { None };
-                    if let Some((plan, bus)) = plans.into_iter().find_map(|p| {
-                        s.find_bus_excl(c, &p, DstConn::FuOperand(f), excl)
-                            .map(|b| (p, b))
-                    }) {
-                        found = Some((c, bus, plan));
-                        break;
+                    for plan in s.read_plans(a, a_producer, c).into_iter().flatten() {
+                        // The trigger read at t is not committed yet: if both
+                        // reads land in cycle t on the same register file,
+                        // the port budget must cover them together.
+                        if let (ReadPlan::Rf(tr), ReadPlan::Rf(or)) = (trig_plan, plan) {
+                            if c == t && or.rf == tr.rf && !s.cycles.read_ok(&s.res, t, tr.rf, 2) {
+                                continue;
+                            }
+                        }
+                        if let Some(bus) = s.find_bus_excl(c, &plan, DstConn::FuOperand(f), excl) {
+                            found = Some((c, bus, plan));
+                            break 'cycles;
+                        }
                     }
                 }
                 match found {
@@ -911,13 +894,9 @@ impl<'m> TtaScheduler<'m> {
         // NOTE: resolve_previous may have consumed bus/port resources; the
         // trigger/operand buses chosen above could in principle collide with
         // the writeback it just placed. Re-validate cheaply.
-        if s.insts[t as usize].slots[trig_bus].is_some() {
+        let taken = |c: u32, b: usize| s.cycles.busy[c as usize] >> b & 1 == 1;
+        if taken(t, trig_bus) || operand_commit.is_some_and(|(c, b, _)| taken(c, b)) {
             return false;
-        }
-        if let Some((c, bus, _)) = operand_commit {
-            if s.insts[c as usize].slots[bus].is_some() {
-                return false;
-            }
         }
 
         // Commit.
@@ -951,8 +930,8 @@ impl<'m> TtaScheduler<'m> {
         true
     }
 
-    /// Read a value for the terminator (condition or return value) at cycle
-    /// `c`, committing the chosen move. Returns false if infeasible at `c`.
+    /// Emit the block's control transfer: a fall-through pad, a branch or
+    /// jump, or the return-value store and halt.
     fn emit_terminator(
         &mut self,
         block: &LocBlock,
@@ -1000,18 +979,7 @@ impl<'m> TtaScheduler<'m> {
                     // Operand move: value -> lsu.o ; trigger: #RETVAL -> lsu.t.stw
                     let producer = ddg.term_def;
                     let ready = producer.map(|p| s.nodes[p].done).unwrap_or(0);
-                    let port_free = s.fu[lsu.0 as usize]
-                        .ops
-                        .last()
-                        .map(|&(_, pt, _)| pt + 1)
-                        .unwrap_or(0);
-                    let mut t = ready.max(port_free).max(
-                        s.fu[lsu.0 as usize]
-                            .ops
-                            .last()
-                            .map(|&(_, pt, _)| pt + 1)
-                            .unwrap_or(0),
-                    );
+                    let mut t = ready.max(s.port_free(lsu));
                     let ret_deadline = t + MAX_SLACK;
                     loop {
                         assert!(t < ret_deadline, "return store wedged on {}", self.m.name);
@@ -1025,7 +993,7 @@ impl<'m> TtaScheduler<'m> {
                             continue;
                         };
                         let plans = s.read_plans(v, producer, t);
-                        let op_move = plans.into_iter().find_map(|p| {
+                        let op_move = plans.into_iter().flatten().find_map(|p| {
                             s.find_bus_excl(t, &p, DstConn::FuOperand(lsu), Some(tb))
                                 .map(|b| (p, b))
                         });
@@ -1041,13 +1009,7 @@ impl<'m> TtaScheduler<'m> {
                     }
                 }
                 // Halt trigger.
-                let mut t = min_halt.max(
-                    s.fu[cu.0 as usize]
-                        .ops
-                        .last()
-                        .map(|&(_, pt, _)| pt + 1)
-                        .unwrap_or(0),
-                );
+                let mut t = min_halt.max(s.port_free(cu));
                 loop {
                     let plan = ReadPlan::Imm(0);
                     if let Some(b) = s.find_bus(t, &plan, DstConn::FuTrigger(cu)) {
@@ -1080,11 +1042,7 @@ impl<'m> TtaScheduler<'m> {
         s.patches.push(TtaPatch { cycle: lc, target });
 
         let cond_ready = cond_producer.map(|p| s.nodes[p].done).unwrap_or(0);
-        let cu_floor = s.fu[cu.0 as usize]
-            .ops
-            .last()
-            .map(|&(_, pt, _)| pt + 1)
-            .unwrap_or(0);
+        let cu_floor = s.port_free(cu);
         let mut t = (lc + 1)
             .max(cond_ready)
             .max(cu_floor)
@@ -1122,15 +1080,11 @@ impl<'m> TtaScheduler<'m> {
                     let plans = s.read_plans(c_src, cond_producer, t);
                     let trig = plans
                         .into_iter()
+                        .flatten()
                         .find_map(|p| s.find_bus(t, &p, DstConn::FuTrigger(cu)).map(|b| (p, b)));
                     if let Some((tp, tb)) = trig {
                         // Operand move of the target in [lc+1, t].
-                        let port_free = s.fu[cu.0 as usize]
-                            .ops
-                            .last()
-                            .map(|&(_, pt, _)| pt + 1)
-                            .unwrap_or(0);
-                        let lo = (lc + 1).max(port_free);
+                        let lo = (lc + 1).max(s.port_free(cu));
                         let mut found = None;
                         for c in lo..=t {
                             if let Some(b) =

@@ -9,6 +9,7 @@
 
 use crate::ddg::{Ddg, DepKind};
 use crate::loc::{LocBlock, LocFunc, LocKind, LocOp, LocSrc, LocTerm, RETVAL_ADDR};
+use crate::resource::{bits, first, Cycles, Resources};
 use tta_ir::BlockId;
 use tta_isa::encoding::{fits_signed, vliw_imm_bits};
 use tta_isa::{OpSrc, Operation, VliwBundle, VliwSlot};
@@ -34,61 +35,59 @@ pub struct SchedBlock {
     pub patches: Vec<Patch>,
 }
 
-/// Growable per-cycle resource grid.
-struct Grid<'m> {
-    m: &'m Machine,
-    slots: Vec<Vec<bool>>,
-    fu_busy: Vec<Vec<bool>>,
-    reads: Vec<Vec<u8>>,
-    writes: Vec<Vec<u8>>,
+/// The registers an operation reads (at most two).
+type Reads = [Option<RegRef>; 2];
+
+/// The state of the block being scheduled, kept for the whole function.
+struct Grid<'r> {
+    res: &'r Resources,
+    nslots: usize,
+    /// Issue slots a long immediate takes.
+    limm_slots: usize,
+    cycles: Cycles,
+    bundles: Vec<VliwBundle>,
+    patches: Vec<Patch>,
+    cycle_of: Vec<Option<u32>>,
 }
 
-impl<'m> Grid<'m> {
-    fn new(m: &'m Machine) -> Self {
-        Grid {
-            m,
-            slots: Vec::new(),
-            fu_busy: Vec::new(),
-            reads: Vec::new(),
-            writes: Vec::new(),
+impl Grid<'_> {
+    fn reset(&mut self, n_nodes: usize) {
+        self.cycles.clear();
+        self.cycle_of.clear();
+        self.cycle_of.resize(n_nodes, None);
+    }
+
+    fn ensure(&mut self, t: u32) {
+        while self.bundles.len() <= t as usize {
+            self.bundles.push(VliwBundle::nop(self.nslots));
         }
     }
 
-    fn grow(&mut self, cycle: u32) {
-        while self.slots.len() <= cycle as usize {
-            self.slots.push(vec![false; self.m.slots.len()]);
-            self.fu_busy.push(vec![false; self.m.funits.len()]);
-            self.reads.push(vec![0; self.m.rfs.len()]);
-            self.writes.push(vec![0; self.m.rfs.len()]);
+    fn read_ok(&mut self, t: u32, regs: Reads) -> bool {
+        self.cycles.grow(t);
+        match regs {
+            [Some(x), Some(y)] if x.rf == y.rf => self.cycles.read_ok(self.res, t, x.rf, 2),
+            _ => regs
+                .into_iter()
+                .flatten()
+                .all(|r| self.cycles.read_ok(self.res, t, r.rf, 1)),
         }
-    }
-
-    fn read_ok(&mut self, t: u32, regs: &[RegRef]) -> bool {
-        self.grow(t);
-        let mut need = vec![0u8; self.m.rfs.len()];
-        for r in regs {
-            need[r.rf.0 as usize] += 1;
-        }
-        need.iter()
-            .enumerate()
-            .all(|(rf, &n)| self.reads[t as usize][rf] + n <= self.m.rfs[rf].read_ports)
     }
 
     fn write_ok(&mut self, t: u32, reg: RegRef) -> bool {
-        self.grow(t);
-        self.writes[t as usize][reg.rf.0 as usize] < self.m.rfs[reg.rf.0 as usize].write_ports
+        self.cycles.grow(t);
+        self.cycles.write_ok(self.res, t, reg.rf)
     }
 
     fn free_slot_for(&mut self, t: u32, fu: FuId) -> Option<usize> {
-        self.grow(t);
-        (0..self.m.slots.len())
-            .find(|&s| !self.slots[t as usize][s] && self.m.slots[s].units.contains(&fu))
+        self.cycles.grow(t);
+        first(!self.cycles.busy[t as usize] & self.res.slots_for(fu))
     }
 
     fn consecutive_free_slots(&mut self, t: u32, n: usize) -> Option<usize> {
-        self.grow(t);
-        let row = &self.slots[t as usize];
-        (0..=row.len().saturating_sub(n)).find(|&s| row[s..s + n].iter().all(|b| !b))
+        self.cycles.grow(t);
+        let free = !self.cycles.busy[t as usize];
+        first((1..n).fold(free, |run, k| run & free >> k))
     }
 
     fn commit_op(
@@ -96,25 +95,70 @@ impl<'m> Grid<'m> {
         t: u32,
         slot: usize,
         fu: FuId,
-        reads: &[RegRef],
+        reads: Reads,
         write: Option<(u32, RegRef)>,
     ) {
-        self.grow(t);
-        self.slots[t as usize][slot] = true;
-        self.fu_busy[t as usize][fu.0 as usize] = true;
-        for r in reads {
-            self.reads[t as usize][r.rf.0 as usize] += 1;
+        self.cycles.grow(t);
+        self.cycles.busy[t as usize] |= 1 << slot;
+        self.cycles.fu_busy[t as usize] |= 1 << fu.0;
+        for r in reads.into_iter().flatten() {
+            self.cycles.add_read(t, r.rf);
         }
         if let Some((wt, wr)) = write {
-            self.grow(wt);
-            self.writes[wt as usize][wr.rf.0 as usize] += 1;
+            self.cycles.grow(wt);
+            self.cycles.add_write(wt, wr.rf);
         }
+    }
+
+    /// Place an operation on `fu` in the first slot free at `t` or later
+    /// whose RF read ports cover `reads`. Returns its cycle.
+    fn place_on(&mut self, mut t: u32, fu: FuId, reads: Reads, o: Operation) -> u32 {
+        let slot = loop {
+            if let Some(s) = self.free_slot_for(t, fu) {
+                if self.read_ok(t, reads) {
+                    break s;
+                }
+            }
+            t += 1;
+        };
+        self.commit_op(t, slot, fu, reads, None);
+        self.ensure(t);
+        self.bundles[t as usize].slots[slot] = Some(VliwSlot::Op(o));
+        t
+    }
+
+    /// Place a long immediate `dst <- value` in consecutive slots at `t` or
+    /// later, with its writeback at the next cycle. Returns the cycle and
+    /// first slot.
+    fn place_limm(&mut self, mut t: u32, dst: RegRef, value: i32) -> (u32, usize) {
+        let n = self.limm_slots;
+        let slot = loop {
+            if let Some(s) = self.consecutive_free_slots(t, n) {
+                if self.write_ok(t + 1, dst) {
+                    break s;
+                }
+            }
+            t += 1;
+        };
+        self.ensure(t);
+        let slots = &mut self.bundles[t as usize].slots;
+        slots[slot] = Some(VliwSlot::LimmHead { dst, value });
+        for k in 1..n {
+            slots[slot + k] = Some(VliwSlot::LimmCont);
+        }
+        for k in 0..n {
+            self.cycles.busy[t as usize] |= 1 << (slot + k);
+        }
+        self.cycles.grow(t + 1);
+        self.cycles.add_write(t + 1, dst.rf);
+        (t, slot)
     }
 }
 
 /// Context for scheduling one function.
 pub struct VliwScheduler<'m> {
     m: &'m Machine,
+    res: Resources,
     /// Reserved branch-target scratch register.
     pub bt_reg: RegRef,
     imm_bits: u32,
@@ -126,6 +170,7 @@ impl<'m> VliwScheduler<'m> {
     pub fn new(m: &'m Machine, bt_reg: RegRef) -> Self {
         VliwScheduler {
             m,
+            res: Resources::new(m),
             bt_reg,
             imm_bits: vliw_imm_bits(m),
         }
@@ -136,6 +181,16 @@ impl<'m> VliwScheduler<'m> {
     /// last).
     pub fn schedule(&self, f: &LocFunc) -> Vec<SchedBlock> {
         let _span = tta_obs::span("sched");
+        let mut ddg = Ddg::new(self.m);
+        let mut grid = Grid {
+            res: &self.res,
+            nslots: self.m.slots.len(),
+            limm_slots: self.m.vliw_limm_slots as usize,
+            cycles: Cycles::new(self.m.rfs.len(), self.m.slots.len()),
+            bundles: Vec::new(),
+            patches: Vec::new(),
+            cycle_of: Vec::new(),
+        };
         let blocks: Vec<SchedBlock> = f
             .blocks
             .iter()
@@ -146,7 +201,7 @@ impl<'m> VliwScheduler<'m> {
                 } else {
                     None
                 };
-                self.schedule_block(b, next)
+                self.schedule_block(b, next, &mut ddg, &mut grid)
             })
             .collect();
         let bundles: u64 = blocks.iter().map(|b| b.bundles.len() as u64).sum();
@@ -167,41 +222,17 @@ impl<'m> VliwScheduler<'m> {
         }
     }
 
-    /// Pick the opcode/FU/operands for a located op (Copy becomes
+    /// Pick the opcode and operands for a located op (Copy becomes
     /// `add a, #0`; wide-immediate Copy becomes a long immediate, handled by
     /// the caller).
-    fn operation_for(&self, op: &LocOp) -> (Opcode, Vec<FuId>, Option<OpSrc>, Option<OpSrc>) {
+    fn operation_for(&self, op: &LocOp) -> (Opcode, Option<OpSrc>, Option<OpSrc>) {
+        let a = || Some(self.op_src(op.a.expect("two-input op has an operand")));
+        let b = || Some(self.op_src(op.b.expect("every op has a trigger input")));
         match op.kind {
-            LocKind::Alu(o) => {
-                let units: Vec<FuId> = self.m.units_for(o).collect();
-                if o.num_inputs() == 1 {
-                    (o, units, None, Some(self.op_src(op.b.unwrap())))
-                } else {
-                    (
-                        o,
-                        units,
-                        Some(self.op_src(op.a.unwrap())),
-                        Some(self.op_src(op.b.unwrap())),
-                    )
-                }
-            }
-            LocKind::Load(o, _) => (
-                o,
-                self.m.units_for(o).collect(),
-                None,
-                Some(self.op_src(op.b.unwrap())),
-            ),
-            LocKind::Store(o, _) => (
-                o,
-                self.m.units_for(o).collect(),
-                Some(self.op_src(op.a.unwrap())),
-                Some(self.op_src(op.b.unwrap())),
-            ),
-            LocKind::Copy => {
-                let a = self.op_src(op.a.unwrap());
-                let units: Vec<FuId> = self.m.units_for(Opcode::Add).collect();
-                (Opcode::Add, units, Some(a), Some(OpSrc::Imm(0)))
-            }
+            LocKind::Alu(o) if o.num_inputs() == 1 => (o, None, b()),
+            LocKind::Alu(o) | LocKind::Store(o, _) => (o, a(), b()),
+            LocKind::Load(o, _) => (o, None, b()),
+            LocKind::Copy => (Opcode::Add, a(), Some(OpSrc::Imm(0))),
         }
     }
 
@@ -220,7 +251,7 @@ impl<'m> VliwScheduler<'m> {
         cycle_of: &[Option<u32>],
     ) -> u32 {
         let mut t = 0u32;
-        for d in &ddg.preds[i] {
+        for d in ddg.preds(i) {
             let tp = cycle_of[d.from].expect("topological order");
             let lp = block.ops[d.from].latency();
             let li = block.ops[i].latency();
@@ -243,102 +274,68 @@ impl<'m> VliwScheduler<'m> {
         t
     }
 
-    fn schedule_block(&self, block: &LocBlock, next: Option<BlockId>) -> SchedBlock {
-        let ddg = Ddg::build(block);
-        let order = ddg.priority_order();
-        let mut grid = Grid::new(self.m);
-        let mut bundles: Vec<VliwBundle> = Vec::new();
-        let mut cycle_of: Vec<Option<u32>> = vec![None; block.ops.len()];
+    fn schedule_block(
+        &self,
+        block: &LocBlock,
+        next: Option<BlockId>,
+        ddg: &mut Ddg,
+        g: &mut Grid,
+    ) -> SchedBlock {
+        ddg.rebuild(block);
+        g.reset(block.ops.len());
         let mut last_activity = 0u32;
-        let ensure = |bundles: &mut Vec<VliwBundle>, t: u32, nslots: usize| {
-            while bundles.len() <= t as usize {
-                bundles.push(VliwBundle::nop(nslots));
-            }
-        };
-        let nslots = self.m.slots.len();
 
-        for &i in &order {
+        for &i in &ddg.order {
             let op = &block.ops[i];
-            let earliest = self.earliest_from_deps(i, &ddg, block, &cycle_of);
+            let earliest = self.earliest_from_deps(i, ddg, block, &g.cycle_of);
             if self.is_wide_copy(op) {
                 // Long immediate: consecutive slots, writeback at t+1.
                 let dst = op.dst.expect("copy has a destination");
-                let value = match op.a {
-                    Some(LocSrc::Imm(v)) => v,
-                    _ => unreachable!(),
+                let Some(LocSrc::Imm(value)) = op.a else {
+                    unreachable!()
                 };
-                let mut t = earliest;
-                let slot = loop {
-                    if let Some(s) = grid.consecutive_free_slots(t, self.m.vliw_limm_slots as usize)
-                    {
-                        if grid.write_ok(t + 1, dst) {
-                            break s;
-                        }
-                    }
-                    t += 1;
-                };
-                ensure(&mut bundles, t, nslots);
-                bundles[t as usize].slots[slot] = Some(VliwSlot::LimmHead { dst, value });
-                for k in 1..self.m.vliw_limm_slots as usize {
-                    bundles[t as usize].slots[slot + k] = Some(VliwSlot::LimmCont);
-                }
-                for k in 0..self.m.vliw_limm_slots as usize {
-                    grid.slots[t as usize][slot + k] = true;
-                }
-                grid.grow(t + 1);
-                grid.writes[t as usize + 1][dst.rf.0 as usize] += 1;
-                cycle_of[i] = Some(t);
+                let (t, _) = g.place_limm(earliest, dst, value);
+                g.cycle_of[i] = Some(t);
                 last_activity = last_activity.max(t + 1);
                 continue;
             }
 
-            let (opcode, units, a, b) = self.operation_for(op);
-            let reads: Vec<RegRef> = [a, b]
-                .into_iter()
-                .flatten()
-                .filter_map(|s| match s {
-                    OpSrc::Reg(r) => Some(r),
-                    OpSrc::Imm(_) => None,
-                })
-                .collect();
+            let (opcode, a, b) = self.operation_for(op);
+            let units = self.res.units(opcode);
+            let reads = [a, b].map(|s| match s {
+                Some(OpSrc::Reg(r)) => Some(r),
+                _ => None,
+            });
             let lat = opcode.latency();
+            let dst = if opcode.has_result() { op.dst } else { None };
             let mut t = earliest;
             let (t, slot, fu) = loop {
-                grid.grow(t);
-                let mut found = None;
-                for &fu in &units {
-                    if grid.fu_busy[t as usize][fu.0 as usize] {
-                        continue;
-                    }
-                    if let Some(s) = grid.free_slot_for(t, fu) {
-                        found = Some((s, fu));
-                        break;
-                    }
-                }
+                g.cycles.grow(t);
+                let (busy, fu_busy) = (g.cycles.busy[t as usize], g.cycles.fu_busy[t as usize]);
+                let found = bits(units & !fu_busy).find_map(|f| {
+                    let fu = FuId(f as u16);
+                    first(!busy & self.res.slots_for(fu)).map(|s| (s, fu))
+                });
                 if let Some((s, fu)) = found {
-                    let reads_ok = grid.read_ok(t, &reads);
-                    let write_ok = match op.dst {
-                        Some(d) if opcode.has_result() => grid.write_ok(t + lat, d),
-                        _ => true,
-                    };
+                    let reads_ok = g.read_ok(t, reads);
+                    let write_ok = dst.is_none_or(|d| g.write_ok(t + lat, d));
                     if reads_ok && write_ok {
                         break (t, s, fu);
                     }
                 }
                 t += 1;
             };
-            let dst = if opcode.has_result() { op.dst } else { None };
             let write = dst.map(|d| (t + lat, d));
-            grid.commit_op(t, slot, fu, &reads, write);
-            ensure(&mut bundles, t, nslots);
-            bundles[t as usize].slots[slot] = Some(VliwSlot::Op(Operation {
+            g.commit_op(t, slot, fu, reads, write);
+            g.ensure(t);
+            g.bundles[t as usize].slots[slot] = Some(VliwSlot::Op(Operation {
                 op: opcode,
                 fu,
                 dst,
                 a,
                 b,
             }));
-            cycle_of[i] = Some(t);
+            g.cycle_of[i] = Some(t);
             last_activity = last_activity.max(t);
             if let Some((wt, _)) = write {
                 last_activity = last_activity.max(wt);
@@ -346,10 +343,9 @@ impl<'m> VliwScheduler<'m> {
         }
 
         // Terminator.
-        let mut patches = Vec::new();
         let cond_ready = ddg
             .term_def
-            .map(|d| cycle_of[d].unwrap() + block.ops[d].latency() + 1)
+            .map(|d| g.cycle_of[d].expect("scheduled") + block.ops[d].latency() + 1)
             .unwrap_or(0);
         let d = self.m.jump_delay_slots;
 
@@ -357,21 +353,10 @@ impl<'m> VliwScheduler<'m> {
             LocTerm::Jump(target) if Some(target) == next => {
                 // Fall through; pad so every writeback lands inside the
                 // block.
-                ensure(&mut bundles, last_activity, nslots);
+                g.ensure(last_activity);
             }
             LocTerm::Jump(target) => {
-                self.emit_jump(
-                    &mut grid,
-                    &mut bundles,
-                    &mut patches,
-                    Opcode::Jump,
-                    None,
-                    target,
-                    0,
-                    0,
-                    last_activity,
-                    d,
-                );
+                self.emit_jump(g, Opcode::Jump, None, target, 0, 0, last_activity, d);
             }
             LocTerm::Branch {
                 cond,
@@ -387,9 +372,7 @@ impl<'m> VliwScheduler<'m> {
                     (Opcode::CJnz, if_true, Some(if_false))
                 };
                 let t_br = self.emit_jump(
-                    &mut grid,
-                    &mut bundles,
-                    &mut patches,
+                    g,
                     opcode,
                     Some(cond_src),
                     target,
@@ -400,9 +383,7 @@ impl<'m> VliwScheduler<'m> {
                 );
                 if let Some(f_target) = other {
                     self.emit_jump(
-                        &mut grid,
-                        &mut bundles,
-                        &mut patches,
+                        g,
                         Opcode::Jump,
                         None,
                         f_target,
@@ -427,52 +408,32 @@ impl<'m> VliwScheduler<'m> {
                         LocSrc::Reg(_) => cond_ready, // term_def covers the value
                         LocSrc::Imm(_) => 0,
                     };
-                    let mut t = ready;
-                    let (t, slot) = loop {
-                        if let Some(s) = grid.free_slot_for(t, lsu) {
-                            let reads: Vec<RegRef> = match val {
-                                OpSrc::Reg(r) => vec![r],
-                                _ => vec![],
-                            };
-                            if grid.read_ok(t, &reads) {
-                                break (t, s);
-                            }
-                        }
-                        t += 1;
-                    };
-                    grid.slots[t as usize][slot] = true;
-                    ensure(&mut bundles, t, nslots);
-                    bundles[t as usize].slots[slot] = Some(VliwSlot::Op(Operation {
+                    let store = Operation {
                         op: Opcode::Stw,
                         fu: lsu,
                         dst: None,
                         a: Some(val),
                         b: Some(OpSrc::Imm(RETVAL_ADDR as i32)),
-                    }));
+                    };
+                    let t = g.place_on(ready, lsu, [v.reg(), None], store);
                     after = after.max(t);
                 }
-                // Halt.
                 let cu = self.m.ctrl_unit();
-                let mut t = after;
-                let (t, slot) = loop {
-                    if let Some(s) = grid.free_slot_for(t, cu) {
-                        break (t, s);
-                    }
-                    t += 1;
-                };
-                grid.slots[t as usize][slot] = true;
-                ensure(&mut bundles, t, nslots);
-                bundles[t as usize].slots[slot] = Some(VliwSlot::Op(Operation {
+                let halt = Operation {
                     op: Opcode::Halt,
                     fu: cu,
                     dst: None,
                     a: None,
                     b: Some(OpSrc::Imm(0)),
-                }));
+                };
+                g.place_on(after, cu, [None, None], halt);
             }
         }
 
-        SchedBlock { bundles, patches }
+        SchedBlock {
+            bundles: std::mem::take(&mut g.bundles),
+            patches: std::mem::take(&mut g.patches),
+        }
     }
 
     /// Emit `limm bt_reg <- target` followed by a control op reading it.
@@ -480,9 +441,7 @@ impl<'m> VliwScheduler<'m> {
     #[allow(clippy::too_many_arguments)]
     fn emit_jump(
         &self,
-        grid: &mut Grid,
-        bundles: &mut Vec<VliwBundle>,
-        patches: &mut Vec<Patch>,
+        g: &mut Grid,
         opcode: Opcode,
         cond: Option<OpSrc>,
         target: BlockId,
@@ -491,36 +450,9 @@ impl<'m> VliwScheduler<'m> {
         last_activity: u32,
         delay_slots: u32,
     ) -> u32 {
-        let nslots = self.m.slots.len();
-        let ensure = |bundles: &mut Vec<VliwBundle>, t: u32| {
-            while bundles.len() <= t as usize {
-                bundles.push(VliwBundle::nop(nslots));
-            }
-        };
         // Long immediate for the target address.
-        let mut t_l = min_limm;
-        let slot_l = loop {
-            if let Some(s) = grid.consecutive_free_slots(t_l, self.m.vliw_limm_slots as usize) {
-                if grid.write_ok(t_l + 1, self.bt_reg) {
-                    break s;
-                }
-            }
-            t_l += 1;
-        };
-        ensure(bundles, t_l);
-        bundles[t_l as usize].slots[slot_l] = Some(VliwSlot::LimmHead {
-            dst: self.bt_reg,
-            value: 0,
-        });
-        for k in 1..self.m.vliw_limm_slots as usize {
-            bundles[t_l as usize].slots[slot_l + k] = Some(VliwSlot::LimmCont);
-        }
-        for k in 0..self.m.vliw_limm_slots as usize {
-            grid.slots[t_l as usize][slot_l + k] = true;
-        }
-        grid.grow(t_l + 1);
-        grid.writes[t_l as usize + 1][self.bt_reg.rf.0 as usize] += 1;
-        patches.push(Patch {
+        let (t_l, slot_l) = g.place_limm(min_limm, self.bt_reg, 0);
+        g.patches.push(Patch {
             cycle: t_l,
             slot: slot_l,
             target,
@@ -530,31 +462,13 @@ impl<'m> VliwScheduler<'m> {
         // the condition is ready, and late enough that every writeback lands
         // within the delay-slot window.
         let cu = self.m.ctrl_unit();
-        let mut t = ready
+        let t = ready
             .max(t_l + 2)
             .max(last_activity.saturating_sub(delay_slots));
-        let (t_br, slot) = loop {
-            if let Some(s) = grid.free_slot_for(t, cu) {
-                let reads: Vec<RegRef> = std::iter::once(self.bt_reg)
-                    .chain(cond.and_then(|c| match c {
-                        OpSrc::Reg(r) => Some(r),
-                        _ => None,
-                    }))
-                    .collect();
-                if grid.read_ok(t, &reads) {
-                    break (t, s);
-                }
-            }
-            t += 1;
+        let cond_reg = match cond {
+            Some(OpSrc::Reg(r)) => Some(r),
+            _ => None,
         };
-        let reads: Vec<RegRef> = std::iter::once(self.bt_reg)
-            .chain(cond.and_then(|c| match c {
-                OpSrc::Reg(r) => Some(r),
-                _ => None,
-            }))
-            .collect();
-        grid.commit_op(t_br, slot, cu, &reads, None);
-        ensure(bundles, t_br + delay_slots);
         let (a, b) = match cond {
             // Conditional jumps: target on the operand port, condition on
             // the trigger.
@@ -562,15 +476,17 @@ impl<'m> VliwScheduler<'m> {
             // Unconditional jump: the target itself triggers.
             None => (None, Some(OpSrc::Reg(self.bt_reg))),
         };
-        bundles[t_br as usize].slots[slot] = Some(VliwSlot::Op(Operation {
+        let jump = Operation {
             op: opcode,
             fu: cu,
             dst: None,
             a,
             b,
-        }));
+        };
+        let t_br = g.place_on(t, cu, [Some(self.bt_reg), cond_reg], jump);
         // The bundles up to t_br + delay_slots exist; everything scheduled
         // there already belongs to this block (delay-slot execution).
+        g.ensure(t_br + delay_slots);
         t_br
     }
 }

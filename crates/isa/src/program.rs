@@ -96,7 +96,21 @@ impl Program {
     }
 }
 
-fn check_reg(m: &Machine, r: RegRef, ctx: &str, errs: &mut Vec<IsaError>) {
+/// Where a problem is (`pc N`, `pc N bus B` or `pc N slot S`), formatted
+/// only when an error is pushed, so a valid program costs no strings.
+#[derive(Clone, Copy)]
+struct Ctx(usize, Option<(&'static str, usize)>);
+
+impl std::fmt::Display for Ctx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.1 {
+            Some((what, i)) => write!(f, "pc {} {what} {i}", self.0),
+            None => write!(f, "pc {}", self.0),
+        }
+    }
+}
+
+fn check_reg(m: &Machine, r: RegRef, ctx: Ctx, errs: &mut Vec<IsaError>) {
     if (r.rf.0 as usize) >= m.rfs.len() {
         errs.push(IsaError(format!(
             "{ctx}: register file {} out of range",
@@ -108,8 +122,14 @@ fn check_reg(m: &Machine, r: RegRef, ctx: &str, errs: &mut Vec<IsaError>) {
 }
 
 fn validate_tta(m: &Machine, insts: &[TtaInst], errs: &mut Vec<IsaError>) {
+    // Per-cycle RF port pressure and FU port collisions, reset per
+    // instruction.
+    let mut reads = vec![0u32; m.rfs.len()];
+    let mut writes = vec![0u32; m.rfs.len()];
+    let mut trig = vec![0u32; m.funits.len()];
+    let mut oper = vec![0u32; m.funits.len()];
     for (pc, inst) in insts.iter().enumerate() {
-        let ctx = |b: usize| format!("pc {pc} bus {b}");
+        let ctx = |b: usize| Ctx(pc, Some(("bus", b)));
         if inst.slots.len() != m.buses.len() {
             errs.push(IsaError(format!(
                 "pc {pc}: {} slots for {} buses",
@@ -132,18 +152,15 @@ fn validate_tta(m: &Machine, insts: &[TtaInst], errs: &mut Vec<IsaError>) {
                 }
             }
         }
-        // Per-cycle RF port pressure.
-        let mut reads = vec![0u32; m.rfs.len()];
-        let mut writes = vec![0u32; m.rfs.len()];
-        // Per-cycle FU port collisions.
-        let mut trig = vec![0u32; m.funits.len()];
-        let mut oper = vec![0u32; m.funits.len()];
+        for counts in [&mut reads, &mut writes, &mut trig, &mut oper] {
+            counts.fill(0);
+        }
         for (bi, slot) in inst.slots.iter().enumerate() {
             let Some(mv) = slot else { continue };
             let bus = m.bus(tta_model::BusId(bi as u16));
             match mv.src {
                 MoveSrc::Rf(r) => {
-                    check_reg(m, r, &ctx(bi), errs);
+                    check_reg(m, r, ctx(bi), errs);
                     if !bus.reads(SrcConn::RfRead(r.rf)) {
                         errs.push(IsaError(format!("{}: bus cannot read {}", ctx(bi), r.rf)));
                     }
@@ -184,7 +201,7 @@ fn validate_tta(m: &Machine, insts: &[TtaInst], errs: &mut Vec<IsaError>) {
             }
             match mv.dst {
                 MoveDst::Rf(r) => {
-                    check_reg(m, r, &ctx(bi), errs);
+                    check_reg(m, r, ctx(bi), errs);
                     if !bus.writes(DstConn::RfWrite(r.rf)) {
                         errs.push(IsaError(format!("{}: bus cannot write {}", ctx(bi), r.rf)));
                     }
@@ -267,7 +284,7 @@ fn validate_operation(
     m: &Machine,
     o: &Operation,
     imm_bits: u32,
-    ctx: &str,
+    ctx: Ctx,
     errs: &mut Vec<IsaError>,
 ) {
     if (o.fu.0 as usize) >= m.funits.len() {
@@ -313,6 +330,7 @@ fn validate_operation(
 
 fn validate_vliw(m: &Machine, bundles: &[VliwBundle], errs: &mut Vec<IsaError>) {
     let imm_bits = vliw_imm_bits(m);
+    let mut reads = vec![0u32; m.rfs.len()];
     for (pc, b) in bundles.iter().enumerate() {
         if b.slots.len() != m.slots.len() {
             errs.push(IsaError(format!(
@@ -322,10 +340,10 @@ fn validate_vliw(m: &Machine, bundles: &[VliwBundle], errs: &mut Vec<IsaError>) 
             )));
             continue;
         }
-        let mut reads = vec![0u32; m.rfs.len()];
+        reads.fill(0);
         let mut si = 0usize;
         while si < b.slots.len() {
-            let ctx = format!("pc {pc} slot {si}");
+            let ctx = Ctx(pc, Some(("slot", si)));
             match &b.slots[si] {
                 None => {}
                 Some(VliwSlot::Op(o)) => {
@@ -335,7 +353,7 @@ fn validate_vliw(m: &Machine, bundles: &[VliwBundle], errs: &mut Vec<IsaError>) 
                             o.fu
                         )));
                     }
-                    validate_operation(m, o, imm_bits, &ctx, errs);
+                    validate_operation(m, o, imm_bits, ctx, errs);
                     for s in [o.a, o.b].into_iter().flatten() {
                         if let OpSrc::Reg(r) = s {
                             if (r.rf.0 as usize) < reads.len() {
@@ -345,7 +363,7 @@ fn validate_vliw(m: &Machine, bundles: &[VliwBundle], errs: &mut Vec<IsaError>) 
                     }
                 }
                 Some(VliwSlot::LimmHead { dst, .. }) => {
-                    check_reg(m, *dst, &ctx, errs);
+                    check_reg(m, *dst, ctx, errs);
                     for k in 1..m.vliw_limm_slots as usize {
                         match b.slots.get(si + k) {
                             Some(Some(VliwSlot::LimmCont)) => {}
@@ -378,7 +396,7 @@ fn validate_vliw(m: &Machine, bundles: &[VliwBundle], errs: &mut Vec<IsaError>) 
 fn validate_scalar(m: &Machine, insts: &[ScalarInst], errs: &mut Vec<IsaError>) {
     let pipe = m.scalar.expect("scalar machine");
     for (pc, inst) in insts.iter().enumerate() {
-        let ctx = format!("pc {pc}");
+        let ctx = Ctx(pc, None);
         match inst {
             ScalarInst::ImmPrefix => {
                 // Must be followed by an operation using an immediate.
@@ -400,7 +418,7 @@ fn validate_scalar(m: &Machine, insts: &[ScalarInst], errs: &mut Vec<IsaError>) 
                 let prefixed =
                     matches!(insts.get(pc.wrapping_sub(1)), Some(ScalarInst::ImmPrefix)) && pc > 0;
                 let imm_bits = if prefixed { 32 } else { pipe.imm_bits as u32 };
-                validate_operation(m, o, imm_bits, &ctx, errs);
+                validate_operation(m, o, imm_bits, ctx, errs);
             }
         }
     }
@@ -470,7 +488,8 @@ mod tests {
             dst: MoveDst::FuOperand(FuId(0)),
         });
         let errs = Program::Tta(vec![inst]).validate(&m).unwrap_err();
-        assert!(errs.iter().any(|e| e.0.contains("cannot read")), "{errs:?}");
+        let want = format!("pc 0 bus {bad}: bus cannot read RF0");
+        assert!(errs.iter().any(|e| e.0 == want), "{errs:?}");
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub mod rf;
 pub use bus::{Bus, BusId, DstConn, SrcConn};
 pub use fu::{FuId, FuKind, FunctionUnit};
 pub use gen::{SearchConfig, TtaParams, VliwParams};
-pub use machine::{CoreStyle, IssueSlot, LimmConfig, Machine, ModelError, ScalarPipeline};
+pub use machine::{
+    CoreStyle, IssueSlot, LimmConfig, Machine, ModelError, ScalarPipeline, MAX_PER_KIND,
+};
 pub use op::{OpClass, Opcode};
 pub use rf::{RegRef, RegisterFile, RfId};

@@ -104,6 +104,10 @@ impl Default for LimmConfig {
     }
 }
 
+/// The most buses, function units or VLIW issue slots a machine may have:
+/// the schedulers track each kind as the bits of one `u64`.
+pub const MAX_PER_KIND: usize = 64;
+
 /// A validation problem found in a machine description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelError(pub String);
@@ -271,6 +275,16 @@ impl Machine {
         for rf in &self.rfs {
             if rf.regs == 0 || rf.width == 0 || rf.read_ports == 0 || rf.write_ports == 0 {
                 err(format!("register file {} has a zero dimension", rf.name));
+            }
+        }
+
+        for (what, n) in [
+            ("buses", self.buses.len()),
+            ("function units", self.funits.len()),
+            ("issue slots", self.slots.len()),
+        ] {
+            if n > MAX_PER_KIND {
+                err(format!("machine has {n} {what}, more than {MAX_PER_KIND}"));
             }
         }
 
@@ -528,6 +542,18 @@ mod tests {
         }
         let errs = m.validate().unwrap_err();
         assert!(errs.iter().any(|e| e.0.contains("trigger port")));
+    }
+
+    #[test]
+    fn more_than_64_buses_rejected() {
+        let rfs = vec![RegisterFile::new("rf0", 32, 1, 1)];
+        let mut m = presets::custom_tta("wide", 1, rfs, MAX_PER_KIND, false);
+        m.validate().unwrap();
+        let mut extra = m.buses[0].clone();
+        extra.name = "b64".into();
+        m.buses.push(extra);
+        let errs = m.validate().unwrap_err();
+        assert!(errs.iter().any(|e| e.0.contains("65 buses")), "{errs:?}");
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! must also equal a one-shot `compile`. The golden file was generated
 //! with `compile` before the compiler was split into those two halves.
 //!
+//! Two aggregate lines pin the programs the presets under default options
+//! do not reach: the kernels on a fixed-stride sample of the generated
+//! design space (up to 10 buses, full connectivity, 2-port banks, both
+//! styles), and every kernel × design-point pair with one TTA freedom
+//! switched off (the eager-writeback paths the ablation study exercises).
+//!
 //! To regenerate after an *intentional* code-generation change:
 //!
 //! ```sh
@@ -21,13 +27,17 @@ use std::fmt::Write as _;
 
 use tta_compiler::{compile_prepared, prepare, CompileError, Compiled, Prepared, TtaOptions};
 use tta_fuzz::gen::{generate, generate_reactive, GenConfig};
-use tta_model::{presets, Machine};
+use tta_model::{gen, presets, Machine};
 
 const SNAPSHOT_PATH: &str = "tests/snapshots/program_hashes.txt";
 
 /// Generator seeds of the aggregate line, each run as a plain and as a
 /// reactive module.
 const GEN_SEEDS: u64 = 200;
+
+/// Every `SPACE_STRIDE`-th config of `gen::enumerate_space()` (the last
+/// of each stride, so the sample ends on a VLIW config): 60 machines.
+const SPACE_STRIDE: usize = 29;
 
 /// 64-bit FNV-1a: a hash that is stable across processes and platforms.
 fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
@@ -59,8 +69,16 @@ fn back_end(
     front: &Result<Prepared, CompileError>,
     machine: &Machine,
 ) -> Result<Compiled, CompileError> {
+    back_end_with(front, machine, TtaOptions::default())
+}
+
+fn back_end_with(
+    front: &Result<Prepared, CompileError>,
+    machine: &Machine,
+    opts: TtaOptions,
+) -> Result<Compiled, CompileError> {
     let front = front.as_ref().map_err(Clone::clone)?;
-    compile_prepared(front, machine, TtaOptions::default())
+    compile_prepared(front, machine, opts)
 }
 
 fn render_snapshot() -> String {
@@ -114,6 +132,65 @@ fn render_snapshot() -> String {
     writeln!(
         out,
         "generated seeds 0..{GEN_SEEDS} x {{generate, generate_reactive}} x {} machines: \
+         {programs} programs {agg:016x}",
+        machines.len()
+    )
+    .unwrap();
+
+    // The kernels on a stride sample of the generated design space.
+    let space: Vec<Machine> = gen::enumerate_space()
+        .iter()
+        .skip(SPACE_STRIDE - 1)
+        .step_by(SPACE_STRIDE)
+        .map(|c| c.build())
+        .collect();
+    let mut agg = FNV_OFFSET;
+    let mut programs = 0u64;
+    for machine in &space {
+        for (_, _, front) in &kernels {
+            agg = fnv1a(&result_hash(back_end(front, machine)).to_le_bytes(), agg);
+            programs += 1;
+        }
+    }
+    writeln!(
+        out,
+        "kernels x every {SPACE_STRIDE}th of {} generated configs ({} machines): \
+         {programs} programs {agg:016x}",
+        gen::enumerate_space().len(),
+        space.len()
+    )
+    .unwrap();
+
+    // Every kernel × design-point pair with one freedom off.
+    let full = TtaOptions::default();
+    let ablated = [
+        TtaOptions {
+            bypass: false,
+            ..full
+        },
+        TtaOptions {
+            dead_result_elim: false,
+            ..full
+        },
+        TtaOptions {
+            operand_share: false,
+            ..full
+        },
+    ];
+    let mut agg = FNV_OFFSET;
+    let mut programs = 0u64;
+    for opts in ablated {
+        for machine in &machines {
+            for (_, _, front) in &kernels {
+                let h = result_hash(back_end_with(front, machine, opts));
+                agg = fnv1a(&h.to_le_bytes(), agg);
+                programs += 1;
+            }
+        }
+    }
+    writeln!(
+        out,
+        "kernels x {} machines x {{no bypass, no dead-result elim, no operand share}}: \
          {programs} programs {agg:016x}",
         machines.len()
     )
