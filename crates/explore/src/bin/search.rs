@@ -84,7 +84,7 @@ fn main() {
     println!(
         "\nfunnel: {} proposed, {} unique configs, {} analytic-pruned, \
          {} probed, {} probe-pruned, {} full evals, {} inserted, \
-         {} failures, {} still pooled",
+         {} probe failures, {} full-eval failures, {} still pooled",
         s.proposed,
         s.configs,
         s.analytic_pruned,
@@ -93,7 +93,12 @@ fn main() {
         s.full_evals,
         s.inserted,
         s.eval_failures,
+        s.full_eval_failures,
         s.deferred
+    );
+    println!(
+        "kernel runs: {} simulated, {} served from the run table",
+        s.sim_runs, s.reused_runs
     );
     println!(
         "wall {:.2}s, {:.0} configs/s, frontier size {}",

@@ -20,21 +20,38 @@
 //!    near-frontier configs alive.
 //! 3. **Full** (the price [`crate::evaluate`] pays): all kernels,
 //!    golden-verified, default fuel — only for frontier candidates, which
-//!    insert into the shared [`Frontier`] under a short lock as they
-//!    finish.
+//!    insert into the [`Frontier`] one at a time, in finalist order.
+//!
+//! **Run table.** Both simulating stages read their cycle counts from a
+//! table that maps a (datapath, kernel) pair to one golden-checked run,
+//! keyed by [`gen::datapath_hash`]. Configs that differ only in their
+//! issue-width label (TTA issue 1 and 2 both get one ALU) build the same
+//! datapath, and nothing downstream of [`SearchConfig::build`] reads the
+//! label, so such *twins* share every run. A probe run that finished
+//! within [`PROBE_FUEL`] is the same run as a default-fuel one, so the
+//! full evaluation reuses it. Each stage groups its configs by datapath,
+//! simulates each missing pair once (in parallel over one representative
+//! per group), records the run, failures included, and then builds every
+//! config's result from the table. Twins stay separate configs and
+//! frontier points: only simulation is shared, so every [`SearchStats`]
+//! tally and [`EvalPoint`] is what simulating each config on its own
+//! would give. The table lives for one [`search`] call, so repeated
+//! searches in one process each pay for their own runs.
 //!
 //! Compiles all go through the bounded process-wide
 //! [`crate::cache::CompileCache`], so a config revisited by a later
 //! stage (or a later generation's profile run) never compiles twice.
 //! Each stage bumps a `search.*` obs counter.
 //!
-//! **Determinism.** Same seed, same params ⇒ same frontier, whatever the
-//! thread count: proposals are drawn serially from the seeded PRNG and
-//! the generation-start frontier snapshot; parallel stages write to
-//! per-index slots; pruning/admission decisions replay serially from
-//! those slots; and the Pareto set itself is insertion-order independent
-//! (ties on both axes keep both points, structural duplicates are
-//! rejected), so concurrent frontier insertion cannot change the result.
+//! **Determinism.** Same seed, same params ⇒ same frontier and tallies,
+//! whatever the thread count: proposals are drawn serially from the
+//! seeded PRNG and the generation-start frontier snapshot; each stage
+//! picks its representatives serially in stage order, its parallel runs
+//! write to per-job slots, and the table, the pruning/admission decisions
+//! and the frontier insertions (in finalist order, sorted by structural
+//! hash) all replay serially from those slots. The Pareto set itself is
+//! insertion-order independent (ties on both axes keep both points,
+//! structural duplicates are rejected).
 //!
 //! Mutation is profile-guided, echoing the dynamic hardware/software
 //! partitioning idea: a parent's microarchitectural profile
@@ -43,7 +60,7 @@
 //! RF port-pressure histogram rides its ceiling) and reclaiming it where
 //! there is none (drop an idle ALU, shed a bus).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -204,14 +221,13 @@ pub fn dominates(a: &EvalPoint, b: &EvalPoint) -> bool {
         && (a.slices < b.slices || a.runtime_us < b.runtime_us)
 }
 
-/// The incrementally maintained non-dominated set. Insertions take one
-/// short lock; the final contents are independent of insertion order:
-/// dominated points never enter (or are swept out by their dominator,
-/// whichever arrives first), ties on both axes coexist, and structural
-/// duplicates are rejected.
+/// The incrementally maintained non-dominated set. Its final contents
+/// are independent of insertion order: dominated points never enter (or
+/// are swept out by their dominator, whichever arrives first), ties on
+/// both axes coexist, and structural duplicates are rejected.
 #[derive(Default)]
 pub struct Frontier {
-    pts: Mutex<Vec<EvalPoint>>,
+    pts: Vec<EvalPoint>,
 }
 
 impl Frontier {
@@ -223,8 +239,8 @@ impl Frontier {
     /// Insert `p` if no current point dominates it (and it is not a
     /// structural duplicate), sweeping out any points it dominates.
     /// Returns whether the point was kept.
-    pub fn insert(&self, p: EvalPoint) -> bool {
-        let mut pts = self.pts.lock().unwrap();
+    pub fn insert(&mut self, p: EvalPoint) -> bool {
+        let pts = &mut self.pts;
         if pts.iter().any(|q| q.structural == p.structural) {
             return false;
         }
@@ -238,7 +254,7 @@ impl Frontier {
 
     /// Current size.
     pub fn len(&self) -> usize {
-        self.pts.lock().unwrap().len()
+        self.pts.len()
     }
 
     /// Whether the frontier holds no points yet.
@@ -249,7 +265,7 @@ impl Frontier {
     /// The current points, sorted by (slices, runtime, structural hash) —
     /// a canonical order so two identical frontiers compare equal.
     pub fn snapshot(&self) -> Vec<EvalPoint> {
-        let mut pts = self.pts.lock().unwrap().clone();
+        let mut pts = self.pts.clone();
         pts.sort_by(|a, b| {
             a.slices
                 .cmp(&b.slices)
@@ -261,7 +277,7 @@ impl Frontier {
 }
 
 /// Funnel tallies of one search run (also mirrored onto `search.*` obs
-/// counters as the run progresses).
+/// counters).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
     /// Configs proposed (grid + mutations + fresh), pre-dedup.
@@ -279,16 +295,28 @@ pub struct SearchStats {
     /// Configs still pooled (analyzed but never probed or evaluated)
     /// when the search ended — quota deferral is not a drop.
     pub deferred: u64,
-    /// Probe simulations run.
+    /// Configs probed (a config, not a kernel run: see `sim_runs`).
     pub probed: u64,
     /// Dropped after probing (margin-dominated by the frontier).
     pub probe_pruned: u64,
-    /// Probe runs that hit [`PROBE_FUEL`] or failed; config discarded.
+    /// Probed configs discarded because a probe kernel ran out of
+    /// [`PROBE_FUEL`], returned a value other than the golden one, or
+    /// panicked.
     pub eval_failures: u64,
-    /// Full evaluations run.
+    /// Configs fully evaluated, failed evaluations included.
     pub full_evals: u64,
+    /// Full evaluations that failed (a kernel out of fuel, off the golden
+    /// value, or panicking); counted in `full_evals` too, never inserted.
+    pub full_eval_failures: u64,
     /// Frontier insertions that were kept.
     pub inserted: u64,
+    /// Kernel runs simulated by the probe and full stages (counter
+    /// `search.sim_runs`).
+    pub sim_runs: u64,
+    /// Kernel runs the probe and full stages read from the run table
+    /// instead of simulating: an issue-width twin's runs, and a full
+    /// evaluation's probe kernels (counter `search.runs_reused`).
+    pub reused_runs: u64,
     /// Wall-clock of the whole search, seconds.
     pub wall_s: f64,
 }
@@ -380,22 +408,139 @@ fn probe_indices(prepared: &[PreparedKernel], count: usize) -> Vec<usize> {
     order
 }
 
-/// Evaluate one machine fully: every kernel compiled (through the cache)
-/// and simulated at default fuel with golden verification.
+/// One kernel run on one datapath, as the run table keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// Finished within its fuel with the golden return value.
+    Cycles(u64),
+    /// Ran out of fuel, returned a value other than the golden one, or
+    /// panicked in the compiler or simulator.
+    Failed,
+}
+
+/// Compile (through the cache), simulate with `fuel` and check one kernel
+/// against its golden return value.
+fn run_kernel(p: &PreparedKernel, machine: &Machine, fuel: u64) -> Run {
+    catch_unwind(AssertUnwindSafe(|| {
+        let (compiled, tiers) = eval::compile_cached(p, machine);
+        let r = tta_sim::run_with_tiers(
+            machine,
+            &compiled.program,
+            p.module.initial_memory(),
+            fuel,
+            &tiers,
+        );
+        r.ok().filter(|r| Some(r.ret) == p.golden_ret)
+    }))
+    .ok()
+    .flatten()
+    .map_or(Run::Failed, |r| Run::Cycles(r.cycles))
+}
+
+/// The runs of one search (see the module docs): (datapath hash, kernel
+/// index) → run, with counts of the runs simulated and read.
+///
+/// A probe run that ran out of [`PROBE_FUEL`] is kept as a failure that
+/// only probes ever read: every config of its datapath fails its probe,
+/// so none reaches full evaluation.
+#[derive(Default)]
+struct RunTable {
+    runs: HashMap<(u64, usize), Run>,
+    simulated: u64,
+    read: u64,
+}
+
+impl RunTable {
+    /// Make every run `stage` will read: for each datapath, on the first
+    /// of its machines in stage order, simulate the `kernels` the table
+    /// lacks, in order, up to the first failure (which ends a lookup, so
+    /// later kernels are never read). Datapaths run in parallel over
+    /// `threads` workers attached to `here`; the table is written
+    /// serially afterwards.
+    fn settle(
+        &mut self,
+        stage: &[(u64, &Machine)],
+        kernels: &[usize],
+        fuel: u64,
+        prepared: &[PreparedKernel],
+        threads: usize,
+        here: obs::SpanHandle,
+    ) {
+        let mut seen = HashSet::new();
+        let mut jobs: Vec<(u64, &Machine, Vec<usize>)> = Vec::new();
+        for &(datapath, machine) in stage {
+            if !seen.insert(datapath) {
+                continue;
+            }
+            let mut missing = Vec::new();
+            for &k in kernels {
+                match self.runs.get(&(datapath, k)) {
+                    Some(Run::Failed) => break,
+                    Some(Run::Cycles(_)) => {}
+                    None => missing.push(k),
+                }
+            }
+            if !missing.is_empty() {
+                jobs.push((datapath, machine, missing));
+            }
+        }
+        let slots: Vec<Mutex<Vec<Run>>> = jobs.iter().map(|_| Mutex::default()).collect();
+        queue::drain_indexed(jobs.len(), threads, here, |j| {
+            let (_, machine, missing) = &jobs[j];
+            let mut runs = Vec::with_capacity(missing.len());
+            for &k in missing {
+                let run = run_kernel(&prepared[k], machine, fuel);
+                runs.push(run);
+                if run == Run::Failed {
+                    break;
+                }
+            }
+            *slots[j].lock().unwrap() = runs;
+        });
+        for ((datapath, _, missing), slot) in jobs.iter().zip(slots) {
+            let runs = slot.into_inner().unwrap();
+            self.simulated += runs.len() as u64;
+            for (&k, run) in missing.iter().zip(runs) {
+                self.runs.insert((*datapath, k), run);
+            }
+        }
+    }
+
+    /// The cycles of `kernels` on `datapath`, in order, or `None` at the
+    /// first failed run.
+    ///
+    /// # Panics
+    /// When a run it reaches is missing: [`RunTable::settle`] the stage
+    /// first.
+    fn cycles(&mut self, datapath: u64, kernels: &[usize]) -> Option<Vec<u64>> {
+        let mut out = Vec::with_capacity(kernels.len());
+        for &k in kernels {
+            self.read += 1;
+            match self.runs[&(datapath, k)] {
+                Run::Cycles(c) => out.push(c),
+                Run::Failed => return None,
+            }
+        }
+        Some(out)
+    }
+}
+
+/// Evaluate one machine fully from the run table: every kernel (`all`,
+/// settled at default fuel) with golden verification. `None` when a run
+/// failed.
 fn eval_machine_full(
     config: Option<SearchConfig>,
     machine: &Machine,
-    prepared: &[PreparedKernel],
+    datapath: u64,
+    table: &mut RunTable,
+    all: &[usize],
     probe_idx: &[usize],
-) -> EvalPoint {
+) -> Option<EvalPoint> {
+    let cycles = table.cycles(datapath, all)?;
     let res = tta_fpga::estimate(machine);
-    let cycles: Vec<u64> = prepared
-        .iter()
-        .map(|p| eval::run_prepared(p, machine).cycles)
-        .collect();
     let geomean_cycles = geomean(cycles.iter().map(|&c| c as f64));
     let probe_geo = geomean(probe_idx.iter().map(|&i| cycles[i] as f64));
-    EvalPoint {
+    Some(EvalPoint {
         config,
         name: machine.name.clone(),
         slices: res.slices,
@@ -405,49 +550,73 @@ fn eval_machine_full(
         runtime_us: geomean_cycles / res.fmax_mhz,
         probe_runtime_us: probe_geo / res.fmax_mhz,
         structural: gen::structural_hash(machine),
-    }
+    })
 }
 
 /// Evaluate the paper's 13 presets on the same axes/kernel set as a
 /// search run, for frontier-quality comparison. Uses the shared compile
 /// cache, so after a search this mostly hits.
+///
+/// # Panics
+/// When a kernel fails on a preset.
 pub fn evaluate_paper_points(params: &SearchParams) -> Vec<EvalPoint> {
     let kernels = resolve_kernels(&params.kernels);
     let prepared: Vec<PreparedKernel> = kernels.iter().map(eval::prepare_kernel).collect();
     let probe_idx = probe_indices(&prepared, params.probe_kernels);
-    presets::all_design_points()
+    let all: Vec<usize> = (0..prepared.len()).collect();
+    let machines = presets::all_design_points();
+    let stage: Vec<(u64, &Machine)> = machines
         .iter()
-        .map(|m| eval_machine_full(None, m, &prepared, &probe_idx))
+        .map(|m| (gen::datapath_hash(m), m))
+        .collect();
+    let mut table = RunTable::default();
+    table.settle(
+        &stage,
+        &all,
+        tta_sim::DEFAULT_FUEL,
+        &prepared,
+        1,
+        obs::current(),
+    );
+    stage
+        .iter()
+        .map(|&(datapath, m)| {
+            eval_machine_full(None, m, datapath, &mut table, &all, &probe_idx)
+                .unwrap_or_else(|| panic!("a kernel failed on {}", m.name))
+        })
         .collect()
 }
 
-/// Probe one machine: short-fuel simulation of the probe kernels.
-/// Returns the probe geomean runtime in µs, or `None` when fuel runs out
-/// or the result mismatches the golden model (the config is discarded).
+/// Probe one machine from the run table: the geomean runtime in µs of
+/// the probe kernels (settled at [`PROBE_FUEL`]), or `None` when one ran
+/// out of fuel or failed (the config is discarded).
 fn probe_machine(
-    machine: &Machine,
-    prepared: &[PreparedKernel],
+    datapath: u64,
+    table: &mut RunTable,
     probe_idx: &[usize],
     fmax_mhz: f64,
 ) -> Option<f64> {
-    let mut cycles = Vec::with_capacity(probe_idx.len());
-    for &ki in probe_idx {
-        let p = &prepared[ki];
-        let (compiled, tiers) = eval::compile_cached(p, machine);
-        let r = tta_sim::run_with_tiers(
-            machine,
-            &compiled.program,
-            p.module.initial_memory(),
-            PROBE_FUEL,
-            &tiers,
-        )
-        .ok()?;
-        if Some(r.ret) != p.golden_ret {
-            return None;
-        }
-        cycles.push(r.cycles as f64);
+    let cycles = table.cycles(datapath, probe_idx)?;
+    Some(geomean(cycles.iter().map(|&c| c as f64)) / fmax_mhz)
+}
+
+/// Stage C's tallies from its per-finalist outcomes, in finalist order:
+/// `None` for a failed evaluation, `Some(kept)` for a point offered to
+/// the frontier. A failure is a full evaluation too, so the funnel
+/// states still partition the analysed configs.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct FullTally {
+    full_evals: u64,
+    failures: u64,
+    inserted: u64,
+}
+
+fn tally_full(outcomes: &[Option<bool>]) -> FullTally {
+    FullTally {
+        full_evals: outcomes.len() as u64,
+        failures: outcomes.iter().filter(|o| o.is_none()).count() as u64,
+        inserted: outcomes.iter().filter(|o| **o == Some(true)).count() as u64,
     }
-    Some(geomean(cycles.into_iter()) / fmax_mhz)
 }
 
 /// Pareto-layered admission: keep whole non-dominated layers of
@@ -772,8 +941,10 @@ pub fn search(params: &SearchParams) -> SearchOutcome {
     };
     let demands: Vec<KernelDemand> = prepared.iter().map(KernelDemand::of).collect();
     let probe_idx = probe_indices(&prepared, params.probe_kernels);
+    let all: Vec<usize> = (0..prepared.len()).collect();
 
-    let frontier = Frontier::new();
+    let mut frontier = Frontier::new();
+    let mut table = RunTable::default();
     let mut seen: HashSet<SearchConfig> = HashSet::new();
     // Stage-A survivors not yet probed away or fully evaluated. Deferred
     // at a quota means *pooled*, not dropped: every generation re-prunes
@@ -892,7 +1063,7 @@ pub fn search(params: &SearchParams) -> SearchOutcome {
         admitted.extend(more);
         pool.extend(deferred);
 
-        // ---- stage B: short-fuel probes, in parallel ----
+        // ---- stage B: short-fuel probes, from the run table ----
         // Entries that kept a probe result from an earlier generation
         // skip the simulator entirely.
         let threads = if params.threads > 0 {
@@ -903,27 +1074,34 @@ pub fn search(params: &SearchParams) -> SearchOutcome {
         let todo: Vec<usize> = (0..admitted.len())
             .filter(|&i| admitted[i].probe_us.is_none())
             .collect();
-        let probe_slots: Vec<Mutex<Option<Option<f64>>>> =
-            (0..todo.len()).map(|_| Mutex::new(None)).collect();
-        queue::drain_indexed(todo.len(), threads, here, |t| {
-            let a = &admitted[todo[t]];
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                probe_machine(&a.machine, &prepared, &probe_idx, a.fmax_mhz)
-            }))
-            .unwrap_or(None);
-            *probe_slots[t].lock().unwrap() = Some(out);
-        });
+        let stage: Vec<(u64, &Machine)> = todo
+            .iter()
+            .map(|&i| {
+                (
+                    gen::datapath_hash(&admitted[i].machine),
+                    &admitted[i].machine,
+                )
+            })
+            .collect();
+        table.settle(&stage, &probe_idx, PROBE_FUEL, &prepared, threads, here);
+        let probes: Vec<Option<f64>> = todo
+            .iter()
+            .zip(&stage)
+            .map(|(&i, &(datapath, _))| {
+                probe_machine(datapath, &mut table, &probe_idx, admitted[i].fmax_mhz)
+            })
+            .collect();
         stats.probed += todo.len() as u64;
         obs::counter::add("search.probed", todo.len() as u64);
         let mut failed: HashSet<usize> = HashSet::new();
-        for (t, slot) in todo.iter().zip(probe_slots) {
-            match slot.into_inner().unwrap().expect("probe job ran") {
+        for (&t, probe) in todo.iter().zip(probes) {
+            match probe {
                 None => {
                     stats.eval_failures += 1;
                     obs::counter::add("search.eval_failures", 1);
-                    failed.insert(*t);
+                    failed.insert(t);
                 }
-                Some(probe_us) => admitted[*t].probe_us = Some(probe_us),
+                Some(probe_us) => admitted[t].probe_us = Some(probe_us),
             }
         }
         let mut survivors: Vec<Analyzed> = Vec::new();
@@ -951,32 +1129,50 @@ pub fn search(params: &SearchParams) -> SearchOutcome {
         finalists.sort_by_key(|a| a.structural);
         pool.extend(deferred);
 
-        // ---- stage C: full evaluation, inserting as results finish ----
-        let full_slots: Vec<Mutex<Option<bool>>> =
-            (0..finalists.len()).map(|_| Mutex::new(None)).collect();
-        queue::drain_indexed(finalists.len(), threads, here, |i| {
-            let a = &finalists[i];
-            let kept = catch_unwind(AssertUnwindSafe(|| {
-                eval_machine_full(Some(a.cfg), &a.machine, &prepared, &probe_idx)
-            }))
-            .ok()
-            .map(|p| frontier.insert(p));
-            *full_slots[i].lock().unwrap() = Some(kept.unwrap_or(false));
-            if kept.is_none() {
-                obs::counter::add("search.eval_failures", 1);
-            }
-        });
-        for slot in full_slots {
-            stats.full_evals += 1;
-            obs::counter::add("search.full_evals", 1);
-            if slot.into_inner().unwrap() == Some(true) {
-                stats.inserted += 1;
-                obs::counter::add("search.frontier_inserted", 1);
-            }
-        }
+        // ---- stage C: full evaluation from the run table ----
+        // Points insert one at a time in finalist order, so `inserted`
+        // does not depend on which run finished first.
+        let stage: Vec<(u64, &Machine)> = finalists
+            .iter()
+            .map(|a| (gen::datapath_hash(&a.machine), &a.machine))
+            .collect();
+        table.settle(
+            &stage,
+            &all,
+            tta_sim::DEFAULT_FUEL,
+            &prepared,
+            threads,
+            here,
+        );
+        let outcomes: Vec<Option<bool>> = finalists
+            .iter()
+            .zip(&stage)
+            .map(|(a, &(datapath, _))| {
+                eval_machine_full(
+                    Some(a.cfg),
+                    &a.machine,
+                    datapath,
+                    &mut table,
+                    &all,
+                    &probe_idx,
+                )
+                .map(|p| frontier.insert(p))
+            })
+            .collect();
+        let tally = tally_full(&outcomes);
+        stats.full_evals += tally.full_evals;
+        obs::counter::add("search.full_evals", tally.full_evals);
+        stats.full_eval_failures += tally.failures;
+        obs::counter::add("search.full_eval_failures", tally.failures);
+        stats.inserted += tally.inserted;
+        obs::counter::add("search.frontier_inserted", tally.inserted);
     }
 
     stats.deferred = pool.len() as u64;
+    stats.sim_runs = table.simulated;
+    stats.reused_runs = table.read - table.simulated;
+    obs::counter::add("search.sim_runs", stats.sim_runs);
+    obs::counter::add("search.runs_reused", stats.reused_runs);
     stats.wall_s = t0.elapsed().as_secs_f64();
     obs::counter::set_gauge("search.pool_remaining", pool.len() as i64);
     obs::counter::set_gauge("search.frontier_size", frontier.len() as i64);
@@ -1036,7 +1232,7 @@ mod tests {
 
     #[test]
     fn frontier_insertion_and_domination() {
-        let f = Frontier::new();
+        let mut f = Frontier::new();
         assert!(f.insert(pt("a", 100, 10.0, 1)));
         assert!(f.insert(pt("b", 200, 5.0, 2)), "incomparable point joins");
         assert_eq!(f.len(), 2);
@@ -1049,7 +1245,7 @@ mod tests {
 
     #[test]
     fn frontier_keeps_ties_but_rejects_structural_duplicates() {
-        let f = Frontier::new();
+        let mut f = Frontier::new();
         assert!(f.insert(pt("a", 100, 10.0, 1)));
         assert!(
             f.insert(pt("b", 100, 10.0, 2)),
@@ -1080,7 +1276,7 @@ mod tests {
         ];
         let mut results: Vec<Vec<(String, u64)>> = Vec::new();
         for order in orders {
-            let f = Frontier::new();
+            let mut f = Frontier::new();
             for i in order {
                 f.insert(points[i].clone());
             }
@@ -1143,6 +1339,67 @@ mod tests {
         let mut d: Vec<u64> = deferred.iter().map(|a| a.structural).collect();
         d.sort_unstable();
         assert_eq!(d, [3, 4]);
+    }
+
+    #[test]
+    fn a_failed_full_evaluation_counts_inside_full_evals() {
+        let t = tally_full(&[Some(true), None, Some(false)]);
+        assert_eq!(
+            t,
+            FullTally {
+                full_evals: 3,
+                failures: 1,
+                inserted: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn twins_share_runs_and_failures() {
+        let prepared: Vec<PreparedKernel> = ["sha", "aes"]
+            .iter()
+            .map(|n| eval::prepare_kernel(&tta_chstone::by_name(n).unwrap()))
+            .collect();
+        let twin = |issue| {
+            SearchConfig::Tta(TtaParams {
+                issue,
+                banks: 1,
+                regs_per_bank: 32,
+                read_ports: 1,
+                write_ports: 1,
+                buses: 3,
+                full_conn: false,
+            })
+            .build()
+        };
+        let (i1, i2) = (twin(1), twin(2));
+        let dp = gen::datapath_hash(&i1);
+        let stage = [(dp, &i1), (dp, &i2)];
+        let mut table = RunTable::default();
+        let here = obs::current();
+
+        // Out of fuel on the first kernel: one run, the second kernel is
+        // never simulated, and both twins read the failure.
+        table.settle(&stage, &[0, 1], 1, &prepared, 1, here);
+        assert_eq!(table.cycles(dp, &[0, 1]), None);
+        assert_eq!(table.cycles(dp, &[0, 1]), None);
+        assert_eq!((table.simulated, table.read), (1, 2));
+
+        // Another datapath at default fuel: both kernels run once and
+        // serve the second reader.
+        let i3 = twin(3);
+        let dp3 = gen::datapath_hash(&i3);
+        table.settle(
+            &[(dp3, &i3)],
+            &[0, 1],
+            tta_sim::DEFAULT_FUEL,
+            &prepared,
+            1,
+            here,
+        );
+        let cycles = table.cycles(dp3, &[0, 1]).expect("runs finish");
+        assert_eq!(table.cycles(dp3, &[1]), Some(vec![cycles[1]]));
+        assert_eq!((table.simulated, table.read), (3, 5));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! End-to-end tests for the Pareto design-space search: seeded
-//! determinism and rediscovery of the paper's frontier.
+//! determinism, rediscovery of the paper's frontier, and a run table that
+//! changes no outcome.
 //!
-//! Debug builds are slow, so these runs use a two-kernel subset and
-//! small per-generation quotas — enough for the gen-0 analytic sweep of
-//! the full space plus a few mutation generations.
+//! Debug builds are slow, so these runs use a two- or three-kernel subset
+//! and small per-generation quotas — enough for the gen-0 analytic sweep
+//! of the full space plus a few mutation generations.
 
+use tta_explore::eval::{self, PreparedKernel};
 use tta_explore::search::{dominates, evaluate_paper_points, search};
 use tta_explore::SearchParams;
 use tta_model::gen;
@@ -138,4 +140,106 @@ fn gen0_sweep_covers_the_whole_space_and_funnel_tallies_balance() {
     assert_eq!(s.full_evals, 3, "full quota filled");
     assert!(s.wall_s > 0.0);
     assert!(s.configs_per_s() > 0.0);
+}
+
+/// 64-bit FNV-1a: a hash that is stable across processes and platforms.
+fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Every frontier field (floats as bits) and every funnel tally that
+/// predates the run table, `wall_s` aside, folded into one hash.
+fn outcome_hash(o: &tta_explore::SearchOutcome) -> u64 {
+    let mut text = String::new();
+    for p in &o.frontier {
+        text += &format!(
+            "{:?}|{}|{}|{}|{:x}|{:x}|{:x}|{:x}|{:x}\n",
+            p.config,
+            p.name,
+            p.slices,
+            p.lut_core,
+            p.fmax_mhz.to_bits(),
+            p.geomean_cycles.to_bits(),
+            p.runtime_us.to_bits(),
+            p.probe_runtime_us.to_bits(),
+            p.structural
+        );
+    }
+    let s = &o.stats;
+    text += &format!(
+        "{} {} {} {} {} {} {} {} {} {} {}",
+        s.proposed,
+        s.duplicates,
+        s.invalid,
+        s.configs,
+        s.analytic_pruned,
+        s.deferred,
+        s.probed,
+        s.probe_pruned,
+        s.eval_failures,
+        s.full_evals,
+        s.inserted
+    );
+    fnv1a(text.as_bytes(), 0xcbf2_9ce4_8422_2325)
+}
+
+/// Reduced parameters under which issue-width twins reach full
+/// evaluation: generation 0's 8 finalists build only 4 datapaths.
+fn twin_params(threads: usize) -> SearchParams {
+    SearchParams {
+        seed: 7,
+        generations: 2,
+        probe_quota: 24,
+        full_quota: 8,
+        kernels: vec!["sha", "aes", "motion"],
+        threads,
+        ..SearchParams::default()
+    }
+}
+
+/// [`outcome_hash`] of a [`twin_params`] search, generated before the
+/// search had a run table, when every config was simulated on its own.
+const TWIN_GOLDEN: u64 = 0x491a_4453_c838_e4ae;
+
+#[test]
+fn the_run_table_changes_no_outcome() {
+    let mut frontier = Vec::new();
+    for threads in [1, 2] {
+        let o = search(&twin_params(threads));
+        assert_eq!(
+            outcome_hash(&o),
+            TWIN_GOLDEN,
+            "threads {threads}: frontier or funnel tallies moved"
+        );
+        let s = &o.stats;
+        // Without twins the table would serve only the full evaluations'
+        // probe kernels.
+        assert!(s.reused_runs > s.full_evals * 2, "threads {threads}: {s:?}");
+        frontier = o.frontier;
+    }
+    // Each point's cycles, simulated afresh for its own config, give its
+    // geomean bit for bit: a twin served its representative's runs.
+    let prepared: Vec<PreparedKernel> = twin_params(1)
+        .kernels
+        .iter()
+        .map(|n| eval::prepare_kernel(&tta_chstone::by_name(n).unwrap()))
+        .collect();
+    for p in &frontier {
+        let Some(config) = p.config else { continue };
+        let machine = config.build();
+        let logs: f64 = prepared
+            .iter()
+            .map(|k| {
+                (eval::run_prepared(k, &machine).cycles as f64)
+                    .max(1.0)
+                    .ln()
+            })
+            .sum();
+        let geomean = (logs / prepared.len() as f64).exp();
+        assert_eq!(geomean.to_bits(), p.geomean_cycles.to_bits(), "{}", p.name);
+    }
 }

@@ -173,16 +173,34 @@ impl SearchConfig {
     }
 }
 
-/// Hash of a machine's structure with the name erased: two configs that
-/// wire up identical datapaths collide here whatever they are called.
-/// This is how the search recognises a generated config as one of the
-/// paper's design points.
+/// Hash of a machine's description with the name erased: it keeps the
+/// datapath *and* the issue-width label, so two machines collide here
+/// only when they differ in nothing but their name. This is how the
+/// search recognises a generated config as one of the paper's design
+/// points, and it is the search frontier's identity.
+///
+/// The label is not structure: TTA issue 1 and issue 2 both get one ALU,
+/// so such configs build identical datapaths yet keep distinct hashes
+/// here, and stay separate frontier points ("i2 twins"). Use
+/// [`datapath_hash`] to group them.
 pub fn structural_hash(m: &Machine) -> u64 {
     let mut anon = m.clone();
     anon.name.clear();
     let mut h = DefaultHasher::new();
     format!("{anon:?}").hash(&mut h);
     h.finish()
+}
+
+/// [`structural_hash`] with the issue-width label erased too: it keeps
+/// only the datapath (units, register files, buses, wiring, slots).
+/// Nothing that compiles, simulates, encodes or estimates a machine reads
+/// `issue_width`, so machines that collide here get the same programs,
+/// cycles and FPGA estimate; the search simulates each datapath once.
+pub fn datapath_hash(m: &Machine) -> u64 {
+    structural_hash(&Machine {
+        issue_width: 0,
+        ..m.clone()
+    })
 }
 
 /// Enumerate the entire config space in a fixed deterministic order
@@ -322,6 +340,26 @@ mod tests {
         assert_eq!(structural_hash(&a), structural_hash(&renamed));
         let b = presets::p_tta_2(); // same RFs, different bus count/wiring
         assert_ne!(structural_hash(&a), structural_hash(&b));
+    }
+
+    #[test]
+    fn datapath_hash_groups_issue_twins_only() {
+        let tta = |issue| {
+            SearchConfig::Tta(TtaParams {
+                issue,
+                banks: 2,
+                regs_per_bank: 32,
+                read_ports: 1,
+                write_ports: 1,
+                buses: 4,
+                full_conn: true,
+            })
+            .build()
+        };
+        let (i1, i2, i3) = (tta(1), tta(2), tta(3));
+        assert_ne!(structural_hash(&i1), structural_hash(&i2));
+        assert_eq!(datapath_hash(&i1), datapath_hash(&i2), "one ALU each");
+        assert_ne!(datapath_hash(&i2), datapath_hash(&i3), "issue 3 has two");
     }
 
     #[test]

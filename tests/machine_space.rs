@@ -2,8 +2,12 @@
 //! reasonable point of the custom-TTA design space (bus count x register
 //! banks x connectivity), not just the thirteen paper presets.
 
+use std::collections::HashMap;
+
+use tta_compiler::{compile_prepared, prepare, TtaOptions};
 use tta_ir::{FunctionBuilder, ModuleBuilder};
-use tta_model::{presets, RegisterFile};
+use tta_isa::{Program, TtaCodec};
+use tta_model::{gen, presets, Machine, RegisterFile};
 
 /// A small but non-trivial program touching loops, memory and wide
 /// constants.
@@ -86,6 +90,55 @@ fn custom_vliw_configurations_compute_correctly() {
             let r = tta_sim::run(&machine, &compiled.program, module.initial_memory())
                 .unwrap_or_else(|e| panic!("{name}: sim: {e}"));
             assert_eq!(r.ret, want, "{name}");
+        }
+    }
+}
+
+/// The premise of the search's run table: configs of the generated space
+/// that share a `gen::datapath_hash` (they differ only in their
+/// issue-width label) compile to byte-identical programs, run the same
+/// cycles and get the same FPGA estimate. This fails the day a compiler,
+/// simulator, encoder or estimator layer starts reading `issue_width`.
+/// About 1 s in a debug build.
+#[test]
+fn issue_width_twins_compile_run_and_cost_the_same() {
+    let (module, want) = probe_module();
+    let front = prepare(&module).expect("probe module prepares");
+    let mut classes: HashMap<u64, Vec<Machine>> = HashMap::new();
+    for cfg in gen::enumerate_space() {
+        let m = cfg.build();
+        classes.entry(gen::datapath_hash(&m)).or_default().push(m);
+    }
+    let twins: Vec<&Vec<Machine>> = classes.values().filter(|c| c.len() > 1).collect();
+    assert_eq!(
+        (classes.len(), twins.len()),
+        (1128, 576),
+        "the 1740 configs' datapath classes, and those with twins"
+    );
+    for class in twins {
+        let outcomes: Vec<_> = class
+            .iter()
+            .map(|m| {
+                let c = compile_prepared(&front, m, TtaOptions::default())
+                    .unwrap_or_else(|e| panic!("{}: compile: {e}", m.name));
+                let image = match &c.program {
+                    Program::Tta(insts) => TtaCodec::new(m).encode_program(insts).unwrap(),
+                    _ => panic!("{}: a VLIW config with a twin", m.name),
+                };
+                let r = tta_sim::run(m, &c.program, module.initial_memory())
+                    .unwrap_or_else(|e| panic!("{}: sim: {e}", m.name));
+                assert_eq!(r.ret, want, "{}", m.name);
+                let layout = (c.block_starts, c.irq_entry);
+                (image, layout, r, tta_fpga::estimate(m))
+            })
+            .collect();
+        for (m, o) in class.iter().zip(&outcomes).skip(1) {
+            assert!(
+                o == &outcomes[0],
+                "{} differs from {}",
+                m.name,
+                class[0].name
+            );
         }
     }
 }
