@@ -236,7 +236,7 @@ fn main() {
         ),
         ("styles".into(), Json::Obj(style_fields)),
         ("per_kernel".into(), Json::Obj(kernel_fields)),
-        ("obs".into(), tta_bench::harness::obs_report_json()),
+        ("obs".into(), tta_obs::report::to_json()),
     ]);
     let text = json.to_pretty();
     std::fs::write("BENCH_dispatch.json", &text).expect("write BENCH_dispatch.json");

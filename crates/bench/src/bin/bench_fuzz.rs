@@ -75,7 +75,7 @@ fn main() {
             Json::Num(round(cycles as f64 / min, 0)),
         ),
         ("divergences".into(), Json::Num(divergences as f64)),
-        ("obs".into(), tta_bench::harness::obs_report_json()),
+        ("obs".into(), tta_obs::report::to_json()),
     ]);
     let text = json.to_pretty();
     std::fs::write("BENCH_fuzz.json", &text).expect("write BENCH_fuzz.json");

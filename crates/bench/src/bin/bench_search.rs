@@ -68,7 +68,7 @@ fn main() {
         ),
         ("probed".into(), Json::Num(last.stats.probed as f64)),
         ("full_evals".into(), Json::Num(last.stats.full_evals as f64)),
-        ("obs".into(), tta_bench::harness::obs_report_json()),
+        ("obs".into(), tta_obs::report::to_json()),
     ];
     let json = Json::Obj(fields);
     let text = json.to_pretty();

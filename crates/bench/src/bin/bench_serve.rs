@@ -166,7 +166,7 @@ fn main() {
             Json::Str("single-threaded run; not comparable to multi-core baselines".into()),
         ));
     }
-    fields.push(("obs".into(), tta_bench::harness::obs_report_json()));
+    fields.push(("obs".into(), tta_obs::report::to_json()));
     let json = Json::Obj(fields);
     let text = json.to_pretty();
     std::fs::write("BENCH_serve.json", &text).expect("write BENCH_serve.json");

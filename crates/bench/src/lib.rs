@@ -1,4 +1,4 @@
-//! # tta-bench — benchmark harness and table/figure reproduction
+//! # tta-bench — benchmark binaries and table/figure reproduction
 //!
 //! * `cargo run --release -p tta-bench --bin repro` regenerates every
 //!   table and figure of the paper (Tables I–IV, Figs. 5–6) from one full
@@ -10,13 +10,14 @@
 //! * `cargo run --release -p tta-bench --bin bench_serve` load-tests the
 //!   batch simulation server over real sockets and writes
 //!   `BENCH_serve.json` (throughput plus p50/p99 per-job latency).
-//! * `cargo bench` runs the micro-benchmarks of the toolchain itself
-//!   (scheduler, simulator, encoder, end-to-end pipeline) on the local
-//!   [`harness`].
+//! * `bench_fuzz`, `bench_dispatch` and `bench_search` time the fuzz
+//!   oracle, simulator dispatch and the Pareto search the same way, and
+//!   `bench_report` diffs any of those files against a baseline. The
+//!   repository's end-to-end benchmark is `perfbench/` (see
+//!   `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod report;
 
 use std::time::Instant;
@@ -112,7 +113,7 @@ pub fn eval_bench_json(reps: usize, eval: impl Fn() -> Vec<MachineReport>) -> Js
             Json::Str("single-threaded run; not comparable to multi-core baselines".into()),
         ));
     }
-    fields.push(("obs".into(), harness::obs_report_json()));
+    fields.push(("obs".into(), tta_obs::report::to_json()));
     Json::Obj(fields)
 }
 

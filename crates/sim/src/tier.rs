@@ -5,8 +5,9 @@
 //! scalar steps are already direct walks over predecoded arrays, where
 //! threaded code measured no faster (DESIGN.md §14).
 //!
-//! [`Tiers`] holds the TTA promotion tables for one program, so the
-//! compiled blocks a run promotes are reused by every later run through
+//! [`Tiers`] holds the TTA promotion table for one program (one
+//! `TierTable` of compiled whole superblocks), so the compiled blocks a
+//! run promotes are reused by every later run through
 //! [`crate::run_with_tiers`] — the steady state the evaluation pipeline
 //! and the dispatch benchmark run in. [`crate::run`] builds a fresh
 //! per-run table from the environment configuration instead, which keeps
@@ -21,7 +22,7 @@ use crate::tta::TtaTiers;
 use tta_isa::{Program, TierConfig};
 
 /// Per-program compiled-tier state, shareable across runs (and across
-/// threads — promotion is lock-free and promote-once). Holds no tables
+/// threads — promotion is lock-free and promote-once). Holds no table
 /// for VLIW and scalar programs, or when the tier is disabled.
 pub struct Tiers {
     tta: Option<TtaTiers>,
@@ -48,7 +49,7 @@ impl Tiers {
         self.tta.as_ref().map_or(0, TtaTiers::compiled_count)
     }
 
-    /// The TTA promotion tables, if any, for a run of `program` (which
+    /// The TTA promotion table, if any, for a run of `program` (which
     /// must be the program this state was built for).
     pub(crate) fn tta_for(&self, program: &Program) -> Option<&TtaTiers> {
         assert_eq!(
@@ -64,12 +65,14 @@ impl Tiers {
 /// counters after the run (the hot loops never touch the registry).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct TierCounts {
-    /// Blocks compiled and installed by this run.
+    /// Blocks this run compiled and installed (a block that lost the
+    /// install race to another thread sharing the table is not counted).
     pub promotions: u64,
     /// Block entries dispatched to the compiled tier (tier 3).
     pub entries: u64,
-    /// Clamped entries (pending jump or fuel) of a pc that has a
-    /// compiled block, executed interpreted instead.
+    /// Clamped entries (by a pending jump's delay window, by fuel or by
+    /// the I/O window) of a pc that has a compiled block, executed
+    /// interpreted instead.
     pub fallbacks: u64,
 }
 

@@ -32,17 +32,20 @@
 //! boundary is pinned by `tests/fuel_boundary.rs`.
 //!
 //! Hot superblocks are additionally *promoted* into compiled blocks:
-//! [`compile_tta_block`] matches every decoded move once and emits flat
-//! arrays of resolved thunks ([`TtaOp`] values: one per move, plus cycle
-//! boundaries and completion deliveries) with the block's static
-//! `SimStats` contribution precomputed. The block is one boxed closure
-//! over those arrays, and [`exec_tta_block`] dispatches them with a
-//! single `match`, so steady-state execution pays neither the per-move
-//! decode match nor the per-move statistics traffic. Completions ride a
-//! four-deep wheel (`wheel[cycle & 3]`, valid because every pipelined
-//! latency is 1–3 cycles and the wheel is drained every cycle) shared by
-//! both tiers, so a block entered with results in flight from interpreted
-//! code delivers them on exactly the right cycle.
+//! [`compile_tta_block`] matches every decoded move once and emits one
+//! flat array of resolved thunks ([`TtaOp`] values: one per move, plus a
+//! boundary per cycle) with the block's static `SimStats` contribution
+//! precomputed. The block is one boxed closure over that array, and
+//! [`exec_tta_block`] dispatches it with a single `match`, so
+//! steady-state execution pays neither the per-move decode match nor the
+//! per-move statistics traffic. Completions ride a four-deep wheel
+//! (`wheel[cycle & 3]`, valid because every pipelined latency is 1–3
+//! cycles and the wheel is drained every cycle) shared by both tiers:
+//! every launch of either tier goes through it and every cycle of either
+//! tier delivers from it, so a block entered with results in flight from
+//! interpreted code delivers them on exactly the right cycle. Only whole
+//! superblocks are compiled; a clamped entry (a pending jump's delay
+//! window, the fuel limit or the I/O window) runs interpreted.
 
 use crate::profile::{NoProfile, ProfileSink};
 use crate::result::{SimError, SimResult, SimStats};
@@ -168,9 +171,6 @@ pub(crate) struct TtaEngine<'a> {
     immregs: Vec<Option<i32>>,
     /// Sampled move values of the current instruction, reused every cycle.
     values: Vec<i32>,
-    /// Scratch slots for statically scheduled completions of compiled
-    /// blocks ([`TtaOp::A1Sc`] etc.), grown on demand at block entry.
-    jit_tmp: Vec<i32>,
     memory: Vec<u8>,
     stats: SimStats,
     /// Memory-mapped I/O and interrupt state, present only for reactive
@@ -626,21 +626,6 @@ impl TtaEngine<'_> {
         }
     }
 
-    /// Place a value in a unit's result port directly (a statically
-    /// scheduled completion — the wheel was bypassed at promotion time).
-    #[inline(always)]
-    unsafe fn set_result(&mut self, f: u16, v: i32) {
-        debug_assert!((f as usize) < self.fus.len());
-        unsafe { self.fus.get_unchecked_mut(f as usize).result = Some(v) }
-    }
-
-    /// Whether no completion is in flight (all wheel buckets empty) —
-    /// the clean-entry precondition of a block's fast variant.
-    #[inline(always)]
-    fn wheel_is_empty(&self) -> bool {
-        self.wheel.iter().all(|b| b.is_empty())
-    }
-
     /// [`TtaEngine::launch`] without the unit-index bounds check (the
     /// in-flight budget check stays — it is real error semantics).
     #[inline(always)]
@@ -703,9 +688,9 @@ fn err_nested_jump(pc: u32) -> SimError {
     SimError::Machine(format!("jump triggered during an in-flight jump (pc {pc})"))
 }
 
-/// A resolved value source in a compiled block, carried by the
-/// scratch-launch and control thunks; every other thunk flattens the
-/// source kind into its variant instead.
+/// A resolved value source in a compiled block, carried by the control
+/// thunks; every other thunk flattens the source kind into its variant
+/// instead.
 #[derive(Debug, Clone, Copy)]
 enum Src {
     Rf(u32),
@@ -745,16 +730,21 @@ struct Dims {
 /// One thunk of a compiled superblock: a decoded move with its opcode
 /// match, register resolution and value routing already performed, and
 /// the source kind flattened into the variant so dispatch is a single
-/// jump. Instruction boundaries are explicit (`Next`/`NextD` advance the
-/// cycle, `NextD` also delivering completions), so fuel accounting stays
-/// exact. Adjacent thunks are not fused into mega-ops (DESIGN.md §14,
-/// "Why no fusion").
+/// jump. Every trigger launches through the completion wheel, as in the
+/// interpreted step, and every instruction boundary is an explicit
+/// [`TtaOp::Next`] that also delivers, so fuel accounting stays exact.
+/// Adjacent thunks are not fused into mega-ops (DESIGN.md §14, "Why no
+/// fusion"), and no launch bypasses the wheel ("Why one launch form").
+///
+/// Padded from its natural 12 bytes to 16, which served about 3 % more
+/// `serve_closed_loop` jobs/s (EXPERIMENTS.md, "Static completion
+/// scheduling and delay segments deleted"); a 12-byte stride leaves some
+/// thunks across cache lines.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(8))]
 enum TtaOp {
-    /// End of one instruction: advance `pc`/`cycle`. Emitted only for
-    /// cycles whose wheel bucket is provably empty (static scheduling
-    /// routed every intra-block landing through [`TtaOp::DeliverS`] or a
-    /// direct launch), so it performs no delivery at all.
+    /// End of one instruction: advance `pc`/`cycle` and deliver the
+    /// completions due in the new cycle (its phase 1).
     Next,
     /// Register-to-register move.
     RfRf {
@@ -880,99 +870,6 @@ enum TtaOp {
         fu: u16,
         op: Opcode,
     },
-    /// Direct-launch ALU/load triggers: promotion-time scheduling proved
-    /// the landing cycle is inside the block with no intervening read of
-    /// the unit's result port, so the result is placed directly and the
-    /// completion wheel is bypassed entirely.
-    A1DRf {
-        s: u32,
-        fu: u16,
-        op: Opcode,
-    },
-    A1DImm {
-        v: i32,
-        fu: u16,
-        op: Opcode,
-    },
-    A1DFu {
-        s: u16,
-        fu: u16,
-        op: Opcode,
-    },
-    A1DIr {
-        k: u8,
-        fu: u16,
-        op: Opcode,
-    },
-    A2DRf {
-        s: u32,
-        fu: u16,
-        op: Opcode,
-    },
-    A2DImm {
-        v: i32,
-        fu: u16,
-        op: Opcode,
-    },
-    A2DFu {
-        s: u16,
-        fu: u16,
-        op: Opcode,
-    },
-    A2DIr {
-        k: u8,
-        fu: u16,
-        op: Opcode,
-    },
-    LdDRf {
-        s: u32,
-        fu: u16,
-        op: Opcode,
-    },
-    LdDImm {
-        v: i32,
-        fu: u16,
-        op: Opcode,
-    },
-    LdDFu {
-        s: u16,
-        fu: u16,
-        op: Opcode,
-    },
-    LdDIr {
-        k: u8,
-        fu: u16,
-        op: Opcode,
-    },
-    /// Scratch-launch: the landing is intra-block but the old port value
-    /// is still read before it — compute now into a scratch slot,
-    /// surfaced at the landing cycle by [`TtaOp::DeliverS`].
-    A1Sc {
-        src: Src,
-        slot: u16,
-        op: Opcode,
-    },
-    A2Sc {
-        src: Src,
-        fu: u16,
-        slot: u16,
-        op: Opcode,
-    },
-    LdSc {
-        src: Src,
-        slot: u16,
-        op: Opcode,
-    },
-    /// Phase 1 of a statically scheduled landing cycle: move a scratch
-    /// slot into the unit's result port.
-    DeliverS {
-        slot: u16,
-        fu: u16,
-    },
-    /// [`TtaOp::Next`] plus completion delivery, for cycles the wheel
-    /// can still be non-empty (entry in-flight lands in the first three
-    /// cycles; in-block wheel launches land at recorded cycles).
-    NextD,
     /// Long immediate (phase 5: applied after every move of the cycle).
     Limm {
         k: u8,
@@ -1004,48 +901,27 @@ enum TtaOp {
 /// A compiled superblock: the promotion product stored in the tier table.
 /// Invoked as `block(engine, entry_cycle, pending_jump)`; returns whether
 /// the core halted. Callers guarantee an unclamped entry (no pending
-/// jump, fuel covers the whole run).
+/// jump; fuel and the I/O window cover the whole run).
 pub(crate) type TtaBlockFn = Box<
     dyn for<'e> Fn(&mut TtaEngine<'e>, u64, &mut Option<(u32, u32)>) -> Result<bool, SimError>
         + Send
         + Sync,
 >;
 
-/// Compiled-tier state of one TTA program: whole superblocks, plus the
-/// delay-slot segments that execute on the fall-through path of a taken
-/// jump. Without the second table every taken branch costs
-/// `jump_delay_slots` interpreted cycles — the dominant residual
-/// interpreter time in branchy kernels. A delay segment is the head of
-/// the fall-through run clamped to the remaining delay budget, so it is
-/// keyed by pc like a block but compiled for its own (shorter) length,
-/// stored alongside it.
-pub(crate) struct TtaTiers {
-    pub(crate) main: TierTable<TtaBlockFn>,
-    pub(crate) delay: TierTable<(u32, TtaBlockFn)>,
-}
-
-impl TtaTiers {
-    pub(crate) fn new(len: usize, threshold: u32) -> TtaTiers {
-        TtaTiers {
-            main: TierTable::new(len, threshold),
-            delay: TierTable::new(len, threshold),
-        }
-    }
-
-    pub(crate) fn compiled_count(&self) -> usize {
-        self.main.compiled_count() + self.delay.compiled_count()
-    }
-}
+/// Compiled-tier state of one TTA program: at most one compiled block
+/// per pc, each a whole superblock from that pc. Clamped entries (a
+/// pending jump's delay window, the fuel limit, the I/O window) are
+/// never compiled; they run interpreted.
+pub(crate) type TtaTiers = TierTable<TtaBlockFn>;
 
 /// Execute a compiled block: straight-line thunk dispatch with the
-/// block's static statistics applied once at the end.
-#[allow(clippy::too_many_arguments)]
+/// block's static statistics applied once at the end. Like the
+/// interpreted step, it delivers completions at entry and at every cycle
+/// boundary.
 fn exec_tta_block(
     ops: &[TtaOp],
     delta: &SimStats,
     dims: Dims,
-    scratch: u16,
-    deliver_entry: bool,
     eng: &mut TtaEngine,
     pc0: u32,
     cycle0: u64,
@@ -1057,99 +933,20 @@ fn exec_tta_block(
             && eng.immregs.len() == dims.immregs,
         "compiled block executed against a different machine shape"
     );
-    if eng.jit_tmp.len() < scratch as usize {
-        eng.jit_tmp.resize(scratch as usize, 0);
-    }
     let mut pc = pc0;
     let mut cycle = cycle0;
     let mut halt = false;
-    if deliver_entry {
-        eng.deliver(cycle)?;
-    }
+    eng.deliver(cycle)?;
     for op in ops {
-        // SAFETY: every register, unit, long-immediate-register and
-        // scratch index in `ops` was validated against `dims`/`scratch`
-        // at promotion time, and the engine was checked against both on
-        // entry above.
+        // SAFETY: every register, unit and long-immediate-register index
+        // in `ops` was validated against `dims` at promotion time, and
+        // the engine was checked against `dims` on entry above.
         unsafe {
             match *op {
                 TtaOp::Next => {
                     pc += 1;
                     cycle += 1;
-                }
-                TtaOp::NextD => {
-                    pc += 1;
-                    cycle += 1;
                     eng.deliver(cycle)?;
-                }
-                TtaOp::DeliverS { slot, fu } => {
-                    let v = *eng.jit_tmp.get_unchecked(slot as usize);
-                    eng.set_result(fu, v);
-                }
-                TtaOp::A1DRf { s, fu, op } => {
-                    let v = eng.rf_get(s);
-                    eng.set_result(fu, op.eval_alu(v, 0));
-                }
-                TtaOp::A1DImm { v, fu, op } => eng.set_result(fu, op.eval_alu(v, 0)),
-                TtaOp::A1DFu { s, fu, op } => {
-                    let v = eng.result(s, pc)?;
-                    eng.set_result(fu, op.eval_alu(v, 0));
-                }
-                TtaOp::A1DIr { k, fu, op } => {
-                    let v = eng.immreg(k, pc)?;
-                    eng.set_result(fu, op.eval_alu(v, 0));
-                }
-                TtaOp::A2DRf { s, fu, op } => {
-                    let v = eng.rf_get(s);
-                    let a = eng.operand(fu);
-                    eng.set_result(fu, op.eval_alu(a, v));
-                }
-                TtaOp::A2DImm { v, fu, op } => {
-                    let a = eng.operand(fu);
-                    eng.set_result(fu, op.eval_alu(a, v));
-                }
-                TtaOp::A2DFu { s, fu, op } => {
-                    let v = eng.result(s, pc)?;
-                    let a = eng.operand(fu);
-                    eng.set_result(fu, op.eval_alu(a, v));
-                }
-                TtaOp::A2DIr { k, fu, op } => {
-                    let v = eng.immreg(k, pc)?;
-                    let a = eng.operand(fu);
-                    eng.set_result(fu, op.eval_alu(a, v));
-                }
-                TtaOp::LdDRf { s, fu, op } => {
-                    let addr = eng.rf_get(s) as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.set_result(fu, v);
-                }
-                TtaOp::LdDImm { v, fu, op } => {
-                    let v = eng.mem_load(op, v as u32, cycle)?;
-                    eng.set_result(fu, v);
-                }
-                TtaOp::LdDFu { s, fu, op } => {
-                    let addr = eng.result(s, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.set_result(fu, v);
-                }
-                TtaOp::LdDIr { k, fu, op } => {
-                    let addr = eng.immreg(k, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.set_result(fu, v);
-                }
-                TtaOp::A1Sc { src, slot, op } => {
-                    let v = src.read(eng, pc)?;
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = op.eval_alu(v, 0);
-                }
-                TtaOp::A2Sc { src, fu, slot, op } => {
-                    let v = src.read(eng, pc)?;
-                    let a = eng.operand(fu);
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = op.eval_alu(a, v);
-                }
-                TtaOp::LdSc { src, slot, op } => {
-                    let addr = src.read(eng, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    *eng.jit_tmp.get_unchecked_mut(slot as usize) = v;
                 }
                 TtaOp::RfRf { s, d } => {
                     let v = eng.rf_get(s);
@@ -1278,345 +1075,129 @@ fn exec_tta_block(
     Ok(halt)
 }
 
-/// Trigger kind of a compile-time trigger record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TrigKind {
-    Alu1,
-    Alu2,
-    Load,
-    Store,
-}
-
-/// Compile-time record of one data trigger move.
-#[derive(Debug, Clone, Copy)]
-struct CTrig {
-    src: Src,
-    fu: u16,
-    op: Opcode,
-    kind: TrigKind,
-}
-
-impl CTrig {
-    /// Dynamic launch through the completion wheel (the reference path).
-    fn wheel_op(&self) -> TtaOp {
-        let (fu, op) = (self.fu, self.op);
-        match (self.kind, self.src) {
-            (TrigKind::Alu1, Src::Rf(s)) => TtaOp::A1Rf { s, fu, op },
-            (TrigKind::Alu1, Src::Imm(v)) => TtaOp::A1Imm { v, fu, op },
-            (TrigKind::Alu1, Src::Fu(s)) => TtaOp::A1Fu { s, fu, op },
-            (TrigKind::Alu1, Src::ImmReg(k)) => TtaOp::A1Ir { k, fu, op },
-            (TrigKind::Alu2, Src::Rf(s)) => TtaOp::A2Rf { s, fu, op },
-            (TrigKind::Alu2, Src::Imm(v)) => TtaOp::A2Imm { v, fu, op },
-            (TrigKind::Alu2, Src::Fu(s)) => TtaOp::A2Fu { s, fu, op },
-            (TrigKind::Alu2, Src::ImmReg(k)) => TtaOp::A2Ir { k, fu, op },
-            (TrigKind::Load, Src::Rf(s)) => TtaOp::LdRf { s, fu, op },
-            (TrigKind::Load, Src::Imm(v)) => TtaOp::LdImm { v, fu, op },
-            (TrigKind::Load, Src::Fu(s)) => TtaOp::LdFu { s, fu, op },
-            (TrigKind::Load, Src::ImmReg(k)) => TtaOp::LdIr { k, fu, op },
-            (TrigKind::Store, Src::Rf(s)) => TtaOp::StRf { s, fu, op },
-            (TrigKind::Store, Src::Imm(v)) => TtaOp::StImm { v, fu, op },
-            (TrigKind::Store, Src::Fu(s)) => TtaOp::StFu { s, fu, op },
-            (TrigKind::Store, Src::ImmReg(k)) => TtaOp::StIr { k, fu, op },
-        }
-    }
-
-    /// Statically scheduled launch: place the result in the port now
-    /// (sound only when no one reads the port before the landing cycle).
-    fn direct_op(&self) -> TtaOp {
-        let (fu, op) = (self.fu, self.op);
-        match (self.kind, self.src) {
-            (TrigKind::Alu1, Src::Rf(s)) => TtaOp::A1DRf { s, fu, op },
-            (TrigKind::Alu1, Src::Imm(v)) => TtaOp::A1DImm { v, fu, op },
-            (TrigKind::Alu1, Src::Fu(s)) => TtaOp::A1DFu { s, fu, op },
-            (TrigKind::Alu1, Src::ImmReg(k)) => TtaOp::A1DIr { k, fu, op },
-            (TrigKind::Alu2, Src::Rf(s)) => TtaOp::A2DRf { s, fu, op },
-            (TrigKind::Alu2, Src::Imm(v)) => TtaOp::A2DImm { v, fu, op },
-            (TrigKind::Alu2, Src::Fu(s)) => TtaOp::A2DFu { s, fu, op },
-            (TrigKind::Alu2, Src::ImmReg(k)) => TtaOp::A2DIr { k, fu, op },
-            (TrigKind::Load, Src::Rf(s)) => TtaOp::LdDRf { s, fu, op },
-            (TrigKind::Load, Src::Imm(v)) => TtaOp::LdDImm { v, fu, op },
-            (TrigKind::Load, Src::Fu(s)) => TtaOp::LdDFu { s, fu, op },
-            (TrigKind::Load, Src::ImmReg(k)) => TtaOp::LdDIr { k, fu, op },
-            (TrigKind::Store, _) => unreachable!("stores produce no result"),
-        }
-    }
-
-    /// Statically scheduled launch through a scratch slot (the port is
-    /// still read before the landing cycle, so the old value must stay).
-    fn scratch_op(&self, slot: u16) -> TtaOp {
-        match self.kind {
-            TrigKind::Alu1 => TtaOp::A1Sc {
-                src: self.src,
-                slot,
-                op: self.op,
-            },
-            TrigKind::Alu2 => TtaOp::A2Sc {
-                src: self.src,
-                fu: self.fu,
-                slot,
-                op: self.op,
-            },
-            TrigKind::Load => TtaOp::LdSc {
-                src: self.src,
-                slot,
-                op: self.op,
-            },
-            TrigKind::Store => unreachable!("stores produce no result"),
-        }
-    }
-}
-
-/// Compile-time record of one instruction (= one cycle) of a superblock.
-#[derive(Debug, Default)]
-struct CInst {
-    /// Flat move thunks (identical in every emitted variant).
-    moves: Vec<TtaOp>,
-    /// Data triggers, form decided per variant by the static scheduler.
-    trigs: Vec<CTrig>,
-    /// Control thunks (terminal instruction only).
-    ctrl: Vec<TtaOp>,
-    limm: Option<TtaOp>,
-    /// Same-cycle hazard: run the whole instruction phase-ordered.
-    phased: Option<TtaOp>,
-}
-
-/// One launch found while building a block: trigger `ti` of instruction
-/// `ci` starts `fu`'s pipeline at relative cycle `ci`, landing at `land`.
-#[derive(Debug, Clone, Copy)]
-struct Launch {
-    ci: u32,
-    ti: u32,
-    fu: u16,
-    land: u32,
-}
-
-/// Launch form chosen by the static completion scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Form {
-    Wheel,
-    Direct,
-    Scratch(u16),
-}
-
-/// Emit one executable variant of a block. `assume_clean` encodes the
-/// fast variant's precondition (no in-flight completion at entry):
-/// every intra-block landing may then be scheduled statically and no
-/// cycle delivers from the wheel. The conservative variant keeps wheel
-/// semantics for the first three cycles (entry in-flight lands there)
-/// and for every recorded in-block wheel landing. `wheel_only` disables
-/// static scheduling entirely (phased instructions launch dynamically,
-/// and same-unit landing collisions must fault through the wheel).
-fn emit_tta_variant(
-    cinsts: &[CInst],
-    reads: &[(u32, u16)],
-    launches: &[Launch],
-    len: u32,
-    assume_clean: bool,
-    wheel_only: bool,
-) -> (Box<[TtaOp]>, u16) {
-    let mut forms: Vec<Vec<Form>> = cinsts
-        .iter()
-        .map(|ci| vec![Form::Wheel; ci.trigs.len()])
-        .collect();
-    let mut delivers: Vec<Vec<(u16, u16)>> = vec![Vec::new(); len as usize];
-    let mut wheel_lands = vec![false; len as usize];
-    let mut scratch: u16 = 0;
-    for l in launches {
-        if wheel_only {
-            if l.land < len {
-                wheel_lands[l.land as usize] = true;
-            }
-            continue;
-        }
-        let eligible = l.land < len && (assume_clean || l.ci >= 3);
-        if !eligible {
-            if l.land < len {
-                wheel_lands[l.land as usize] = true;
-            }
-            continue;
-        }
-        // The port holds its previous value until the landing cycle; a
-        // read in between (including the launch cycle itself — thunks
-        // execute in emission order, not phase order) keeps that value
-        // live, so the completion must park in a scratch slot.
-        let port_read = reads
-            .iter()
-            .any(|&(u, f)| f == l.fu && u >= l.ci && u < l.land);
-        forms[l.ci as usize][l.ti as usize] = if port_read {
-            let slot = scratch;
-            scratch += 1;
-            delivers[l.land as usize].push((slot, l.fu));
-            Form::Scratch(slot)
-        } else {
-            Form::Direct
-        };
-    }
-
-    let mut ops: Vec<TtaOp> = Vec::new();
-    for c in 0..len {
-        if c > 0 {
-            // Cycles that can still see a wheel delivery: the first
-            // three (entry in-flight) in conservative variants, every
-            // cycle in wheel-only blocks, plus recorded wheel landings.
-            let dirty = wheel_lands[c as usize] || (!assume_clean && (wheel_only || c <= 3));
-            ops.push(if dirty { TtaOp::NextD } else { TtaOp::Next });
-        }
-        for &(slot, fu) in &delivers[c as usize] {
-            ops.push(TtaOp::DeliverS { slot, fu });
-        }
-        let inst = &cinsts[c as usize];
-        if let Some(p) = inst.phased {
-            ops.push(p);
-            continue;
-        }
-        ops.extend_from_slice(&inst.moves);
-        for (ti, trig) in inst.trigs.iter().enumerate() {
-            ops.push(match forms[c as usize][ti] {
-                Form::Wheel => trig.wheel_op(),
-                Form::Direct => trig.direct_op(),
-                Form::Scratch(slot) => trig.scratch_op(slot),
-            });
-        }
-        ops.extend_from_slice(&inst.ctrl);
-        if let Some(l) = inst.limm {
-            ops.push(l);
-        }
-    }
-    (ops.into_boxed_slice(), scratch)
-}
-
 /// Compile the superblock `[pc0, pc0 + len)` into one boxed closure over
-/// arrays of resolved thunks. Each decoded move is matched exactly once,
-/// here; per-move statistics are folded into a static per-block delta
-/// (taken branches stay dynamic, and hazardous instructions fall back to
-/// the reference phase order with their statistics excluded from the
-/// delta). Every emitted register/unit/limm-register index is asserted
-/// against `dims`, which licenses the unchecked accesses of
-/// [`exec_tta_block`].
-///
-/// Completions are scheduled statically where the block structure allows
-/// (see [`emit_tta_variant`]); the block carries two emitted variants
-/// and picks per entry: the fast one when no completion is in flight,
-/// the conservative one otherwise.
+/// one array of resolved thunks. Each decoded move is matched exactly
+/// once, here, in one pass per instruction: its moves, then its triggers
+/// in slot order (control ones included, as in `exec_inst`), then its
+/// long immediate. Per-move statistics are folded into a static
+/// per-block delta (taken branches stay dynamic). An instruction with a
+/// same-cycle hazard is truncated back to its first thunk and replaced by
+/// one [`TtaOp::Phased`], which runs the reference phase order and
+/// charges its own statistics. Every emitted register/unit/limm-register
+/// index is asserted against `dims`, which licenses the unchecked
+/// accesses of [`exec_tta_block`].
 fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockFn {
-    let mut cinsts: Vec<CInst> = Vec::with_capacity(len as usize);
+    let mut ops: Vec<TtaOp> = Vec::new();
     let mut delta = SimStats::default();
-    // Result-port reads as (relative cycle, unit) and pipeline launches,
-    // for the static completion scheduler.
-    let mut reads: Vec<(u32, u16)> = Vec::new();
-    let mut launches: Vec<Launch> = Vec::new();
-    let mut any_phased = false;
+    // Registers written so far by the current instruction. The reference
+    // engine samples every source before any write applies, but thunks
+    // apply writes in emission order, so a source is a same-cycle hazard
+    // iff a move emitted before it wrote its register: for write moves
+    // any earlier write, for triggers (emitted after every write) any
+    // write of the instruction.
+    let mut written: Vec<u32> = Vec::new();
+    let resolve = |s: DecSrc, written: &[u32], d: &mut SimStats, hazard: &mut bool| match s {
+        DecSrc::Rf(r) => {
+            assert!((r as usize) < dims.rf, "decoded register out of range");
+            d.rf_reads += 1;
+            *hazard |= written.contains(&r);
+            Src::Rf(r)
+        }
+        DecSrc::FuResult(f) => {
+            assert!((f as usize) < dims.fus, "decoded unit out of range");
+            d.bypass_reads += 1;
+            Src::Fu(f)
+        }
+        DecSrc::Imm(v) => Src::Imm(v),
+        DecSrc::ImmReg(k) => {
+            assert!(
+                (k as usize) < dims.immregs,
+                "decoded limm register out of range"
+            );
+            Src::ImmReg(k)
+        }
+    };
+    let check_fu = |f: u16| {
+        assert!((f as usize) < dims.fus, "decoded unit out of range");
+        f
+    };
     for i in 0..len {
         let pc = pc0 + i;
-        let terminal = i + 1 == len;
         let inst = dec.insts[pc as usize];
         let srcs = &dec.srcs[inst.srcs.0 as usize..inst.srcs.1 as usize];
         let writes = &dec.writes[inst.writes.0 as usize..inst.writes.1 as usize];
         let trigs = &dec.trigs[inst.trigs.0 as usize..inst.trigs.1 as usize];
-
-        let mut ci = CInst::default();
+        if i > 0 {
+            ops.push(TtaOp::Next);
+        }
+        let start = ops.len();
         let mut d = SimStats::default();
         d.instructions += 1;
-        // Registers written so far by this instruction (in emission
-        // order). The reference engine samples every source before any
-        // write applies; per-move thunks apply writes as they go, so any
-        // read of an already-written register is a same-cycle hazard.
-        let mut written: Vec<u32> = Vec::new();
+        written.clear();
         let mut hazard = false;
-        // Thunks apply register writes in emission order, so a source is
-        // hazardous iff its register was written by a move emitted before
-        // it: for write moves that is any earlier write, for triggers
-        // (emitted after every write) any write of the instruction.
-        let mut resolve = |s: DecSrc, written: &[u32], d: &mut SimStats, hazard: &mut bool| match s
-        {
-            DecSrc::Rf(r) => {
-                assert!((r as usize) < dims.rf, "decoded register out of range");
-                d.rf_reads += 1;
-                if written.contains(&r) {
-                    *hazard = true;
-                }
-                Src::Rf(r)
-            }
-            DecSrc::FuResult(f) => {
-                assert!((f as usize) < dims.fus, "decoded unit out of range");
-                d.bypass_reads += 1;
-                reads.push((i, f));
-                Src::Fu(f)
-            }
-            DecSrc::Imm(v) => Src::Imm(v),
-            DecSrc::ImmReg(k) => {
-                assert!(
-                    (k as usize) < dims.immregs,
-                    "decoded limm register out of range"
-                );
-                Src::ImmReg(k)
-            }
-        };
-        let check_fu = |f: u16| {
-            assert!((f as usize) < dims.fus, "decoded unit out of range");
-            f
-        };
 
         for &(vi, w) in writes {
             d.payload += 1;
             let s = resolve(srcs[vi as usize], &written, &mut d, &mut hazard);
-            match w {
+            ops.push(match w {
                 DecWrite::Rf(r) => {
                     assert!((r as usize) < dims.rf, "decoded register out of range");
                     d.rf_writes += 1;
                     written.push(r);
-                    ci.moves.push(match s {
+                    match s {
                         Src::Rf(si) => TtaOp::RfRf { s: si, d: r },
                         Src::Imm(v) => TtaOp::RfImm { v, d: r },
                         Src::Fu(f) => TtaOp::RfFu { f, d: r },
                         Src::ImmReg(k) => TtaOp::RfIr { k, d: r },
-                    });
+                    }
                 }
                 DecWrite::FuOperand(f) => {
                     let f = check_fu(f);
-                    ci.moves.push(match s {
+                    match s {
                         Src::Rf(si) => TtaOp::OpRf { s: si, f },
                         Src::Imm(v) => TtaOp::OpImm { v, f },
                         Src::Fu(sf) => TtaOp::OpFu { s: sf, f },
                         Src::ImmReg(k) => TtaOp::OpIr { k, f },
-                    });
+                    }
                 }
-            }
+            });
         }
         for trig in trigs {
             d.payload += 1;
             let s = resolve(srcs[trig.vi as usize], &written, &mut d, &mut hazard);
-            let op = trig.op;
-            let fu = check_fu(trig.fu);
-            match op.class() {
-                OpClass::Alu | OpClass::Lsu => {
-                    let kind = match op.class() {
-                        OpClass::Alu if op.num_inputs() == 1 => TrigKind::Alu1,
-                        OpClass::Alu => TrigKind::Alu2,
-                        _ if op.is_load() => TrigKind::Load,
-                        _ => TrigKind::Store,
-                    };
-                    match kind {
-                        TrigKind::Load => d.loads += 1,
-                        TrigKind::Store => d.stores += 1,
-                        _ => {}
+            let (fu, op) = (check_fu(trig.fu), trig.op);
+            ops.push(match op.class() {
+                OpClass::Alu if op.num_inputs() == 1 => match s {
+                    Src::Rf(s) => TtaOp::A1Rf { s, fu, op },
+                    Src::Imm(v) => TtaOp::A1Imm { v, fu, op },
+                    Src::Fu(s) => TtaOp::A1Fu { s, fu, op },
+                    Src::ImmReg(k) => TtaOp::A1Ir { k, fu, op },
+                },
+                OpClass::Alu => match s {
+                    Src::Rf(s) => TtaOp::A2Rf { s, fu, op },
+                    Src::Imm(v) => TtaOp::A2Imm { v, fu, op },
+                    Src::Fu(s) => TtaOp::A2Fu { s, fu, op },
+                    Src::ImmReg(k) => TtaOp::A2Ir { k, fu, op },
+                },
+                OpClass::Lsu if op.is_load() => {
+                    d.loads += 1;
+                    match s {
+                        Src::Rf(s) => TtaOp::LdRf { s, fu, op },
+                        Src::Imm(v) => TtaOp::LdImm { v, fu, op },
+                        Src::Fu(s) => TtaOp::LdFu { s, fu, op },
+                        Src::ImmReg(k) => TtaOp::LdIr { k, fu, op },
                     }
-                    if kind != TrigKind::Store {
-                        launches.push(Launch {
-                            ci: i,
-                            ti: ci.trigs.len() as u32,
-                            fu,
-                            land: i + op.latency(),
-                        });
-                    }
-                    ci.trigs.push(CTrig {
-                        src: s,
-                        fu,
-                        op,
-                        kind,
-                    });
                 }
-                OpClass::Ctrl => ci.ctrl.push(match op {
+                OpClass::Lsu => {
+                    d.stores += 1;
+                    match s {
+                        Src::Rf(s) => TtaOp::StRf { s, fu, op },
+                        Src::Imm(v) => TtaOp::StImm { v, fu, op },
+                        Src::Fu(s) => TtaOp::StFu { s, fu, op },
+                        Src::ImmReg(k) => TtaOp::StIr { k, fu, op },
+                    }
+                }
+                OpClass::Ctrl => match op {
                     Opcode::Halt => TtaOp::Halt,
                     Opcode::Jump => TtaOp::Jump { src: s },
                     Opcode::CJnz => TtaOp::CJump {
@@ -1630,8 +1211,8 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
                         nz: false,
                     },
                     _ => unreachable!("non-transfer control opcode"),
-                }),
-            }
+                },
+            });
         }
         if let Some((k, v)) = inst.limm {
             assert!(
@@ -1639,16 +1220,15 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
                 "decoded limm register out of range"
             );
             d.limms += 1;
-            ci.limm = Some(TtaOp::Limm { k, v });
+            ops.push(TtaOp::Limm { k, v });
         }
 
         if hazard {
             // Reference phase order for this one instruction; its stats
             // are charged live by `exec_inst`, so keep them out of the
-            // static delta. Its launches and port reads are dynamic, so
-            // the whole block must keep wheel semantics.
-            any_phased = true;
-            ci.phased = Some(if terminal {
+            // static delta.
+            ops.truncate(start);
+            ops.push(if i + 1 == len {
                 TtaOp::PhasedCtrl { pc }
             } else {
                 TtaOp::Phased { pc }
@@ -1656,64 +1236,10 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
         } else {
             delta.accumulate(&d);
         }
-        cinsts.push(ci);
     }
-    // Drop launches of phased instructions (they run through the wheel
-    // dynamically) and detect same-unit collisions: two launches of one
-    // unit in the same cycle, or landing in the same in-block cycle,
-    // must fault (or interleave) exactly as the reference wheel does.
-    launches.retain(|l| cinsts[l.ci as usize].phased.is_none());
-    let collision = launches.iter().enumerate().any(|(a, la)| {
-        launches[..a]
-            .iter()
-            .any(|lb| lb.fu == la.fu && (lb.ci == la.ci || (lb.land == la.land && la.land < len)))
-    });
-    let wheel_only = any_phased || collision;
-
-    let (cons_ops, cons_scratch) =
-        emit_tta_variant(&cinsts, &reads, &launches, len, false, wheel_only);
-    if wheel_only {
-        return Box::new(move |eng, cycle0, pending_jump| {
-            exec_tta_block(
-                &cons_ops,
-                &delta,
-                dims,
-                cons_scratch,
-                true,
-                eng,
-                pc0,
-                cycle0,
-                pending_jump,
-            )
-        });
-    }
-    let (fast_ops, fast_scratch) = emit_tta_variant(&cinsts, &reads, &launches, len, true, false);
+    let ops = ops.into_boxed_slice();
     Box::new(move |eng, cycle0, pending_jump| {
-        if eng.wheel_is_empty() {
-            exec_tta_block(
-                &fast_ops,
-                &delta,
-                dims,
-                fast_scratch,
-                false,
-                eng,
-                pc0,
-                cycle0,
-                pending_jump,
-            )
-        } else {
-            exec_tta_block(
-                &cons_ops,
-                &delta,
-                dims,
-                cons_scratch,
-                true,
-                eng,
-                pc0,
-                cycle0,
-                pending_jump,
-            )
-        }
+        exec_tta_block(&ops, &delta, dims, eng, pc0, cycle0, pending_jump)
     })
 }
 
@@ -1758,7 +1284,6 @@ fn run_tta_inner<S: ProfileSink>(
         rf,
         immregs: vec![None; m.limm.imm_regs as usize],
         values: vec![0; dec.max_moves],
-        jit_tmp: Vec::new(),
         memory,
         stats: SimStats::default(),
         io,
@@ -1790,124 +1315,54 @@ fn run_tta_inner<S: ProfileSink>(
             };
         let full = blocks.run_len(pc) as u64;
 
-        // Tier-3 dispatch: an unclamped entry (no pending jump, fuel
-        // covers the whole run) of a hot block executes compiled; the
-        // fall-through window of a taken jump executes as a compiled
-        // delay segment; a clamped entry of a compiled pc falls back
-        // to interpreted.
+        // Tier-3 dispatch: an unclamped entry (no pending jump, fuel and
+        // the I/O window cover the whole run) of a hot block executes
+        // compiled; a clamped entry of a compiled pc falls back to
+        // interpreted.
         if S::PASSIVE {
             if let Some(tab) = tier {
-                match pending_jump {
-                    None if fuel - cycle >= full && win >= full => {
-                        let block = match tab.main.entry(pc) {
-                            TierEntry::Compiled(b) => Some(b),
-                            TierEntry::Promote => {
-                                tc.promotions += 1;
-                                let dims = Dims {
-                                    rf: eng.rf.vals.len(),
-                                    fus: eng.fus.len(),
-                                    immregs: eng.immregs.len(),
-                                };
-                                tab.main
-                                    .install(pc, compile_tta_block(&dec, dims, pc, full as u32));
-                                tab.main.get(pc)
-                            }
-                            TierEntry::Cold => None,
-                        };
-                        if let Some(b) = block {
-                            tc.entries += 1;
-                            let halt = b(&mut eng, cycle, &mut pending_jump)?;
-                            pc += full as u32 - 1;
-                            cycle += full;
-                            if halt {
-                                if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
-                                    continue;
-                                }
-                                return eng.finish(cycle);
-                            }
-                            match pending_jump.take() {
-                                Some((0, target)) => pc = target,
-                                Some((n, target)) => {
-                                    pending_jump = Some((n - 1, target));
-                                    pc += 1;
-                                }
-                                None => pc += 1,
-                            }
-                            continue;
-                        }
-                    }
-                    Some((k, target)) => {
-                        // Delay-slot window: min(k + 1, full) instructions
-                        // execute on the fall-through path, then the
-                        // redirect (or the run's own terminal, whose
-                        // nested control transfer faults identically in
-                        // both tiers).
-                        let dlen = (k as u64 + 1).min(full);
-                        if fuel - cycle >= dlen && win >= dlen {
-                            let seg = match tab.delay.entry(pc) {
-                                TierEntry::Compiled(s) => Some(s),
-                                TierEntry::Promote => {
-                                    tc.promotions += 1;
-                                    let dims = Dims {
-                                        rf: eng.rf.vals.len(),
-                                        fus: eng.fus.len(),
-                                        immregs: eng.immregs.len(),
-                                    };
-                                    let b = compile_tta_block(&dec, dims, pc, dlen as u32);
-                                    tab.delay.install(pc, (dlen as u32, b));
-                                    tab.delay.get(pc)
-                                }
-                                TierEntry::Cold => None,
+                if pending_jump.is_none() && fuel - cycle >= full && win >= full {
+                    let block = match tab.entry(pc) {
+                        TierEntry::Compiled(b) => Some(b),
+                        TierEntry::Promote => {
+                            let dims = Dims {
+                                rf: eng.rf.vals.len(),
+                                fus: eng.fus.len(),
+                                immregs: eng.immregs.len(),
                             };
-                            // A pc can be entered with different residual
-                            // delay budgets; only the length the segment
-                            // was compiled for may run it.
-                            if let Some(b) = seg.filter(|s| s.0 as u64 == dlen).map(|s| &s.1) {
-                                tc.entries += 1;
-                                let halt = b(&mut eng, cycle, &mut pending_jump)?;
-                                cycle += dlen;
-                                if halt {
-                                    if eng.iret(
-                                        &mut pc,
-                                        &mut cycle,
-                                        &mut pending_jump,
-                                        &mut shadow,
-                                    )? {
-                                        continue;
-                                    }
-                                    return eng.finish(cycle);
-                                }
-                                if dlen < full {
-                                    // Pure delay window: ends exactly at
-                                    // the redirect.
-                                    debug_assert_eq!(dlen, k as u64 + 1);
-                                    pending_jump = None;
-                                    pc = target;
-                                } else {
-                                    // The whole run fits in the window:
-                                    // its terminal ran; mirror the
-                                    // interpreted bookkeeping.
-                                    let k2 = k - (dlen as u32 - 1);
-                                    if k2 == 0 {
-                                        pending_jump = None;
-                                        pc = target;
-                                    } else {
-                                        pending_jump = Some((k2 - 1, target));
-                                        pc += dlen as u32;
-                                    }
-                                }
+                            // A thread sharing the table may have won the
+                            // race; its block is the same, but the
+                            // promotion is its own.
+                            if tab.install(pc, compile_tta_block(&dec, dims, pc, full as u32)) {
+                                tc.promotions += 1;
+                            }
+                            tab.get(pc)
+                        }
+                        TierEntry::Cold => None,
+                    };
+                    if let Some(b) = block {
+                        tc.entries += 1;
+                        let halt = b(&mut eng, cycle, &mut pending_jump)?;
+                        pc += full as u32 - 1;
+                        cycle += full;
+                        if halt {
+                            if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
                                 continue;
                             }
-                            tc.fallbacks += 1;
-                        } else if tab.delay.get(pc).is_some() {
-                            tc.fallbacks += 1;
+                            return eng.finish(cycle);
                         }
-                    }
-                    None => {
-                        if tab.main.get(pc).is_some() {
-                            tc.fallbacks += 1;
+                        match pending_jump.take() {
+                            Some((0, target)) => pc = target,
+                            Some((n, target)) => {
+                                pending_jump = Some((n - 1, target));
+                                pc += 1;
+                            }
+                            None => pc += 1,
                         }
+                        continue;
                     }
+                } else if tab.get(pc).is_some() {
+                    tc.fallbacks += 1;
                 }
             }
         }

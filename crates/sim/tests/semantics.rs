@@ -6,7 +6,7 @@ use tta_isa::{
     Move, MoveDst, MoveSrc, OpSrc, Operation, Program, ScalarInst, TtaInst, VliwBundle, VliwSlot,
 };
 use tta_model::{presets, FuId, Machine, Opcode, RegRef, RfId};
-use tta_sim::{SimError, SimResult};
+use tta_sim::{SimError, SimResult, TierConfig, Tiers};
 
 const ALU: FuId = FuId(0);
 // In the single-ALU presets the LSU is unit 1 and the control unit 2.
@@ -24,10 +24,30 @@ fn mv(src: MoveSrc, dst: MoveDst) -> Option<Move> {
     Some(Move { src, dst })
 }
 
-/// Run a TTA program on m-tta-1 with 64 KiB of memory.
+/// Run a TTA program on m-tta-1 with 64 KiB of memory in each tier mode:
+/// interpreted only, compiled from the first entry and the default
+/// promotion threshold. The three outcomes must be equal.
 fn run_tta(insts: Vec<TtaInst>) -> Result<SimResult, SimError> {
     let m = presets::m_tta_1();
-    tta_sim::run_with_fuel(&m, &Program::Tta(insts), vec![0; 1 << 16], 10_000)
+    let program = Program::Tta(insts);
+    let [interpreted, compiled, default] = [
+        TierConfig::disabled(),
+        TierConfig::with_threshold(0),
+        TierConfig::with_threshold(TierConfig::DEFAULT_THRESHOLD),
+    ]
+    .map(|cfg| {
+        let tiers = Tiers::with_config(&program, &cfg);
+        tta_sim::run_with_tiers(&m, &program, vec![0; 1 << 16], 10_000, &tiers)
+    });
+    let brief = |r: &Result<SimResult, SimError>| r.clone().map(|r| (r.cycles, r.ret, r.stats));
+    assert!(
+        compiled == interpreted && default == interpreted,
+        "tier modes disagree: interpreted {:?}, threshold 0 {:?}, default {:?}",
+        brief(&interpreted),
+        brief(&compiled),
+        brief(&default)
+    );
+    interpreted
 }
 
 /// Run a VLIW program on `m` with 64 KiB of memory.
@@ -216,6 +236,63 @@ fn runaway_programs_exhaust_fuel() {
 }
 
 #[test]
+fn a_jump_in_the_delay_window_of_a_taken_jump_is_rejected() {
+    // The jump at pc 1 is taken; the jump at pc 2 sits in its first delay
+    // slot, a nested control transfer the scheduler must never emit.
+    let jump = || {
+        inst([
+            mv(MoveSrc::Imm(5), MoveDst::FuTrigger(CU, Opcode::Jump)),
+            None,
+            None,
+        ])
+    };
+    let prog = vec![
+        TtaInst::nop(3),
+        jump(),
+        jump(),
+        TtaInst::nop(3),
+        TtaInst::nop(3),
+        inst([
+            mv(MoveSrc::Imm(0), MoveDst::FuTrigger(CU, Opcode::Halt)),
+            None,
+            None,
+        ]),
+    ];
+    assert_eq!(
+        run_tta(prog),
+        Err(SimError::Machine(
+            "jump triggered during an in-flight jump (pc 2)".into()
+        ))
+    );
+}
+
+#[test]
+fn more_than_eight_results_in_flight_on_one_unit_are_rejected() {
+    // Three multiplies (latency 3) per cycle on one ALU: by pc 2 eight
+    // are in flight and none has landed, so the ninth launch faults.
+    let muls = || {
+        let mul = |b| mv(MoveSrc::Imm(b), MoveDst::FuTrigger(ALU, Opcode::Mul));
+        inst([mul(1), mul(2), mul(3)])
+    };
+    let prog = vec![
+        muls(),
+        muls(),
+        muls(),
+        inst([
+            mv(MoveSrc::Imm(0), MoveDst::FuTrigger(CU, Opcode::Halt)),
+            None,
+            None,
+        ]),
+    ];
+    assert_eq!(
+        run_tta(prog),
+        Err(SimError::Machine(
+            "more than 8 in-flight results on alu0 (pc 2)".into()
+        ))
+    );
+}
+
+#[test]
 fn same_cycle_completions_on_one_unit_are_rejected() {
     // mul (latency 3) at cycle 0 and add (latency 1) at cycle 2 both
     // complete at cycle 3 — a hazard the scheduler must never emit.
@@ -313,6 +390,39 @@ fn vliw_writeback_visible_after_latency_plus_one() {
         i32::from_le_bytes(r.memory[16..20].try_into().unwrap()),
         0,
         "cycle-1 store must see the pre-writeback value"
+    );
+}
+
+#[test]
+fn vliw_jump_in_the_delay_window_of_a_taken_jump_is_rejected() {
+    let m = presets::m_vliw_2();
+    let cu = FuId(2);
+    let jump = || VliwBundle {
+        slots: vec![
+            Some(vliw_op(Opcode::Jump, cu, None, None, Some(OpSrc::Imm(4)))),
+            None,
+        ],
+    };
+    let nop = || VliwBundle {
+        slots: vec![None, None],
+    };
+    let prog = vec![
+        jump(),
+        jump(),
+        nop(),
+        nop(),
+        VliwBundle {
+            slots: vec![
+                Some(vliw_op(Opcode::Halt, cu, None, None, Some(OpSrc::Imm(0)))),
+                None,
+            ],
+        },
+    ];
+    assert_eq!(
+        run_vliw(&m, &prog, 1000),
+        Err(SimError::Machine(
+            "jump during in-flight jump (pc 1)".into()
+        ))
     );
 }
 

@@ -35,8 +35,9 @@ struct Case {
 }
 
 /// One branchy and one loop-heavy kernel on one machine of each style —
-/// enough to cross every TTA dispatch path (whole blocks, delay segments)
-/// without snapshot-suite runtimes.
+/// enough to cross every TTA dispatch path (compiled whole blocks, and
+/// clamped entries such as delay-slot windows falling back to the
+/// interpreter) without snapshot-suite runtimes.
 fn cases() -> &'static Vec<Case> {
     static CASES: OnceLock<Vec<Case>> = OnceLock::new();
     CASES.get_or_init(|| {
