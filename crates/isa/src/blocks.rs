@@ -25,7 +25,7 @@ use tta_model::OpClass;
 
 /// Whether a TTA instruction carries any control-flow trigger (jump,
 /// conditional jump or halt). Such an instruction terminates a superblock.
-pub fn tta_ends_block(inst: &TtaInst) -> bool {
+fn tta_ends_block(inst: &TtaInst) -> bool {
     inst.slots
         .iter()
         .flatten()
@@ -33,7 +33,7 @@ pub fn tta_ends_block(inst: &TtaInst) -> bool {
 }
 
 /// Whether a VLIW bundle issues any control-flow operation.
-pub fn vliw_ends_block(bundle: &VliwBundle) -> bool {
+fn vliw_ends_block(bundle: &VliwBundle) -> bool {
     bundle
         .slots
         .iter()
@@ -42,7 +42,7 @@ pub fn vliw_ends_block(bundle: &VliwBundle) -> bool {
 }
 
 /// Whether a scalar instruction is a control-flow operation.
-pub fn scalar_ends_block(inst: &ScalarInst) -> bool {
+fn scalar_ends_block(inst: &ScalarInst) -> bool {
     matches!(inst, ScalarInst::Op(o) if o.op.class() == OpClass::Ctrl)
 }
 
@@ -72,17 +72,17 @@ impl BlockMap {
     }
 
     /// Segment a TTA program.
-    pub fn of_tta(insts: &[TtaInst]) -> BlockMap {
+    fn of_tta(insts: &[TtaInst]) -> BlockMap {
         Self::build(insts.len(), |i| tta_ends_block(&insts[i]))
     }
 
     /// Segment a VLIW program.
-    pub fn of_vliw(bundles: &[VliwBundle]) -> BlockMap {
+    fn of_vliw(bundles: &[VliwBundle]) -> BlockMap {
         Self::build(bundles.len(), |i| vliw_ends_block(&bundles[i]))
     }
 
     /// Segment a scalar program.
-    pub fn of_scalar(insts: &[ScalarInst]) -> BlockMap {
+    fn of_scalar(insts: &[ScalarInst]) -> BlockMap {
         Self::build(insts.len(), |i| scalar_ends_block(&insts[i]))
     }
 

@@ -10,6 +10,7 @@
 
 #![warn(missing_docs)]
 
+mod engine;
 pub mod profile;
 pub mod result;
 mod scalar;
@@ -24,10 +25,10 @@ pub use tier::Tiers;
 pub use tta_isa::TierConfig;
 pub use tta_model::io::{IoSpec, IrqAt};
 
+use crate::engine::{Core, IoCtx};
 use crate::profile::{Collector, NoProfile, ProfileSink, TraceSink};
-use crate::state::IoCtx;
 use crate::tta::TtaTiers;
-use tta_isa::Program;
+use tta_isa::{BlockMap, Program};
 use tta_model::io::IoSystem;
 use tta_model::Machine;
 
@@ -133,10 +134,11 @@ pub fn run_traced(
     Ok((r, sink.trace))
 }
 
-/// The one style dispatch behind every entry point. Compiled TTA tiers
-/// are used only with the passive [`NoProfile`] sink (see
-/// [`ProfileSink::PASSIVE`]); the run is timed as a `simulate` span and
-/// its statistics are flushed to the obs counters.
+/// The one style dispatch behind every entry point: it segments the
+/// program into superblocks and builds the run's [`Core`] for the
+/// engine. Compiled TTA tiers are used only with the passive
+/// [`NoProfile`] sink (see [`ProfileSink::PASSIVE`]); the run is timed as
+/// a `simulate` span and its statistics are flushed to the obs counters.
 fn simulate<S: ProfileSink>(
     m: &Machine,
     program: &Program,
@@ -147,10 +149,15 @@ fn simulate<S: ProfileSink>(
     io: Option<IoCtx<'_>>,
 ) -> Result<SimResult, SimError> {
     let span = tta_obs::span("simulate");
+    let blocks = BlockMap::of_program(program);
     let result = match program {
-        Program::Tta(insts) => tta::run_tta_with(m, insts, memory, fuel, sink, tiers, io),
-        Program::Vliw(bundles) => vliw::run_vliw_with(m, bundles, memory, fuel, sink, io),
-        Program::Scalar(insts) => scalar::run_scalar_with(m, insts, memory, fuel, sink, io),
+        Program::Tta(p) => {
+            tta::run_tta_with(m, p, &blocks, Core::new(memory, io), fuel, sink, tiers)
+        }
+        Program::Vliw(p) => vliw::run_vliw_with(m, p, &blocks, Core::new(memory, io), fuel, sink),
+        Program::Scalar(p) => {
+            scalar::run_scalar_with(m, p, &blocks, Core::new(memory, io), fuel, sink)
+        }
     };
     drop(span);
     flush_obs(&result);

@@ -7,23 +7,7 @@
 //! instead of chasing a `Vec<Vec<i32>>` double indirection.
 
 use tta_isa::OpSrc;
-use tta_model::io::IoSystem;
 use tta_model::{Machine, RegRef};
-
-/// Fixed trap overhead of the statically scheduled cores (TTA and VLIW):
-/// two cycles on handler entry (after the in-flight drain) and two on
-/// return. The scalar core instead pays one issue cycle plus its
-/// configured branch-refill penalty each way, like a taken branch.
-pub(crate) const TRAP_CYCLES: u64 = 2;
-
-/// Per-run I/O context threaded through an engine: the shared device and
-/// interrupt-controller state, plus where the compiled `__irq` handler
-/// region starts in this program (if the guest has one — interrupts stay
-/// latched but undeliverable otherwise, exactly like the interpreter).
-pub(crate) struct IoCtx<'a> {
-    pub sys: &'a mut IoSystem,
-    pub irq_entry: Option<u32>,
-}
 
 /// Sentinel flat index for "no destination register" in decoded operations.
 pub(crate) const NO_DST: u32 = u32::MAX;

@@ -20,16 +20,11 @@
 //! interpretation (tier 2) and compiled blocks (tier 3).
 //!
 //! The program is predecoded once per run: empty slots are dropped, moves
-//! are split into source/write/trigger classes, every register reference
-//! is resolved to a flat index, and the program is segmented into
-//! superblocks ([`tta_isa::BlockMap`]). The cycle loop then dispatches a
-//! superblock at a time: the fuel check, the pc bounds check and the
-//! delay-slot bookkeeping happen once per block entry, and the interior of
-//! a block runs as a tight loop over the contiguous per-class move arrays
-//! in a monomorphisation whose control arm is compiled out (`CTRL =
-//! false` in [`TtaEngine::step`]). Cycle counts, statistics and error
-//! behaviour are bit-identical to per-cycle execution; the fuel-exhaustion
-//! boundary is pinned by `tests/fuel_boundary.rs`.
+//! are split into source/write/trigger classes and every register
+//! reference is resolved to a flat index, so the interior of a superblock
+//! streams straight through the contiguous per-class move arrays. The
+//! block-dispatch loop itself is shared with the VLIW engine
+//! ([`crate::engine::run_blocks`]).
 //!
 //! Hot superblocks are additionally *promoted* into compiled blocks:
 //! [`compile_tta_block`] matches every decoded move once and emits one
@@ -47,13 +42,13 @@
 //! superblocks are compiled; a clamped entry (a pending jump's delay
 //! window, the fuel limit or the I/O window) runs interpreted.
 
+use crate::engine::{run_blocks, Core, Engine};
 use crate::profile::{NoProfile, ProfileSink};
 use crate::result::{SimError, SimResult, SimStats};
-use crate::state::{FlatRf, IoCtx, TRAP_CYCLES};
+use crate::state::FlatRf;
 use crate::tier::TierCounts;
-use tta_isa::{BlockMap, MoveDst, MoveSrc, TierEntry, TierTable, TtaInst, RETVAL_ADDR};
-use tta_model::io::MMIO_BASE;
-use tta_model::{mem, Machine, OpClass, Opcode};
+use tta_isa::{BlockMap, MoveDst, MoveSrc, TierEntry, TierTable, TtaInst};
+use tta_model::{Machine, OpClass, Opcode};
 
 /// In-flight result budget per function unit. The deepest pipeline is the
 /// longest op latency (3) per trigger move, and a well-formed instruction
@@ -171,21 +166,19 @@ pub(crate) struct TtaEngine<'a> {
     immregs: Vec<Option<i32>>,
     /// Sampled move values of the current instruction, reused every cycle.
     values: Vec<i32>,
-    memory: Vec<u8>,
-    stats: SimStats,
-    /// Memory-mapped I/O and interrupt state, present only for reactive
-    /// runs ([`crate::run_with_io`]); `None` keeps plain runs untouched.
-    io: Option<IoCtx<'a>>,
+    core: Core<'a, TtaShadow>,
+    /// The promotion table of the compiled tier, if enabled.
+    tier: Option<&'a TtaTiers>,
+    tc: TierCounts,
 }
 
-/// The datapath checkpoint a TTA trap must save. A transport-triggered
-/// core exposes far more architectural state than a pc: the interrupted
-/// schedule's values live in FU operand/result ports and long-immediate
-/// registers (software bypassing), so handler entry checkpoints all of
-/// them — the paper's argument for why TTA interrupt support is costly.
-struct TtaShadow {
-    pc: u32,
-    pending_jump: Option<(u32, u32)>,
+/// The datapath checkpoint a TTA trap must save beside the pc. A
+/// transport-triggered core exposes far more architectural state than a
+/// pc: the interrupted schedule's values live in FU operand/result ports
+/// and long-immediate registers (software bypassing), so handler entry
+/// checkpoints all of them — the paper's argument for why TTA interrupt
+/// support is costly.
+pub(crate) struct TtaShadow {
     rf: Vec<i32>,
     fus: Vec<FuSim>,
     immregs: Vec<Option<i32>>,
@@ -195,7 +188,7 @@ struct TtaShadow {
     /// read yet (software bypassing keeps values live in ports), which
     /// is exactly the exposed-datapath state the paper's trap-cost
     /// argument is about. Re-armed relative to the resume cycle by
-    /// [`TtaEngine::iret`].
+    /// [`Engine::trap_restore`].
     wheel: [Vec<(u16, i32)>; 4],
 }
 
@@ -248,25 +241,21 @@ impl TtaEngine<'_> {
         Ok(())
     }
 
-    /// Start an operation on unit `fi`, its result due `lat` cycles out.
+    /// Start an operation on unit `fi`, its result due `op.latency()`
+    /// cycles out. Both tiers launch through here.
     #[inline(always)]
-    fn launch(
-        &mut self,
-        fi: u16,
-        lat: u32,
-        value: i32,
-        cycle: u64,
-        pc: u32,
-    ) -> Result<(), SimError> {
-        if self.fus[fi as usize].live as usize == MAX_INFLIGHT {
+    fn launch(&mut self, fi: u16, op: Opcode, v: i32, cycle: u64, pc: u32) -> Result<(), SimError> {
+        let fu = &mut self.fus[fi as usize];
+        if fu.live as usize == MAX_INFLIGHT {
             return Err(err_inflight(self.m, fi, pc));
         }
-        self.fus[fi as usize].live += 1;
+        fu.live += 1;
+        let lat = op.latency();
         debug_assert!(
             (1..=3).contains(&lat),
             "completion wheel covers latencies 1..=3"
         );
-        self.wheel[((cycle + lat as u64) & 3) as usize].push((fi, value));
+        self.wheel[((cycle + lat as u64) & 3) as usize].push((fi, v));
         Ok(())
     }
 
@@ -281,7 +270,7 @@ impl TtaEngine<'_> {
         if pending_jump.is_some() {
             return Err(err_nested_jump(pc));
         }
-        self.stats.branches_taken += 1;
+        self.core.stats.branches_taken += 1;
         *pending_jump = Some((self.m.jump_delay_slots, target));
         Ok(())
     }
@@ -302,7 +291,7 @@ impl TtaEngine<'_> {
         let dec = self.dec;
         let m = self.m;
         let inst = dec.insts[pc as usize];
-        self.stats.instructions += 1;
+        self.core.stats.instructions += 1;
         sink.retire(pc);
 
         // (2) Sample sources.
@@ -312,11 +301,11 @@ impl TtaEngine<'_> {
         {
             let v = match *src {
                 DecSrc::Rf(i) => {
-                    self.stats.rf_reads += 1;
+                    self.core.stats.rf_reads += 1;
                     self.rf.vals[i as usize]
                 }
                 DecSrc::FuResult(f) => {
-                    self.stats.bypass_reads += 1;
+                    self.core.stats.bypass_reads += 1;
                     match self.fus[f as usize].result {
                         Some(v) => v,
                         None => return Err(err_result_port(m, f, pc)),
@@ -329,7 +318,7 @@ impl TtaEngine<'_> {
                 },
             };
             self.values[vi] = v;
-            self.stats.payload += 1;
+            self.core.stats.payload += 1;
         }
 
         // (3) Apply operand-port and RF writes.
@@ -337,7 +326,7 @@ impl TtaEngine<'_> {
             let v = self.values[vi as usize];
             match w {
                 DecWrite::Rf(i) => {
-                    self.stats.rf_writes += 1;
+                    self.core.stats.rf_writes += 1;
                     self.rf.vals[i as usize] = v;
                 }
                 DecWrite::FuOperand(f) => self.fus[f as usize].operand = v,
@@ -356,17 +345,17 @@ impl TtaEngine<'_> {
                     } else {
                         op.eval_alu(self.fus[trig.fu as usize].operand, trig_v)
                     };
-                    self.launch(trig.fu, op.latency(), result, cycle, pc)?;
+                    self.launch(trig.fu, op, result, cycle, pc)?;
                 }
                 OpClass::Lsu => {
                     if op.is_load() {
-                        self.stats.loads += 1;
-                        let v = self.mem_load(op, trig_v as u32, cycle)?;
-                        self.launch(trig.fu, op.latency(), v, cycle, pc)?;
+                        self.core.stats.loads += 1;
+                        let v = self.core.mem_load(op, trig_v as u32, cycle)?;
+                        self.launch(trig.fu, op, v, cycle, pc)?;
                     } else {
-                        self.stats.stores += 1;
+                        self.core.stats.stores += 1;
                         let operand = self.fus[trig.fu as usize].operand;
-                        self.mem_store(op, trig_v as u32, operand, cycle)?;
+                        self.core.mem_store(op, trig_v as u32, operand, cycle)?;
                     }
                 }
                 OpClass::Ctrl if CTRL => match op {
@@ -392,10 +381,19 @@ impl TtaEngine<'_> {
 
         // (5) Long immediate (visible next cycle — applied after sampling).
         if let Some((k, v)) = inst.limm {
-            self.stats.limms += 1;
+            self.core.stats.limms += 1;
             self.immregs[k as usize] = Some(v);
         }
         Ok(halt)
+    }
+}
+
+impl<'a> Engine<'a> for TtaEngine<'a> {
+    type Checkpoint = TtaShadow;
+
+    #[inline(always)]
+    fn core(&mut self) -> &mut Core<'a, TtaShadow> {
+        &mut self.core
     }
 
     /// One full architectural cycle at `pc` (the interpreted tier).
@@ -411,169 +409,108 @@ impl TtaEngine<'_> {
         self.exec_inst::<S, CTRL>(sink, pc, cycle, pending_jump)
     }
 
-    /// Memory load routing: data memory on the fast path, the MMIO bus
-    /// for addresses at or above [`MMIO_BASE`] when the run has an I/O
-    /// system. Routing keys off the data-memory fault, so io-less runs
-    /// pay nothing.
-    #[inline(always)]
-    fn mem_load(&mut self, op: Opcode, addr: u32, now: u64) -> Result<i32, SimError> {
-        match mem::load(&self.memory, op, addr) {
-            Ok(v) => Ok(v),
-            Err(e) => match &mut self.io {
-                Some(ctx) if addr >= MMIO_BASE => Ok(ctx.sys.load(op, addr, now)?),
-                _ => Err(e.into()),
-            },
-        }
-    }
-
-    /// Memory store routing (see [`TtaEngine::mem_load`]).
-    #[inline(always)]
-    fn mem_store(&mut self, op: Opcode, addr: u32, value: i32, now: u64) -> Result<(), SimError> {
-        match mem::store(&mut self.memory, op, addr, value) {
-            Ok(()) => Ok(()),
-            Err(e) => match &mut self.io {
-                Some(ctx) if addr >= MMIO_BASE => Ok(ctx.sys.store(op, addr, value, now)?),
-                _ => Err(e.into()),
-            },
-        }
-    }
-
-    /// The per-block-entry I/O boundary: latch risen lines, then either
-    /// deliver a pending interrupt (returning `None` — the caller loops
-    /// back so its entry checks re-run at the handler pc) or report how
-    /// many cycles may safely run before the next boundary.
-    ///
     /// Handler entry is the TTA's architecturally expensive trap: the
     /// interrupted transport schedule owns the buses, so the core first
-    /// drains every in-flight function-unit result (one cycle per
-    /// residual wheel slot, fuel-checked), checkpoints the exposed
-    /// datapath, and only then pays the fixed redirect cost.
-    fn io_boundary(
+    /// waits out every in-flight function-unit result (one cycle per
+    /// residual wheel slot, fuel-checked) and checkpoints the exposed
+    /// datapath; the fixed redirect cost follows.
+    fn trap_drain<S: ProfileSink>(
         &mut self,
-        pc: &mut u32,
+        _sink: &mut S,
         cycle: &mut u64,
         fuel: u64,
-        pending_jump: &mut Option<(u32, u32)>,
-        shadow: &mut Option<TtaShadow>,
-    ) -> Result<Option<u64>, SimError> {
-        let (line, entry) = match &mut self.io {
-            None => return Ok(Some(u64::MAX)),
-            Some(ctx) => {
-                ctx.sys.poll(*cycle);
-                match (ctx.sys.deliverable(), ctx.irq_entry) {
-                    (Some(line), Some(entry)) => (line, entry),
-                    _ => return Ok(Some(ctx.sys.window(*cycle))),
-                }
-            }
-        };
-        // The core still *waits* for the last in-flight result (one cycle
-        // per residual wheel step, fuel-checked) — that is the trap's
-        // drain cost — but the completions themselves are checkpointed
-        // with their remaining latencies instead of landed: an early
-        // landing would clobber result ports whose current values the
-        // interrupted schedule still reads (fuzz seed 2604).
-        let mut wheel: [Vec<(u16, i32)>; 4] = Default::default();
-        let mut drain = 0u64;
-        for b in 0..4usize {
-            if self.wheel[b].is_empty() {
-                continue;
-            }
-            let rel = (b as u64).wrapping_sub(*cycle) & 3;
-            drain = drain.max(rel + 1);
-            wheel[rel as usize] = std::mem::take(&mut self.wheel[b]);
-        }
+    ) -> Result<TtaShadow, SimError> {
+        // The core still *waits* for the last in-flight result — that is
+        // the trap's drain cost — but the completions themselves are
+        // checkpointed with their remaining latencies instead of landed:
+        // an early landing would clobber result ports whose current
+        // values the interrupted schedule still reads (fuzz seed 2604).
+        let wheel: [Vec<(u16, i32)>; 4] =
+            std::array::from_fn(|rel| std::mem::take(&mut self.wheel[(*cycle as usize + rel) & 3]));
+        let drain = wheel
+            .iter()
+            .rposition(|b| !b.is_empty())
+            .map_or(0, |rel| rel + 1);
         for _ in 0..drain {
             if *cycle >= fuel {
                 return Err(SimError::OutOfFuel);
             }
             *cycle += 1;
-            self.stats.irq_cycles += 1;
+            self.core.stats.irq_cycles += 1;
         }
-        // The checkpoint keeps the in-flight `live` counts (the restored
-        // wheel will decrement them on delivery); the handler starts from
-        // idle units, so drop them on the engine's own view.
-        let inflight: Vec<u16> = wheel.iter().flatten().map(|&(fi, _)| fi).collect();
-        *shadow = Some(TtaShadow {
-            pc: *pc,
-            pending_jump: pending_jump.take(),
+        let shadow = TtaShadow {
             rf: self.rf.vals.clone(),
             fus: self.fus.clone(),
             immregs: self.immregs.clone(),
             wheel,
-        });
-        for fi in inflight {
+        };
+        // The checkpoint keeps the in-flight `live` counts (the restored
+        // wheel will decrement them on delivery); the handler starts from
+        // idle units, so drop them on the engine's own view.
+        for &(fi, _) in shadow.wheel.iter().flatten() {
             self.fus[fi as usize].live -= 1;
         }
-        let ctx = self.io.as_mut().expect("io presence checked above");
-        ctx.sys.begin_delivery(line);
-        self.stats.irqs += 1;
-        *pc = entry;
-        *cycle += TRAP_CYCLES;
-        self.stats.irq_cycles += TRAP_CYCLES;
-        Ok(None)
+        Ok(shadow)
     }
 
-    /// Retire a halting handler: consume the end-of-interrupt doorbell
-    /// if one is latched and restore the checkpointed datapath (leftover
-    /// handler completions are discarded with the wheel). Returns whether
-    /// the halt that reached the caller was a handler return rather than
-    /// the program's end.
-    fn iret(
-        &mut self,
-        pc: &mut u32,
-        cycle: &mut u64,
-        pending_jump: &mut Option<(u32, u32)>,
-        shadow: &mut Option<TtaShadow>,
-    ) -> Result<bool, SimError> {
-        let Some(ctx) = &mut self.io else {
-            return Ok(false);
-        };
-        if !ctx.sys.take_eoi() {
-            return Ok(false);
-        }
-        ctx.sys.finish_handler();
-        let sh = shadow
-            .take()
-            .ok_or_else(|| SimError::Machine("end-of-interrupt without a saved context".into()))?;
-        for b in &mut self.wheel {
-            b.clear();
-        }
+    /// Restore the checkpointed datapath; leftover handler completions
+    /// are discarded with the wheel.
+    fn trap_restore(&mut self, sh: TtaShadow, cycle: u64) {
         self.rf.vals = sh.rf;
         self.fus = sh.fus;
         self.immregs = sh.immregs;
-        *pc = sh.pc;
-        *pending_jump = sh.pending_jump;
-        *cycle += TRAP_CYCLES;
-        self.stats.irq_cycles += TRAP_CYCLES;
         // Re-arm the checkpointed in-flight completions relative to the
         // resume cycle: an entry saved with remaining latency `rel` lands
         // `rel` cycles after execution resumes, exactly where the
         // interrupted schedule expects it.
         for (rel, entries) in sh.wheel.into_iter().enumerate() {
-            if !entries.is_empty() {
-                self.wheel[(*cycle as usize + rel) & 3] = entries;
-            }
+            self.wheel[(cycle as usize + rel) & 3] = entries;
         }
-        Ok(true)
     }
 
-    /// Build the final [`SimResult`] at the halt cycle, folding the I/O
-    /// system's counters and device-output stream into it.
-    fn finish(mut self, cycles: u64) -> Result<SimResult, SimError> {
-        let ret = mem::load(&self.memory, Opcode::Ldw, RETVAL_ADDR)?;
-        let mut uart_tx = Vec::new();
-        if let Some(ctx) = &self.io {
-            self.stats.mmio_loads = ctx.sys.mmio_loads;
-            self.stats.mmio_stores = ctx.sys.mmio_stores();
-            uart_tx = ctx.sys.uart_tx();
+    /// Tier-3 dispatch: an unclamped entry of a hot block executes
+    /// compiled; a clamped entry of a compiled pc falls back to
+    /// interpreted, and is counted.
+    #[inline(always)]
+    fn run_compiled(
+        &mut self,
+        pc: u32,
+        cycle: u64,
+        len: u64,
+        unclamped: bool,
+        pending_jump: &mut Option<(u32, u32)>,
+    ) -> Result<Option<bool>, SimError> {
+        let Some(tab) = self.tier else {
+            return Ok(None);
+        };
+        if !unclamped {
+            if tab.get(pc).is_some() {
+                self.tc.fallbacks += 1;
+            }
+            return Ok(None);
         }
-        Ok(SimResult {
-            cycles,
-            ret,
-            memory: self.memory,
-            stats: self.stats,
-            uart_tx,
-        })
+        let block = match tab.entry(pc) {
+            TierEntry::Compiled(b) => Some(b),
+            TierEntry::Promote => {
+                let dims = Dims {
+                    rf: self.rf.vals.len(),
+                    fus: self.fus.len(),
+                    immregs: self.immregs.len(),
+                };
+                // A thread sharing the table may have won the race; its
+                // block is the same, but the promotion is its own.
+                if tab.install(pc, compile_tta_block(self.dec, dims, pc, len as u32)) {
+                    self.tc.promotions += 1;
+                }
+                tab.get(pc)
+            }
+            TierEntry::Cold => None,
+        };
+        let Some(block) = block else {
+            return Ok(None);
+        };
+        self.tc.entries += 1;
+        block(self, cycle, pending_jump).map(Some)
     }
 }
 
@@ -624,32 +561,6 @@ impl TtaEngine<'_> {
             Some(v) => Ok(v),
             None => Err(err_immreg(k, pc)),
         }
-    }
-
-    /// [`TtaEngine::launch`] without the unit-index bounds check (the
-    /// in-flight budget check stays — it is real error semantics).
-    #[inline(always)]
-    unsafe fn launch_fast(
-        &mut self,
-        fi: u16,
-        op: Opcode,
-        value: i32,
-        cycle: u64,
-        pc: u32,
-    ) -> Result<(), SimError> {
-        debug_assert!((fi as usize) < self.fus.len());
-        let fu = unsafe { self.fus.get_unchecked_mut(fi as usize) };
-        if fu.live as usize == MAX_INFLIGHT {
-            return Err(err_inflight(self.m, fi, pc));
-        }
-        fu.live += 1;
-        let lat = op.latency();
-        debug_assert!(
-            (1..=3).contains(&lat),
-            "completion wheel covers latencies 1..=3"
-        );
-        self.wheel[((cycle + lat as u64) & 3) as usize].push((fi, value));
-        Ok(())
     }
 }
 
@@ -726,6 +637,10 @@ struct Dims {
     fus: usize,
     immregs: usize,
 }
+
+// The thunk stride below was measured; a change to `TtaOp` keeps it or
+// measures the new one.
+const _: () = assert!(std::mem::size_of::<TtaOp>() == 16);
 
 /// One thunk of a compiled superblock: a decoded move with its opcode
 /// match, register resolution and value routing already performed, and
@@ -976,75 +891,75 @@ fn exec_tta_block(
                 }
                 TtaOp::A1Rf { s, fu, op } => {
                     let v = eng.rf_get(s);
-                    eng.launch_fast(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
                 }
                 TtaOp::A1Imm { v, fu, op } => {
-                    eng.launch_fast(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
                 }
                 TtaOp::A1Fu { s, fu, op } => {
                     let v = eng.result(s, pc)?;
-                    eng.launch_fast(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
                 }
                 TtaOp::A1Ir { k, fu, op } => {
                     let v = eng.immreg(k, pc)?;
-                    eng.launch_fast(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
                 }
                 TtaOp::A2Rf { s, fu, op } => {
                     let v = eng.rf_get(s);
                     let a = eng.operand(fu);
-                    eng.launch_fast(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
                 }
                 TtaOp::A2Imm { v, fu, op } => {
                     let a = eng.operand(fu);
-                    eng.launch_fast(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
                 }
                 TtaOp::A2Fu { s, fu, op } => {
                     let v = eng.result(s, pc)?;
                     let a = eng.operand(fu);
-                    eng.launch_fast(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
                 }
                 TtaOp::A2Ir { k, fu, op } => {
                     let v = eng.immreg(k, pc)?;
                     let a = eng.operand(fu);
-                    eng.launch_fast(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
                 }
                 TtaOp::LdRf { s, fu, op } => {
                     let addr = eng.rf_get(s) as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.launch_fast(fu, op, v, cycle, pc)?;
+                    let v = eng.core.mem_load(op, addr, cycle)?;
+                    eng.launch(fu, op, v, cycle, pc)?;
                 }
                 TtaOp::LdImm { v, fu, op } => {
-                    let v = eng.mem_load(op, v as u32, cycle)?;
-                    eng.launch_fast(fu, op, v, cycle, pc)?;
+                    let v = eng.core.mem_load(op, v as u32, cycle)?;
+                    eng.launch(fu, op, v, cycle, pc)?;
                 }
                 TtaOp::LdFu { s, fu, op } => {
                     let addr = eng.result(s, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.launch_fast(fu, op, v, cycle, pc)?;
+                    let v = eng.core.mem_load(op, addr, cycle)?;
+                    eng.launch(fu, op, v, cycle, pc)?;
                 }
                 TtaOp::LdIr { k, fu, op } => {
                     let addr = eng.immreg(k, pc)? as u32;
-                    let v = eng.mem_load(op, addr, cycle)?;
-                    eng.launch_fast(fu, op, v, cycle, pc)?;
+                    let v = eng.core.mem_load(op, addr, cycle)?;
+                    eng.launch(fu, op, v, cycle, pc)?;
                 }
                 TtaOp::StRf { s, fu, op } => {
                     let addr = eng.rf_get(s) as u32;
                     let v = eng.operand(fu);
-                    eng.mem_store(op, addr, v, cycle)?;
+                    eng.core.mem_store(op, addr, v, cycle)?;
                 }
                 TtaOp::StImm { v: addr, fu, op } => {
                     let v = eng.operand(fu);
-                    eng.mem_store(op, addr as u32, v, cycle)?;
+                    eng.core.mem_store(op, addr as u32, v, cycle)?;
                 }
                 TtaOp::StFu { s, fu, op } => {
                     let addr = eng.result(s, pc)? as u32;
                     let v = eng.operand(fu);
-                    eng.mem_store(op, addr, v, cycle)?;
+                    eng.core.mem_store(op, addr, v, cycle)?;
                 }
                 TtaOp::StIr { k, fu, op } => {
                     let addr = eng.immreg(k, pc)? as u32;
                     let v = eng.operand(fu);
-                    eng.mem_store(op, addr, v, cycle)?;
+                    eng.core.mem_store(op, addr, v, cycle)?;
                 }
                 TtaOp::Limm { k, v } => *eng.immregs.get_unchecked_mut(k as usize) = Some(v),
                 TtaOp::Halt => halt = true,
@@ -1071,7 +986,7 @@ fn exec_tta_block(
             }
         }
     }
-    eng.stats.accumulate(delta);
+    eng.core.stats.accumulate(delta);
     Ok(halt)
 }
 
@@ -1243,39 +1158,20 @@ fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockF
     })
 }
 
-/// The TTA engine behind [`crate::run`] and friends: one superblock per
-/// outer-loop iteration, monomorphised over the profile sink. `tier`, if
-/// present, is the promotion table of the compiled tier — consulted only
-/// on unclamped block entries and only for passive sinks.
+/// The TTA engine behind [`crate::run`] and friends, monomorphised over
+/// the profile sink. `tier`, if present, is the promotion table of the
+/// compiled tier — consulted only on block entries of passive sinks.
 pub(crate) fn run_tta_with<S: ProfileSink>(
     m: &Machine,
     program: &[TtaInst],
-    memory: Vec<u8>,
+    blocks: &BlockMap,
+    core: Core<'_, TtaShadow>,
     fuel: u64,
     sink: &mut S,
     tier: Option<&TtaTiers>,
-    io: Option<IoCtx<'_>>,
-) -> Result<SimResult, SimError> {
-    let mut tc = TierCounts::default();
-    let r = run_tta_inner(m, program, memory, fuel, sink, tier, io, &mut tc);
-    tc.flush();
-    r
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_tta_inner<S: ProfileSink>(
-    m: &Machine,
-    program: &[TtaInst],
-    memory: Vec<u8>,
-    fuel: u64,
-    sink: &mut S,
-    tier: Option<&TtaTiers>,
-    io: Option<IoCtx<'_>>,
-    tc: &mut TierCounts,
 ) -> Result<SimResult, SimError> {
     let rf = FlatRf::new(m);
     let dec = decode(&rf, program);
-    let blocks = BlockMap::of_tta(program);
     let mut eng = TtaEngine {
         m,
         dec: &dec,
@@ -1284,137 +1180,11 @@ fn run_tta_inner<S: ProfileSink>(
         rf,
         immregs: vec![None; m.limm.imm_regs as usize],
         values: vec![0; dec.max_moves],
-        memory,
-        stats: SimStats::default(),
-        io,
+        core,
+        tier,
+        tc: TierCounts::default(),
     };
-    let mut pc: u32 = 0;
-    let mut cycle: u64 = 0;
-    // (remaining delay slots, target)
-    let mut pending_jump: Option<(u32, u32)> = None;
-    // Checkpointed context of the interrupted code while a handler runs.
-    let mut shadow: Option<TtaShadow> = None;
-
-    loop {
-        // Superblock entry: the only place fuel, the pc bound and the
-        // delay-slot budget are examined.
-        if cycle >= fuel {
-            return Err(SimError::OutOfFuel);
-        }
-        if pc as usize >= dec.insts.len() {
-            return Err(SimError::PcOutOfRange(pc));
-        }
-        // I/O boundary: latch lines and either trap into the handler
-        // (re-running the entry checks there) or learn how many cycles
-        // may run before the next observable boundary. `u64::MAX` (the
-        // io-less constant) clamps nothing below.
-        let win =
-            match eng.io_boundary(&mut pc, &mut cycle, fuel, &mut pending_jump, &mut shadow)? {
-                Some(win) => win,
-                None => continue,
-            };
-        let full = blocks.run_len(pc) as u64;
-
-        // Tier-3 dispatch: an unclamped entry (no pending jump, fuel and
-        // the I/O window cover the whole run) of a hot block executes
-        // compiled; a clamped entry of a compiled pc falls back to
-        // interpreted.
-        if S::PASSIVE {
-            if let Some(tab) = tier {
-                if pending_jump.is_none() && fuel - cycle >= full && win >= full {
-                    let block = match tab.entry(pc) {
-                        TierEntry::Compiled(b) => Some(b),
-                        TierEntry::Promote => {
-                            let dims = Dims {
-                                rf: eng.rf.vals.len(),
-                                fus: eng.fus.len(),
-                                immregs: eng.immregs.len(),
-                            };
-                            // A thread sharing the table may have won the
-                            // race; its block is the same, but the
-                            // promotion is its own.
-                            if tab.install(pc, compile_tta_block(&dec, dims, pc, full as u32)) {
-                                tc.promotions += 1;
-                            }
-                            tab.get(pc)
-                        }
-                        TierEntry::Cold => None,
-                    };
-                    if let Some(b) = block {
-                        tc.entries += 1;
-                        let halt = b(&mut eng, cycle, &mut pending_jump)?;
-                        pc += full as u32 - 1;
-                        cycle += full;
-                        if halt {
-                            if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
-                                continue;
-                            }
-                            return eng.finish(cycle);
-                        }
-                        match pending_jump.take() {
-                            Some((0, target)) => pc = target,
-                            Some((n, target)) => {
-                                pending_jump = Some((n - 1, target));
-                                pc += 1;
-                            }
-                            None => pc += 1,
-                        }
-                        continue;
-                    }
-                } else if tab.get(pc).is_some() {
-                    tc.fallbacks += 1;
-                }
-            }
-        }
-
-        let mut len = full;
-        if let Some((k, _)) = pending_jump {
-            // k delay slots remain, then the redirect: at most k + 1 more
-            // instructions execute on the fall-through path.
-            len = len.min(k as u64 + 1);
-        }
-        len = len.min(fuel - cycle).min(win);
-        // Only the run's terminal instruction can carry control triggers,
-        // and it is part of this dispatch iff nothing clamped `len`.
-        let terminal = len == full;
-        let straight = if terminal { len - 1 } else { len };
-
-        for _ in 0..straight {
-            eng.step::<S, false>(sink, pc, cycle, &mut pending_jump)?;
-            pc += 1;
-            cycle += 1;
-        }
-        // The per-cycle engine decrements the delay-slot count at each
-        // cycle's end; batch the `straight` decrements here. A redirect
-        // inside the straight portion (straight == k + 1) can only happen
-        // when the terminal instruction was clamped away.
-        if let Some((k, target)) = pending_jump {
-            if k as u64 + 1 == straight {
-                pc = target;
-                pending_jump = None;
-            } else {
-                pending_jump = Some((k - straight as u32, target));
-            }
-        }
-
-        if terminal {
-            let halt = eng.step::<S, true>(sink, pc, cycle, &mut pending_jump)?;
-            cycle += 1;
-            if halt {
-                if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
-                    continue;
-                }
-                return eng.finish(cycle);
-            }
-            // Control transfer bookkeeping for the terminal cycle.
-            match pending_jump.take() {
-                Some((0, target)) => pc = target,
-                Some((n, target)) => {
-                    pending_jump = Some((n - 1, target));
-                    pc += 1;
-                }
-                None => pc += 1,
-            }
-        }
-    }
+    let r = run_blocks(&mut eng, sink, blocks, fuel);
+    eng.tc.flush();
+    r
 }

@@ -14,21 +14,20 @@
 //! dropped and register references resolved to flat indices — and pending
 //! writebacks ride a four-deep wheel indexed by `due & 3` (every
 //! writeback latency is 1–3 cycles and the wheel drains every cycle), so
-//! the cycle loop performs no heap allocation and no queue scan. Dispatch
-//! is fused-block: the outer loop walks one superblock per iteration, so
-//! the fuel check, the pc bounds check and the delay-slot bookkeeping run
-//! once per block and the interior bundles execute in a monomorphisation
-//! without the control arm (see `crate::tta` for the dispatch-loop
-//! invariants — the engines share the same structure). There is no
+//! the cycle loop performs no heap allocation and no queue scan. The
+//! engine runs under the block-dispatch loop it shares with the TTA
+//! ([`crate::engine::run_blocks`]), which owns fuel, the delay-slot
+//! bookkeeping, the I/O boundary and interrupt entry and return; this
+//! module supplies the step and the trap's writeback drain. There is no
 //! compiled tier: the step is already a direct walk over the predecoded
 //! slot array, so threaded code measured no faster (DESIGN.md §14).
 
+use crate::engine::{run_blocks, Core, Engine};
 use crate::profile::ProfileSink;
-use crate::result::{SimError, SimResult, SimStats};
-use crate::state::{DecOpSrc, FlatRf, IoCtx, NO_DST, TRAP_CYCLES};
-use tta_isa::{BlockMap, Operation, VliwBundle, VliwSlot, RETVAL_ADDR};
-use tta_model::io::MMIO_BASE;
-use tta_model::{mem, Machine, OpClass, Opcode};
+use crate::result::{SimError, SimResult};
+use crate::state::{DecOpSrc, FlatRf, NO_DST};
+use tta_isa::{BlockMap, Operation, VliwBundle, VliwSlot};
+use tta_model::{Machine, OpClass, Opcode};
 
 #[derive(Debug, Clone, Copy)]
 struct Writeback {
@@ -111,21 +110,9 @@ struct VliwEngine<'a> {
     /// single writeback can never overflow a port, enabling the drain
     /// fast path.
     min_write_ports: u32,
-    memory: Vec<u8>,
-    stats: SimStats,
-    /// Memory-mapped I/O and interrupt state, present only for reactive
-    /// runs ([`crate::run_with_io`]); `None` keeps plain runs untouched.
-    io: Option<IoCtx<'a>>,
-}
-
-/// The context a VLIW trap must save. The VLIW's in-flight state is its
-/// writeback wheel; the trap drains it first (results commit to the
-/// register files), so the checkpoint is pc, the in-flight jump and the
-/// register files — cheaper than the TTA's exposed-bus checkpoint.
-struct VliwShadow {
-    pc: u32,
-    pending_jump: Option<(u32, u32)>,
-    rf: Vec<i32>,
+    /// The trap checkpoint is the register files alone (see
+    /// [`Engine::trap_drain`]).
+    core: Core<'a, Vec<i32>>,
 }
 
 impl VliwEngine<'_> {
@@ -149,7 +136,7 @@ impl VliwEngine<'_> {
             if n == 1 {
                 let wb = self.wheel[bucket][0];
                 self.wheel[bucket].clear();
-                self.stats.rf_writes += 1;
+                self.core.stats.rf_writes += 1;
                 self.rf.vals[wb.flat as usize] = wb.value;
             }
             return Ok(());
@@ -158,7 +145,7 @@ impl VliwEngine<'_> {
         for k in 0..n {
             let wb = self.wheel[bucket][k];
             self.writes_per_rf[wb.rf as usize] += 1;
-            self.stats.rf_writes += 1;
+            self.core.stats.rf_writes += 1;
             self.rf.vals[wb.flat as usize] = wb.value;
         }
         self.wheel[bucket].clear();
@@ -187,15 +174,20 @@ impl VliwEngine<'_> {
                 "jump during in-flight jump (pc {pc})"
             )));
         }
-        self.stats.branches_taken += 1;
+        self.core.stats.branches_taken += 1;
         *pending_jump = Some((self.m.jump_delay_slots, target));
         Ok(())
     }
+}
 
-    /// One architectural cycle at `pc`. With `CTRL = false` the caller
-    /// guarantees (via the block map) that the bundle issues no control
-    /// operation, and the control arm is compiled out of the
-    /// monomorphisation. Returns whether the core halted.
+impl<'a> Engine<'a> for VliwEngine<'a> {
+    type Checkpoint = Vec<i32>;
+
+    #[inline(always)]
+    fn core(&mut self) -> &mut Core<'a, Vec<i32>> {
+        &mut self.core
+    }
+
     #[inline(always)]
     fn step<S: ProfileSink, const CTRL: bool>(
         &mut self,
@@ -205,7 +197,7 @@ impl VliwEngine<'_> {
         pending_jump: &mut Option<(u32, u32)>,
     ) -> Result<bool, SimError> {
         let bundle = self.dec_bundles[pc as usize];
-        self.stats.instructions += 1;
+        self.core.stats.instructions += 1;
         sink.retire(pc);
 
         // Execute slots (reads all happen against the pre-cycle RF state:
@@ -214,8 +206,8 @@ impl VliwEngine<'_> {
         for si in bundle.slots.0..bundle.slots.1 {
             match self.dec_slots[si as usize] {
                 DecSlot::Limm { dst, dst_rf, value } => {
-                    self.stats.payload += 1;
-                    self.stats.limms += 1;
+                    self.core.stats.payload += 1;
+                    self.core.stats.limms += 1;
                     self.enqueue(cycle + 1, dst, dst_rf, value);
                 }
                 DecSlot::Op {
@@ -225,23 +217,16 @@ impl VliwEngine<'_> {
                     dst,
                     dst_rf,
                 } => {
-                    self.stats.payload += 1;
-                    let va = match a {
+                    self.core.stats.payload += 1;
+                    let mut read = |s: DecOpSrc| match s {
                         DecOpSrc::None => None,
                         DecOpSrc::Reg(i) => {
-                            self.stats.rf_reads += 1;
+                            self.core.stats.rf_reads += 1;
                             Some(self.rf.vals[i as usize])
                         }
                         DecOpSrc::Imm(v) => Some(v),
                     };
-                    let vb = match b {
-                        DecOpSrc::None => None,
-                        DecOpSrc::Reg(i) => {
-                            self.stats.rf_reads += 1;
-                            Some(self.rf.vals[i as usize])
-                        }
-                        DecOpSrc::Imm(v) => Some(v),
-                    };
+                    let (va, vb) = (read(a), read(b));
                     match op.class() {
                         OpClass::Alu => {
                             let r = if op.num_inputs() == 1 {
@@ -254,13 +239,14 @@ impl VliwEngine<'_> {
                         }
                         OpClass::Lsu => {
                             if op.is_load() {
-                                self.stats.loads += 1;
-                                let v = self.mem_load(op, vb.unwrap() as u32, cycle)?;
+                                self.core.stats.loads += 1;
+                                let v = self.core.mem_load(op, vb.unwrap() as u32, cycle)?;
                                 assert!(dst != NO_DST, "load writes a register");
                                 self.enqueue(cycle + op.latency() as u64, dst, dst_rf, v);
                             } else {
-                                self.stats.stores += 1;
-                                self.mem_store(op, vb.unwrap() as u32, va.unwrap(), cycle)?;
+                                self.core.stats.stores += 1;
+                                self.core
+                                    .mem_store(op, vb.unwrap() as u32, va.unwrap(), cycle)?;
                             }
                         }
                         OpClass::Ctrl if CTRL => match op {
@@ -290,148 +276,48 @@ impl VliwEngine<'_> {
         Ok(halt)
     }
 
-    /// Whether no writeback is in flight (all wheel buckets empty).
-    #[inline(always)]
-    fn wheel_is_empty(&self) -> bool {
-        self.wheel.iter().all(|b| b.is_empty())
-    }
-
-    /// Memory load routing: data memory on the fast path, the MMIO bus
-    /// for addresses at or above [`MMIO_BASE`] when the run has an I/O
-    /// system. Routing keys off the data-memory fault, so io-less runs
-    /// pay nothing.
-    #[inline(always)]
-    fn mem_load(&mut self, op: Opcode, addr: u32, now: u64) -> Result<i32, SimError> {
-        match mem::load(&self.memory, op, addr) {
-            Ok(v) => Ok(v),
-            Err(e) => match &mut self.io {
-                Some(ctx) if addr >= MMIO_BASE => Ok(ctx.sys.load(op, addr, now)?),
-                _ => Err(e.into()),
-            },
-        }
-    }
-
-    /// Memory store routing (see [`VliwEngine::mem_load`]).
-    #[inline(always)]
-    fn mem_store(&mut self, op: Opcode, addr: u32, value: i32, now: u64) -> Result<(), SimError> {
-        match mem::store(&mut self.memory, op, addr, value) {
-            Ok(()) => Ok(()),
-            Err(e) => match &mut self.io {
-                Some(ctx) if addr >= MMIO_BASE => Ok(ctx.sys.store(op, addr, value, now)?),
-                _ => Err(e.into()),
-            },
-        }
-    }
-
-    /// The per-block-entry I/O boundary (see `TtaEngine::io_boundary` —
-    /// same contract). The VLIW trap drains the writeback wheel first
-    /// (one cycle per residual bucket, fuel-checked, write-port rules
-    /// still enforced), then checkpoints pc, the in-flight jump and the
-    /// register files.
-    fn io_boundary<S: ProfileSink>(
+    /// The VLIW's in-flight state is its writeback wheel: the trap drains
+    /// it (one cycle per residual bucket, fuel-checked, write-port rules
+    /// still enforced), so the results commit to the register files and
+    /// they are the whole checkpoint — cheaper than the TTA's exposed-bus
+    /// checkpoint.
+    fn trap_drain<S: ProfileSink>(
         &mut self,
         sink: &mut S,
-        pc: &mut u32,
         cycle: &mut u64,
         fuel: u64,
-        pending_jump: &mut Option<(u32, u32)>,
-        shadow: &mut Option<VliwShadow>,
-    ) -> Result<Option<u64>, SimError> {
-        let (line, entry) = match &mut self.io {
-            None => return Ok(Some(u64::MAX)),
-            Some(ctx) => {
-                ctx.sys.poll(*cycle);
-                match (ctx.sys.deliverable(), ctx.irq_entry) {
-                    (Some(line), Some(entry)) => (line, entry),
-                    _ => return Ok(Some(ctx.sys.window(*cycle))),
-                }
-            }
-        };
-        while !self.wheel_is_empty() {
+    ) -> Result<Vec<i32>, SimError> {
+        while self.wheel.iter().any(|b| !b.is_empty()) {
             if *cycle >= fuel {
                 return Err(SimError::OutOfFuel);
             }
             self.drain(sink, *cycle)?;
             *cycle += 1;
-            self.stats.irq_cycles += 1;
+            self.core.stats.irq_cycles += 1;
         }
-        *shadow = Some(VliwShadow {
-            pc: *pc,
-            pending_jump: pending_jump.take(),
-            rf: self.rf.vals.clone(),
-        });
-        let ctx = self.io.as_mut().expect("io presence checked above");
-        ctx.sys.begin_delivery(line);
-        self.stats.irqs += 1;
-        *pc = entry;
-        *cycle += TRAP_CYCLES;
-        self.stats.irq_cycles += TRAP_CYCLES;
-        Ok(None)
+        Ok(self.rf.vals.clone())
     }
 
-    /// Retire a halting handler (see `TtaEngine::iret` — same contract).
-    fn iret(
-        &mut self,
-        pc: &mut u32,
-        cycle: &mut u64,
-        pending_jump: &mut Option<(u32, u32)>,
-        shadow: &mut Option<VliwShadow>,
-    ) -> Result<bool, SimError> {
-        let Some(ctx) = &mut self.io else {
-            return Ok(false);
-        };
-        if !ctx.sys.take_eoi() {
-            return Ok(false);
-        }
-        ctx.sys.finish_handler();
-        let sh = shadow
-            .take()
-            .ok_or_else(|| SimError::Machine("end-of-interrupt without a saved context".into()))?;
+    fn trap_restore(&mut self, rf: Vec<i32>, _cycle: u64) {
         for b in &mut self.wheel {
             b.clear();
         }
-        self.rf.vals = sh.rf;
-        *pc = sh.pc;
-        *pending_jump = sh.pending_jump;
-        *cycle += TRAP_CYCLES;
-        self.stats.irq_cycles += TRAP_CYCLES;
-        Ok(true)
-    }
-
-    /// Build the final [`SimResult`] at the halt cycle, folding the I/O
-    /// system's counters and device-output stream into it.
-    fn finish(mut self, cycles: u64) -> Result<SimResult, SimError> {
-        let ret = mem::load(&self.memory, Opcode::Ldw, RETVAL_ADDR)?;
-        let mut uart_tx = Vec::new();
-        if let Some(ctx) = &self.io {
-            self.stats.mmio_loads = ctx.sys.mmio_loads;
-            self.stats.mmio_stores = ctx.sys.mmio_stores();
-            uart_tx = ctx.sys.uart_tx();
-        }
-        Ok(SimResult {
-            cycles,
-            ret,
-            memory: self.memory,
-            stats: self.stats,
-            uart_tx,
-        })
+        self.rf.vals = rf;
     }
 }
 
-/// The VLIW engine behind [`crate::run`] and friends: one superblock per
-/// outer-loop iteration, monomorphised over the profile sink. The dispatch
-/// structure and its invariants mirror `crate::tta::run_tta_with`.
+/// The VLIW engine behind [`crate::run`] and friends, monomorphised over
+/// the profile sink.
 pub(crate) fn run_vliw_with<S: ProfileSink>(
     m: &Machine,
     program: &[VliwBundle],
-    memory: Vec<u8>,
+    blocks: &BlockMap,
+    core: Core<'_, Vec<i32>>,
     fuel: u64,
     sink: &mut S,
-    io: Option<IoCtx<'_>>,
 ) -> Result<SimResult, SimError> {
     let rf = FlatRf::new(m);
     let (dec_slots, dec_bundles) = decode(&rf, program);
-    let blocks = BlockMap::of_vliw(program);
     let mut eng = VliwEngine {
         m,
         dec_slots: &dec_slots,
@@ -445,88 +331,7 @@ pub(crate) fn run_vliw_with<S: ProfileSink>(
             .map(|r| r.write_ports as u32)
             .min()
             .unwrap_or(0),
-        memory,
-        stats: SimStats::default(),
-        io,
+        core,
     };
-    let mut pc: u32 = 0;
-    let mut cycle: u64 = 0;
-    // (remaining delay slots, target)
-    let mut pending_jump: Option<(u32, u32)> = None;
-    let mut shadow: Option<VliwShadow> = None;
-
-    loop {
-        // Superblock entry: the only place fuel, the pc bound and the
-        // delay-slot budget are examined.
-        if cycle >= fuel {
-            return Err(SimError::OutOfFuel);
-        }
-        if pc as usize >= eng.dec_bundles.len() {
-            return Err(SimError::PcOutOfRange(pc));
-        }
-        // Interrupt boundary: deliver a pending interrupt (re-entering the
-        // loop at the handler) or learn how many cycles may run before the
-        // next one can arrive. Polling only here keeps the delivery points
-        // of every sink identical by construction.
-        let win = match eng.io_boundary(
-            sink,
-            &mut pc,
-            &mut cycle,
-            fuel,
-            &mut pending_jump,
-            &mut shadow,
-        )? {
-            Some(win) => win,
-            None => continue,
-        };
-        let full = blocks.run_len(pc) as u64;
-
-        let mut len = full;
-        if let Some((k, _)) = pending_jump {
-            // k delay slots remain, then the redirect: at most k + 1 more
-            // bundles execute on the fall-through path.
-            len = len.min(k as u64 + 1);
-        }
-        len = len.min(fuel - cycle).min(win);
-        // Only the run's terminal bundle can issue control operations,
-        // and it is part of this dispatch iff nothing clamped `len`.
-        let terminal = len == full;
-        let straight = if terminal { len - 1 } else { len };
-
-        for _ in 0..straight {
-            eng.step::<S, false>(sink, pc, cycle, &mut pending_jump)?;
-            pc += 1;
-            cycle += 1;
-        }
-        // Batch the per-cycle delay-slot decrements of the straight
-        // portion; a redirect inside it only happens when the terminal
-        // bundle was clamped away.
-        if let Some((k, target)) = pending_jump {
-            if k as u64 + 1 == straight {
-                pc = target;
-                pending_jump = None;
-            } else {
-                pending_jump = Some((k - straight as u32, target));
-            }
-        }
-
-        if terminal {
-            let halt = eng.step::<S, true>(sink, pc, cycle, &mut pending_jump)?;
-            cycle += 1;
-            if halt {
-                if eng.iret(&mut pc, &mut cycle, &mut pending_jump, &mut shadow)? {
-                    continue;
-                }
-                return eng.finish(cycle);
-            }
-            match pending_jump.take() {
-                Some((0, target)) => pc = target,
-                Some((n, target)) => {
-                    pending_jump = Some((n - 1, target));
-                    pc += 1;
-                }
-                None => pc += 1,
-            }
-        }
-    }
+    run_blocks(&mut eng, sink, blocks, fuel)
 }

@@ -1,10 +1,11 @@
 //! The profiler's disable contract, end to end: for every design point,
 //! running a compiled kernel (a) unprofiled with obs compiled in but
-//! disabled (the default), (b) unprofiled with obs enabled, and
-//! (c) through the profiled entry points must produce bit-identical
-//! `SimResult`s — cycles, return value, memory image and every
-//! `SimStats` field. The profile itself must be deterministic and agree
-//! with the stats.
+//! disabled (the default), (b) unprofiled with obs enabled, (c) through
+//! the profiled entry points and (d) through the traced entry point must
+//! produce bit-identical `SimResult`s — cycles, return value, memory image
+//! and every `SimStats` field. The profile itself must be deterministic
+//! and agree with the stats, and the trace must hold one pc per executed
+//! instruction, with the profile's per-pc counts as its histogram.
 //!
 //! This is the cross-crate complement of the per-style unit tests in
 //! `crates/sim/tests/profiling.rs`: it drives real compiled CHStone
@@ -52,12 +53,28 @@ fn profiling_and_obs_never_perturb_simulation_results() {
 
             // ...and once more with obs off; the profile is deterministic.
             tta_obs::set_enabled(false);
-            let (profiled2, p2) = tta_sim::run_profiled(&machine, &compiled.program, mem)
+            let (profiled2, p2) = tta_sim::run_profiled(&machine, &compiled.program, mem.clone())
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
+
+            // (d) The traced monomorphisation, the third sink.
+            let (traced, trace) =
+                tta_sim::run_traced(&machine, &compiled.program, mem, tta_sim::DEFAULT_FUEL)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
 
             assert_same_run(&what, &plain, &with_obs);
             assert_same_run(&what, &plain, &profiled);
             assert_same_run(&what, &plain, &profiled2);
+            assert_same_run(&what, &plain, &traced);
+            assert_eq!(
+                trace.len() as u64,
+                plain.stats.instructions,
+                "{what}: trace"
+            );
+            let mut hist = vec![0u64; compiled.program.len()];
+            for &pc in &trace {
+                hist[pc as usize] += 1;
+            }
+            assert_eq!(hist, p.pc_counts, "{what}: trace histogram");
             p.check_against(&plain.stats)
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(p, p2, "{what}: profile must be deterministic");
