@@ -132,8 +132,8 @@ const PERIOD: i32 = 50;
 /// Timer-driven producer/consumer. The handler (producer) appends the
 /// current tick index into an 8-slot ring buffer; `main` (consumer)
 /// spins on the published tick count, folds each consumed slot into a
-/// running checksum, and disarms the timer after [`TICKS`] items. The
-/// checksum folds the *consumed values* (always `0..TICKS`, whatever
+/// running checksum, and disarms the timer after `TICKS` (8) items.
+/// The checksum folds the *consumed values* (always `0..TICKS`, whatever
 /// the arrival timing), never the raw tick counter — the producer may
 /// run slightly past the consumer before the disarm lands, and how far
 /// is style-dependent.

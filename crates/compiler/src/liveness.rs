@@ -1,7 +1,7 @@
 //! Per-block liveness analysis over virtual registers.
 
 use crate::bitset::BitSet;
-use tta_ir::{Function, VReg};
+use tta_ir::Function;
 
 /// Live-in/live-out sets per block, indexed by `BlockId`.
 #[derive(Debug, Clone)]
@@ -74,11 +74,6 @@ impl Liveness {
             }
         }
         Liveness { live_in, live_out }
-    }
-
-    /// Whether `r` is live out of block `bi`.
-    pub fn is_live_out(&self, bi: usize, r: VReg) -> bool {
-        self.live_out[bi].contains(r.0 as usize)
     }
 }
 

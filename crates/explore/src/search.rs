@@ -331,16 +331,6 @@ impl SearchStats {
             0.0
         }
     }
-
-    /// Proposals processed per second (duplicates included — the
-    /// mutation loop's raw rate).
-    pub fn proposals_per_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.proposed as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Result of one [`search`] run.

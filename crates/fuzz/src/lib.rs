@@ -10,7 +10,7 @@
 //!   golden interpreter and compile+simulate on every preset design
 //!   point, comparing return value, memory image, UART transmit stream,
 //!   interrupt delivery count, and cycle-count determinism;
-//! * [`shrink`] — a greedy reducer that minimises any diverging module
+//! * [`shrink`](mod@shrink) — a greedy reducer that minimises any diverging module
 //!   (and, for reactive cases, its I/O spec) while the divergence still
 //!   reproduces.
 //!

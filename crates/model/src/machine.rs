@@ -4,7 +4,7 @@
 
 use crate::bus::{Bus, BusId, DstConn, SrcConn};
 use crate::fu::{FuId, FuKind, FunctionUnit};
-use crate::op::{OpClass, Opcode};
+use crate::op::Opcode;
 use crate::rf::{RegisterFile, RfId};
 
 /// Programming model of the core.
@@ -484,14 +484,6 @@ impl Machine {
         } else {
             Err(errs)
         }
-    }
-
-    /// Classes of operations the machine can execute at all.
-    pub fn supported_classes(&self) -> Vec<OpClass> {
-        let mut v: Vec<OpClass> = self.funits.iter().map(|f| f.kind.op_class()).collect();
-        v.sort_by_key(|c| *c as u8);
-        v.dedup();
-        v
     }
 }
 

@@ -99,37 +99,8 @@ fn connect_rf_sockets(buses: &mut [Bus], rfs: &[RegisterFile], full: bool) {
     }
 }
 
-fn tta_machine(name: &str, issue: u8, rfs: Vec<RegisterFile>, n_buses: usize) -> Machine {
-    // Bus-merged machines (fewer buses than 3x issue width) get the union
-    // connectivity of the buses they merged, i.e. full RF connectivity.
-    let merged = n_buses < 3 * issue as usize;
-    let funits = fus_for_issue(issue);
-    let mut buses = Vec::with_capacity(n_buses);
-    for i in 0..n_buses {
-        let mut b = Bus::new(format!("b{i}"));
-        b.simm_bits = PRESET_SIMM_BITS;
-        connect_fu_sockets(&mut b, &funits);
-        buses.push(b);
-    }
-    connect_rf_sockets(&mut buses, &rfs, merged);
-    let m = Machine {
-        name: name.into(),
-        style: CoreStyle::Tta,
-        issue_width: issue,
-        funits,
-        rfs,
-        buses,
-        slots: Vec::new(),
-        scalar: None,
-        jump_delay_slots: JUMP_DELAY_SLOTS,
-        limm: LimmConfig::default(),
-        vliw_limm_slots: 2,
-    };
-    debug_assert!(m.validate().is_ok());
-    m
-}
-
-fn vliw_machine(name: &str, issue: u8, rfs: Vec<RegisterFile>) -> Machine {
+/// Build a custom VLIW design with the standard function-unit inventory.
+pub fn custom_vliw(name: &str, issue: u8, rfs: Vec<RegisterFile>) -> Machine {
     let funits = fus_for_issue(issue);
     // Slot assignment per the paper's encoding: one slot per parallel
     // operation; control ops share the first ALU slot.
@@ -202,17 +173,23 @@ pub fn mblaze_5() -> Machine {
 /// The small 3-bus single-issue TTA comparable to a 32b scalar RISC
 /// (paper §IV): integer ALU, LSU, 32 registers behind a 1R/1W port pair.
 pub fn m_tta_1() -> Machine {
-    tta_machine("m-tta-1", 1, vec![RegisterFile::new("rf0", 32, 1, 1)], 3)
+    custom_tta(
+        "m-tta-1",
+        1,
+        vec![RegisterFile::new("rf0", 32, 1, 1)],
+        3,
+        false,
+    )
 }
 
 /// Dual-issue monolithic-RF VLIW: 64x32b RF with 4 read / 2 write ports.
 pub fn m_vliw_2() -> Machine {
-    vliw_machine("m-vliw-2", 2, vec![RegisterFile::new("rf0", 64, 4, 2)])
+    custom_vliw("m-vliw-2", 2, vec![RegisterFile::new("rf0", 64, 4, 2)])
 }
 
 /// Dual-issue partitioned-RF VLIW: two 32x32b RFs with 2R/1W each.
 pub fn p_vliw_2() -> Machine {
-    vliw_machine(
+    custom_vliw(
         "p-vliw-2",
         2,
         vec![
@@ -226,12 +203,18 @@ pub fn p_vliw_2() -> Machine {
 /// Same datapath as [`m_vliw_2`] but the 64-register RF keeps only one read
 /// and one write port, relying on TTA software bypassing.
 pub fn m_tta_2() -> Machine {
-    tta_machine("m-tta-2", 2, vec![RegisterFile::new("rf0", 64, 1, 1)], 6)
+    custom_tta(
+        "m-tta-2",
+        2,
+        vec![RegisterFile::new("rf0", 64, 1, 1)],
+        6,
+        false,
+    )
 }
 
 /// Dual-issue partitioned-RF TTA: two 32x32b RFs with 1R/1W each.
 pub fn p_tta_2() -> Machine {
-    tta_machine(
+    custom_tta(
         "p-tta-2",
         2,
         vec![
@@ -239,6 +222,7 @@ pub fn p_tta_2() -> Machine {
             RegisterFile::new("rf1", 32, 1, 1),
         ],
         6,
+        false,
     )
 }
 
@@ -246,7 +230,7 @@ pub fn p_tta_2() -> Machine {
 /// into four (paper Fig. 4d), trading some transport parallelism for a
 /// narrower instruction.
 pub fn bm_tta_2() -> Machine {
-    let mut m = tta_machine(
+    custom_tta(
         "bm-tta-2",
         2,
         vec![
@@ -254,19 +238,18 @@ pub fn bm_tta_2() -> Machine {
             RegisterFile::new("rf1", 32, 1, 1),
         ],
         4,
-    );
-    m.jump_delay_slots = JUMP_DELAY_SLOTS;
-    m
+        true,
+    )
 }
 
 /// Three-issue monolithic-RF VLIW: 96x32b RF with 6 read / 3 write ports.
 pub fn m_vliw_3() -> Machine {
-    vliw_machine("m-vliw-3", 3, vec![RegisterFile::new("rf0", 96, 6, 3)])
+    custom_vliw("m-vliw-3", 3, vec![RegisterFile::new("rf0", 96, 6, 3)])
 }
 
 /// Three-issue partitioned-RF VLIW: three 32x32b RFs with 2R/1W each.
 pub fn p_vliw_3() -> Machine {
-    vliw_machine(
+    custom_vliw(
         "p-vliw-3",
         3,
         vec![
@@ -279,12 +262,18 @@ pub fn p_vliw_3() -> Machine {
 
 /// Three-issue monolithic-RF TTA: 96x32b RF with 2 read / 1 write ports.
 pub fn m_tta_3() -> Machine {
-    tta_machine("m-tta-3", 3, vec![RegisterFile::new("rf0", 96, 2, 1)], 9)
+    custom_tta(
+        "m-tta-3",
+        3,
+        vec![RegisterFile::new("rf0", 96, 2, 1)],
+        9,
+        false,
+    )
 }
 
 /// Three-issue partitioned-RF TTA: three 32x32b RFs with 1R/1W each.
 pub fn p_tta_3() -> Machine {
-    tta_machine(
+    custom_tta(
         "p-tta-3",
         3,
         vec![
@@ -293,13 +282,14 @@ pub fn p_tta_3() -> Machine {
             RegisterFile::new("rf2", 32, 1, 1),
         ],
         9,
+        false,
     )
 }
 
 /// Bus-merged three-issue TTA: like [`p_tta_3`] with nine buses merged into
 /// six.
 pub fn bm_tta_3() -> Machine {
-    tta_machine(
+    custom_tta(
         "bm-tta-3",
         3,
         vec![
@@ -308,6 +298,7 @@ pub fn bm_tta_3() -> Machine {
             RegisterFile::new("rf2", 32, 1, 1),
         ],
         6,
+        true,
     )
 }
 
@@ -349,11 +340,6 @@ pub fn custom_tta(
     };
     debug_assert!(m.validate().is_ok());
     m
-}
-
-/// Build a custom VLIW design with the standard function-unit inventory.
-pub fn custom_vliw(name: &str, issue: u8, rfs: Vec<RegisterFile>) -> Machine {
-    vliw_machine(name, issue, rfs)
 }
 
 /// All thirteen design points in the paper's reporting order.
@@ -486,6 +472,39 @@ mod tests {
         assert!(by_name("nope").is_none());
         assert_eq!(all_design_points().len(), 13);
     }
+
+    /// FNV-1a of each preset's `Debug` form, generated when the TTA presets
+    /// had their own builder: a hash that moves is a changed design point.
+    #[test]
+    fn presets_match_their_pinned_debug_hashes() {
+        let fnv1a = |s: &str| {
+            s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let got: Vec<(String, u64)> = all_design_points()
+            .iter()
+            .map(|m| (m.name.clone(), fnv1a(&format!("{m:?}"))))
+            .collect();
+        let want: Vec<(String, u64)> = PINNED.iter().map(|&(n, h)| (n.into(), h)).collect();
+        assert_eq!(got, want);
+    }
+
+    const PINNED: [(&str, u64); 13] = [
+        ("mblaze-3", 0x3dc5_d7c0_b4fb_402e),
+        ("mblaze-5", 0xb01a_5bd9_0c64_d5a7),
+        ("m-tta-1", 0xf80c_9c8a_4c08_f40c),
+        ("m-vliw-2", 0xf3e1_dd11_30e2_c97f),
+        ("p-vliw-2", 0x6b62_a1eb_b98e_55c8),
+        ("m-tta-2", 0x84dc_837e_8de1_81a7),
+        ("p-tta-2", 0xacde_d818_06f1_f6f6),
+        ("bm-tta-2", 0x0e13_712c_05c6_3bf6),
+        ("m-vliw-3", 0xf836_a8aa_5b3d_263e),
+        ("p-vliw-3", 0x7d55_47a5_f700_f1fa),
+        ("m-tta-3", 0x290c_c788_7452_747e),
+        ("p-tta-3", 0x5d4d_e81b_3b88_272f),
+        ("bm-tta-3", 0x6147_a7dd_700e_ae20),
+    ];
 
     #[test]
     fn every_tta_pair_has_a_route() {

@@ -1,140 +1,45 @@
-//! Monotonic counters and gauges in a global lock-free registry.
+//! Monotonic counters and gauges in global lock-free registries.
 //!
 //! Counters ([`add`]) only grow; gauges ([`set_gauge`]) hold the last
 //! value written. Both are named by `&'static str` and updated with
 //! relaxed atomics: a probe is one registry scan plus one `fetch_add`
-//! or `store`. Like spans, slots are interned on first use and never
-//! freed; [`reset`] zeroes values but keeps names.
+//! or `store`. Each kind has its own instance of the crate's one interned
+//! registry (the one spans and histograms use): names are interned on
+//! first use and never freed, a full table drops new names and counts
+//! them, and [`reset`] zeroes values but keeps names.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
+
+use crate::registry::{Registry, ROOT};
 
 /// Maximum distinct counter names and gauge names (each kind has its own
 /// table); later names are dropped.
 pub const MAX_CELLS: usize = 256;
 
-const EMPTY: u8 = 0;
-const READY: u8 = 2;
-
-/// One named atomic cell. The value is stored as `u64` bits; gauges
-/// reinterpret them as `i64`.
-struct Cell {
-    state: AtomicU8,
-    name_ptr: AtomicUsize,
-    name_len: AtomicUsize,
-    value: AtomicU64,
-}
-
-impl Cell {
-    const fn new() -> Self {
-        Cell {
-            state: AtomicU8::new(EMPTY),
-            name_ptr: AtomicUsize::new(0),
-            name_len: AtomicUsize::new(0),
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// The interned name; only valid on `READY` cells.
-    fn name(&self) -> &'static str {
-        let ptr = self.name_ptr.load(Ordering::Relaxed) as *const u8;
-        let len = self.name_len.load(Ordering::Relaxed);
-        // SAFETY: written exclusively from a `&'static str` under the
-        // registration lock before `state` was released to `READY`.
-        unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr, len)) }
-    }
-}
-
-/// One table of named cells (counters and gauges each get one).
-struct Table {
-    cells: [Cell; MAX_CELLS],
-    next: AtomicUsize,
-    lock: AtomicBool,
-    /// Updates refused because the table was full (new names only;
-    /// already-interned names keep working).
-    dropped: AtomicU64,
-}
-
-impl Table {
-    const fn new() -> Self {
-        Table {
-            cells: [const { Cell::new() }; MAX_CELLS],
-            next: AtomicUsize::new(0),
-            lock: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn find(&self, name: &str, hi: usize) -> Option<usize> {
-        (0..hi.min(MAX_CELLS)).find(|&i| {
-            let c = &self.cells[i];
-            c.state.load(Ordering::Acquire) == READY && c.name() == name
-        })
-    }
-
-    fn intern(&self, name: &'static str) -> Option<usize> {
-        let hi = self.next.load(Ordering::Acquire);
-        if let Some(i) = self.find(name, hi) {
-            return Some(i);
-        }
-        while self
-            .lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        let hi = self.next.load(Ordering::Acquire);
-        let got = match self.find(name, hi) {
-            Some(i) => Some(i),
-            None if hi < MAX_CELLS => {
-                let c = &self.cells[hi];
-                c.name_ptr.store(name.as_ptr() as usize, Ordering::Relaxed);
-                c.name_len.store(name.len(), Ordering::Relaxed);
-                c.state.store(READY, Ordering::Release);
-                self.next.store(hi + 1, Ordering::Release);
-                Some(hi)
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        };
-        self.lock.store(false, Ordering::Release);
-        got
-    }
-
-    fn get(&self, name: &str) -> Option<u64> {
-        let hi = self.next.load(Ordering::Acquire);
-        self.find(name, hi)
-            .map(|i| self.cells[i].value.load(Ordering::Relaxed))
-    }
-
-    fn snapshot(&self) -> Vec<(String, u64)> {
-        let hi = self.next.load(Ordering::Acquire);
-        let mut out: Vec<(String, u64)> = (0..hi.min(MAX_CELLS))
-            .filter(|&i| self.cells[i].state.load(Ordering::Acquire) == READY)
-            .map(|i| {
-                (
-                    self.cells[i].name().to_string(),
-                    self.cells[i].value.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn reset(&self) {
-        let hi = self.next.load(Ordering::Acquire);
-        for i in 0..hi.min(MAX_CELLS) {
-            self.cells[i].value.store(0, Ordering::Relaxed);
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-}
+/// One named `u64` per slot; gauges store their `i64` as its bits.
+type Table = Registry<1, MAX_CELLS>;
 
 static COUNTERS: Table = Table::new();
 static GAUGES: Table = Table::new();
+
+fn get_in(table: &Table, name: &str) -> Option<u64> {
+    table
+        .find(name, ROOT)
+        .map(|i| table.values(i)[0].load(Ordering::Relaxed))
+}
+
+fn snapshot_of(table: &Table) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = (0..table.len())
+        .map(|i| {
+            (
+                table.name(i).to_string(),
+                table.values(i)[0].load(Ordering::Relaxed),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
 
 /// Add `delta` to the counter `name` (interned on first use). A no-op
 /// when recording is disabled or the table is full.
@@ -143,15 +48,15 @@ pub fn add(name: &'static str, delta: u64) {
     if !crate::enabled() {
         return;
     }
-    if let Some(i) = COUNTERS.intern(name) {
-        COUNTERS.cells[i].value.fetch_add(delta, Ordering::Relaxed);
+    if let Some(i) = COUNTERS.intern(name, ROOT) {
+        COUNTERS.values(i)[0].fetch_add(delta, Ordering::Relaxed);
     }
 }
 
 /// Current value of the counter `name`, or `None` if it was never
 /// touched.
 pub fn get(name: &str) -> Option<u64> {
-    COUNTERS.get(name)
+    get_in(&COUNTERS, name)
 }
 
 /// Set the gauge `name` to `value` (last write wins). A no-op when
@@ -161,25 +66,24 @@ pub fn set_gauge(name: &'static str, value: i64) {
     if !crate::enabled() {
         return;
     }
-    if let Some(i) = GAUGES.intern(name) {
-        GAUGES.cells[i].value.store(value as u64, Ordering::Relaxed);
+    if let Some(i) = GAUGES.intern(name, ROOT) {
+        GAUGES.values(i)[0].store(value as u64, Ordering::Relaxed);
     }
 }
 
 /// Current value of the gauge `name`, or `None` if it was never set.
 pub fn get_gauge(name: &str) -> Option<i64> {
-    GAUGES.get(name).map(|v| v as i64)
+    get_in(&GAUGES, name).map(|v| v as i64)
 }
 
 /// All counters, sorted by name.
 pub fn snapshot() -> Vec<(String, u64)> {
-    COUNTERS.snapshot()
+    snapshot_of(&COUNTERS)
 }
 
 /// All gauges, sorted by name.
 pub fn snapshot_gauges() -> Vec<(String, i64)> {
-    GAUGES
-        .snapshot()
+    snapshot_of(&GAUGES)
         .into_iter()
         .map(|(n, v)| (n, v as i64))
         .collect()
@@ -187,12 +91,12 @@ pub fn snapshot_gauges() -> Vec<(String, i64)> {
 
 /// How many counter updates were refused because the table was full.
 pub fn dropped() -> u64 {
-    COUNTERS.dropped.load(Ordering::Relaxed)
+    COUNTERS.dropped()
 }
 
 /// How many gauge updates were refused because the table was full.
 pub fn dropped_gauges() -> u64 {
-    GAUGES.dropped.load(Ordering::Relaxed)
+    GAUGES.dropped()
 }
 
 /// Zero every counter and gauge plus the dropped tallies (names stay
@@ -248,29 +152,6 @@ mod tests {
             }
         });
         assert_eq!(get("ctr_test_mt").unwrap(), before + 4000);
-    }
-
-    #[test]
-    fn full_table_drops_new_names_and_counts_them() {
-        // A *local* table, so overflowing it cannot poison the global
-        // COUNTERS/GAUGES every other test shares.
-        let t = Table::new();
-        for i in 0..MAX_CELLS {
-            let name: &'static str = Box::leak(format!("cell_ovf_{i}").into_boxed_str());
-            assert!(t.intern(name).is_some(), "cell {i}");
-        }
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 0);
-        // The table is full: new names degrade to drops...
-        let extra: &'static str = Box::leak("cell_ovf_overflow".to_string().into_boxed_str());
-        assert_eq!(t.intern(extra), None);
-        assert_eq!(t.intern(extra), None);
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 2);
-        // ...while already-interned names keep working.
-        assert!(t.intern("cell_ovf_0").is_some());
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 2);
-        // reset() clears the tally along with the values.
-        t.reset();
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 0);
     }
 
     #[test]

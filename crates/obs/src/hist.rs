@@ -1,11 +1,13 @@
 //! Fixed-size, lock-free, log₂-bucketed latency histograms.
 //!
-//! Same interned-registry design as [`crate::counter`]: histograms are
-//! named by `&'static str`, slots are claimed on first use and never
-//! freed, and a full registry degrades gracefully — new names record
-//! nothing and bump the [`dropped`] tally while existing names keep
-//! working. A [`record`] is one registry scan plus three relaxed
-//! `fetch_add`s (bucket, count, sum) — no locks on the hot path.
+//! Histograms live in the crate's one interned registry, like spans and
+//! counters: they are named by `&'static str`, slots are claimed on first
+//! use and never freed, and a full registry degrades gracefully — new
+//! names record nothing and bump the [`dropped`] tally while existing
+//! names keep working. A slot's cells are the count, the sum and the
+//! [`BUCKETS`] bucket counts. A [`record`] is one registry scan plus three
+//! relaxed updates (bucket, count, saturating sum) — no locks on the hot
+//! path.
 //!
 //! Values are bucketed by magnitude: bucket 0 holds exact zeros and
 //! bucket `k` (1..=64) holds values in `[2^(k-1), 2^k)`, so the full
@@ -15,7 +17,9 @@
 //! answer [`HistStat::quantile`] queries; the run report
 //! ([`crate::report`]) nests them under a `"hists"` key.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
+
+use crate::registry::{Registry, ROOT};
 
 /// Maximum distinct histogram names; later names are dropped.
 pub const MAX_HISTS: usize = 64;
@@ -23,9 +27,6 @@ pub const MAX_HISTS: usize = 64;
 /// Bucket count: bucket 0 for zero, buckets 1..=64 for each power-of-two
 /// magnitude, so every `u64` value has a home.
 pub const BUCKETS: usize = 65;
-
-const EMPTY: u8 = 0;
-const READY: u8 = 2;
 
 /// The bucket index `value` falls into: 0 for zero, otherwise the
 /// position of the highest set bit plus one (`[2^(k-1), 2^k)` → `k`).
@@ -49,157 +50,23 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-/// One named histogram cell.
-struct Cell {
-    state: AtomicU8,
-    name_ptr: AtomicUsize,
-    name_len: AtomicUsize,
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
+/// Cells of a histogram slot: count, saturating sum, then the buckets.
+const COUNT: usize = 0;
+const SUM: usize = 1;
+const FIRST_BUCKET: usize = 2;
 
-impl Cell {
-    const fn new() -> Self {
-        Cell {
-            state: AtomicU8::new(EMPTY),
-            name_ptr: AtomicUsize::new(0),
-            name_len: AtomicUsize::new(0),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-        }
-    }
+static HISTS: Registry<{ FIRST_BUCKET + BUCKETS }, MAX_HISTS> = Registry::new();
 
-    /// The interned name; only valid on `READY` cells.
-    fn name(&self) -> &'static str {
-        let ptr = self.name_ptr.load(Ordering::Relaxed) as *const u8;
-        let len = self.name_len.load(Ordering::Relaxed);
-        // SAFETY: written exclusively from a `&'static str` under the
-        // registration lock before `state` was released to `READY`.
-        unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr, len)) }
-    }
-
-    fn stat(&self) -> HistStat {
-        let mut s = HistStat::new(self.name());
-        s.count = self.count.load(Ordering::Relaxed);
-        s.sum = self.sum.load(Ordering::Relaxed);
-        for (i, b) in self.buckets.iter().enumerate() {
-            s.buckets[i] = b.load(Ordering::Relaxed);
-        }
-        s
+/// Snapshot of live slot `i`.
+fn stat(i: usize) -> HistStat {
+    let v = HISTS.values(i);
+    HistStat {
+        name: HISTS.name(i).to_string(),
+        count: v[COUNT].load(Ordering::Relaxed),
+        sum: v[SUM].load(Ordering::Relaxed),
+        buckets: std::array::from_fn(|b| v[FIRST_BUCKET + b].load(Ordering::Relaxed)),
     }
 }
-
-/// The histogram registry (counter-table shape: spinlocked insertion,
-/// lock-free lookup and update).
-struct Table {
-    cells: [Cell; MAX_HISTS],
-    next: AtomicUsize,
-    lock: AtomicBool,
-    dropped: AtomicU64,
-}
-
-impl Table {
-    const fn new() -> Self {
-        Table {
-            cells: [const { Cell::new() }; MAX_HISTS],
-            next: AtomicUsize::new(0),
-            lock: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn find(&self, name: &str, hi: usize) -> Option<usize> {
-        (0..hi.min(MAX_HISTS)).find(|&i| {
-            let c = &self.cells[i];
-            c.state.load(Ordering::Acquire) == READY && c.name() == name
-        })
-    }
-
-    fn intern(&self, name: &'static str) -> Option<usize> {
-        let hi = self.next.load(Ordering::Acquire);
-        if let Some(i) = self.find(name, hi) {
-            return Some(i);
-        }
-        while self
-            .lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        let hi = self.next.load(Ordering::Acquire);
-        let got = match self.find(name, hi) {
-            Some(i) => Some(i),
-            None if hi < MAX_HISTS => {
-                let c = &self.cells[hi];
-                c.name_ptr.store(name.as_ptr() as usize, Ordering::Relaxed);
-                c.name_len.store(name.len(), Ordering::Relaxed);
-                c.state.store(READY, Ordering::Release);
-                self.next.store(hi + 1, Ordering::Release);
-                Some(hi)
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        };
-        self.lock.store(false, Ordering::Release);
-        got
-    }
-
-    fn record(&self, name: &'static str, value: u64) {
-        if let Some(i) = self.intern(name) {
-            let c = &self.cells[i];
-            c.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            c.count.fetch_add(1, Ordering::Relaxed);
-            // Saturate the running sum so a pathological stream of huge
-            // values degrades to "pinned at max" instead of wrapping.
-            let mut cur = c.sum.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_add(value);
-                match c
-                    .sum
-                    .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-    }
-
-    fn get(&self, name: &str) -> Option<HistStat> {
-        let hi = self.next.load(Ordering::Acquire);
-        self.find(name, hi).map(|i| self.cells[i].stat())
-    }
-
-    fn snapshot(&self) -> Vec<HistStat> {
-        let hi = self.next.load(Ordering::Acquire);
-        let mut out: Vec<HistStat> = (0..hi.min(MAX_HISTS))
-            .filter(|&i| self.cells[i].state.load(Ordering::Acquire) == READY)
-            .map(|i| self.cells[i].stat())
-            .filter(|s| s.count > 0)
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    fn reset(&self) {
-        let hi = self.next.load(Ordering::Acquire);
-        for c in self.cells.iter().take(hi.min(MAX_HISTS)) {
-            c.count.store(0, Ordering::Relaxed);
-            c.sum.store(0, Ordering::Relaxed);
-            for b in &c.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-static HISTS: Table = Table::new();
 
 /// Record one sample into the histogram `name` (interned on first use).
 /// A no-op when recording is disabled or the registry is full.
@@ -208,22 +75,34 @@ pub fn record(name: &'static str, value: u64) {
     if !crate::enabled() {
         return;
     }
-    HISTS.record(name, value);
+    let Some(i) = HISTS.intern(name, ROOT) else {
+        return;
+    };
+    let v = HISTS.values(i);
+    v[FIRST_BUCKET + bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+    v[COUNT].fetch_add(1, Ordering::Relaxed);
+    // Saturate the running sum so a pathological stream of huge values
+    // degrades to "pinned at max" instead of wrapping.
+    let _ = v[SUM].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        Some(s.saturating_add(value))
+    });
 }
 
 /// Snapshot the histogram `name`, or `None` if it was never touched.
 pub fn get(name: &str) -> Option<HistStat> {
-    HISTS.get(name)
+    HISTS.find(name, ROOT).map(stat)
 }
 
 /// All histograms with at least one sample, sorted by name.
 pub fn snapshot() -> Vec<HistStat> {
-    HISTS.snapshot()
+    let mut out: Vec<HistStat> = (0..HISTS.len()).map(stat).filter(|s| s.count > 0).collect();
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
 }
 
 /// How many records were refused because the registry was full.
 pub fn dropped() -> u64 {
-    HISTS.dropped.load(Ordering::Relaxed)
+    HISTS.dropped()
 }
 
 /// Zero every histogram plus the dropped tally (names stay interned).
@@ -302,20 +181,6 @@ impl HistStat {
             self.sum as f64 / self.count as f64
         }
     }
-}
-
-/// Merge two snapshot vectors by histogram name (union of names, sorted);
-/// the registry-level form of [`HistStat::merge`].
-pub fn merge_snapshots(a: &[HistStat], b: &[HistStat]) -> Vec<HistStat> {
-    let mut out: Vec<HistStat> = a.to_vec();
-    for h in b {
-        match out.iter_mut().find(|x| x.name == h.name) {
-            Some(x) => x.merge(h),
-            None => out.push(h.clone()),
-        }
-    }
-    out.sort_by(|x, y| x.name.cmp(&y.name));
-    out
 }
 
 #[cfg(test)]
@@ -399,31 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_disjoint_registries_unions_names_and_sums_buckets() {
-        // Two "registries" (local tables to keep the global one clean).
-        let a_table = Table::new();
-        a_table.record("hist_test_merge_shared", 10);
-        a_table.record("hist_test_merge_a_only", 3);
-        let b_table = Table::new();
-        b_table.record("hist_test_merge_shared", 5000);
-        b_table.record("hist_test_merge_b_only", 7);
-
-        let merged = merge_snapshots(&a_table.snapshot(), &b_table.snapshot());
-        let names: Vec<&str> = merged.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "hist_test_merge_a_only",
-                "hist_test_merge_b_only",
-                "hist_test_merge_shared"
-            ],
-            "union of names, sorted"
-        );
-        let shared = &merged[2];
-        assert_eq!(shared.count, 2);
-        assert_eq!(shared.sum, 5010);
-        assert_eq!(shared.buckets[bucket_index(10)], 1);
-        assert_eq!(shared.buckets[bucket_index(5000)], 1);
+    fn merge_sums_counts_and_buckets() {
+        let mut a = HistStat::new("hist_test_merge");
+        a.observe(10);
+        let mut b = HistStat::new("hist_test_merge");
+        b.observe(5000);
+        b.observe(u64::MAX);
+        a.merge(&b);
+        assert_eq!(a.count, 3);
+        assert_eq!(a.sum, u64::MAX, "the sum saturates");
+        assert_eq!(a.buckets[bucket_index(10)], 1);
+        assert_eq!(a.buckets[bucket_index(5000)], 1);
+        assert_eq!(a.buckets[BUCKETS - 1], 1);
     }
 
     #[test]
@@ -463,30 +315,6 @@ mod tests {
             }
         });
         assert_eq!(get("hist_test_mt").unwrap().count, before + 4000);
-    }
-
-    #[test]
-    fn full_registry_drops_new_names_and_counts_them() {
-        // A *local* table, so overflowing it cannot poison the global one.
-        let t = Table::new();
-        for i in 0..MAX_HISTS {
-            let name: &'static str = Box::leak(format!("hist_ovf_{i}").into_boxed_str());
-            t.record(name, 1);
-            assert!(t.get(name).is_some(), "slot {i}");
-        }
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 0);
-        let extra: &'static str = Box::leak("hist_ovf_overflow".to_string().into_boxed_str());
-        t.record(extra, 1);
-        t.record(extra, 1);
-        assert_eq!(t.get(extra), None);
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 2);
-        // Already-interned names keep recording.
-        t.record("hist_ovf_0", 1);
-        assert_eq!(t.get("hist_ovf_0").unwrap().count, 2);
-        // reset() clears values and the tally, keeps names.
-        t.reset();
-        assert_eq!(t.dropped.load(Ordering::Relaxed), 0);
-        assert_eq!(t.get("hist_ovf_0").unwrap().count, 0);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! # tta-obs — observability for the TTA soft-core pipeline
 //!
 //! A dependency-free instrumentation layer (std atomics only — the build
-//! is offline) with three pieces:
+//! is offline). Spans, counters, gauges and histograms all live in one
+//! kind of table: a fixed-capacity registry of slots keyed by a
+//! `&'static str` name and a parent slot, claimed under a spinlock on
+//! first use, scanned lock-free on every probe, and counting the probes it
+//! refuses once full (`obs_dropped` in the run report). The pieces:
 //!
-//! * **Hierarchical timing spans** ([`span`]) — RAII guards that charge
-//!   wall time to a `(name, parent)` slot in a global lock-free registry.
+//! * **Hierarchical timing spans** ([`span`](mod@span)) — RAII guards that
+//!   charge wall time to a `(name, parent)` slot (512 slots).
 //!   Nesting is tracked per thread; a parent can be carried across a
 //!   thread boundary with [`span::current`] + [`span::attach`], so worker
 //!   pools aggregate under the span that spawned them.
 //! * **Monotonic counters and gauges** ([`counter`]) — named `u64`/`i64`
-//!   cells in the same style of registry, updated with relaxed atomics.
-//! * **Log₂-bucketed histograms** ([`hist`]) — fixed-size lock-free
-//!   latency histograms in the same interned-registry design, with
-//!   merge and quantile queries (the serve layer's per-job latencies).
+//!   cells (256 slots each), updated with relaxed atomics.
+//! * **Log₂-bucketed histograms** ([`hist`]) — lock-free latency
+//!   histograms (64 slots) with merge and quantile queries (the serve
+//!   layer's per-job latencies).
 //! * **A flight recorder** ([`flight`]) — a bounded ring buffer of
 //!   recent structured events (request/job/shutdown transitions),
 //!   dumpable to stderr on panic or timeout and servable as JSON.
@@ -29,13 +33,11 @@
 //!   Perfetto / `about:tracing`.
 //!
 //! Instrumentation never changes *what* the instrumented code computes —
-//! simulators flush their already-collected [`SimStats`]-style totals
+//! simulators flush their already-collected `SimStats` totals (`tta-sim`)
 //! after a run instead of counting in the cycle loop — so cycle snapshots
 //! stay bit-identical whether observability is enabled or not. The global
 //! [`enabled`] switch (env: `TTA_OBS=0` via [`init_from_env`]) reduces
 //! every probe to one relaxed atomic load for timing-purist runs.
-//!
-//! [`SimStats`]: https://docs.rs/ (tta-sim)
 
 #![warn(missing_docs)]
 
@@ -45,6 +47,7 @@ pub mod hist;
 pub mod json;
 pub mod ndjson;
 pub mod prom;
+mod registry;
 pub mod report;
 pub mod span;
 pub mod trace;

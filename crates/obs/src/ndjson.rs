@@ -3,10 +3,10 @@
 //! The serve layer streams one compact JSON document per line
 //! (`application/x-ndjson`): every line parses independently through
 //! [`crate::json::parse`], so a client can act on each completed job
-//! without waiting for the end of the stream. [`line`] renders one value
-//! in that framing, [`Writer`] emits and flushes lines incrementally, and
-//! [`parse_lines`] decodes a whole stream back into values (the test-side
-//! inverse).
+//! without waiting for the end of the stream. [`line`](fn@line) renders
+//! one value in that framing, [`Writer`] emits and flushes lines
+//! incrementally, and [`parse_lines`] decodes a whole stream back into
+//! values (the test-side inverse).
 
 use std::io;
 

@@ -42,27 +42,38 @@ fn push_gauge(out: &mut String, name: &str, value: i64) {
     out.push_str(&format!("# TYPE {m} gauge\n{m} {value}\n"));
 }
 
-fn push_hist(out: &mut String, h: &HistStat) {
-    let m = format!("tta_{}", sanitize(&h.name));
-    out.push_str(&format!("# TYPE {m} histogram\n"));
+/// Write one histogram series of metric `m`: cumulative `_bucket` lines,
+/// then `_sum` and `_count`. `label` is `key="value"` or empty. Bounds are
+/// emitted only up to the first bucket that already holds every sample,
+/// which keeps the exposition compact while still spanning the recorded
+/// range, plus the mandatory `+Inf`.
+fn push_series(out: &mut String, m: &str, label: &str, h: &HistStat) {
+    let (le_prefix, braced) = if label.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{label},"), format!("{{{label}}}"))
+    };
     let mut cumulative = 0u64;
-    for i in 0..BUCKETS {
-        cumulative = cumulative.saturating_add(h.buckets[i]);
-        if i == BUCKETS - 1 {
-            out.push_str(&format!("{m}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        } else {
+    for (i, &b) in h.buckets.iter().enumerate() {
+        cumulative = cumulative.saturating_add(b);
+        let last = i == BUCKETS - 1;
+        if !last {
             let le = hist::bucket_bound(i);
-            // Only emit bounds up to the first bucket that already holds
-            // every sample: keeps the exposition compact while still
-            // spanning the recorded range (plus the mandatory +Inf).
-            out.push_str(&format!("{m}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            if cumulative == h.count && h.buckets[i..].iter().skip(1).all(|&b| b == 0) {
-                out.push_str(&format!("{m}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-                break;
-            }
+            out.push_str(&format!(
+                "{m}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"
+            ));
+        }
+        if last || (cumulative == h.count && h.buckets[i + 1..].iter().all(|&b| b == 0)) {
+            out.push_str(&format!(
+                "{m}_bucket{{{le_prefix}le=\"+Inf\"}} {cumulative}\n"
+            ));
+            break;
         }
     }
-    out.push_str(&format!("{m}_sum {}\n{m}_count {}\n", h.sum, h.count));
+    out.push_str(&format!(
+        "{m}_sum{braced} {}\n{m}_count{braced} {}\n",
+        h.sum, h.count
+    ));
 }
 
 /// Escape a label *value* for the exposition format: backslash, double
@@ -100,31 +111,8 @@ pub fn push_labeled_hist(
     let k = sanitize(label_key);
     out.push_str(&format!("# TYPE {m} histogram\n"));
     for (value, h) in series {
-        let v = escape_label_value(value);
-        let mut cumulative = 0u64;
-        for i in 0..BUCKETS {
-            cumulative = cumulative.saturating_add(h.buckets[i]);
-            if i == BUCKETS - 1 {
-                out.push_str(&format!(
-                    "{m}_bucket{{{k}=\"{v}\",le=\"+Inf\"}} {cumulative}\n"
-                ));
-            } else {
-                let le = hist::bucket_bound(i);
-                out.push_str(&format!(
-                    "{m}_bucket{{{k}=\"{v}\",le=\"{le}\"}} {cumulative}\n"
-                ));
-                if cumulative == h.count && h.buckets[i..].iter().skip(1).all(|&b| b == 0) {
-                    out.push_str(&format!(
-                        "{m}_bucket{{{k}=\"{v}\",le=\"+Inf\"}} {cumulative}\n"
-                    ));
-                    break;
-                }
-            }
-        }
-        out.push_str(&format!(
-            "{m}_sum{{{k}=\"{v}\"}} {}\n{m}_count{{{k}=\"{v}\"}} {}\n",
-            h.sum, h.count
-        ));
+        let label = format!("{k}=\"{}\"", escape_label_value(value));
+        push_series(out, &m, &label, h);
     }
 }
 
@@ -143,7 +131,9 @@ pub fn render_parts(
         push_gauge(&mut out, name, *value);
     }
     for h in hists {
-        push_hist(&mut out, h);
+        let m = format!("tta_{}", sanitize(&h.name));
+        out.push_str(&format!("# TYPE {m} histogram\n"));
+        push_series(&mut out, &m, "", h);
     }
     out
 }

@@ -24,7 +24,8 @@
 //!
 //! `obs_dropped` counts probe updates refused because a fixed-capacity
 //! registry was full — all zeros in a healthy run; anything else means
-//! the report has blind spots (see the registry docs in `span`/`counter`).
+//! the report has blind spots (see the crate docs on the one registry
+//! behind spans, counters, gauges and histograms).
 //!
 //! Spans are sorted by path, counters and gauges by name, so two reports
 //! from the same workload diff cleanly. The bench binaries embed this

@@ -1,7 +1,8 @@
 //! Hierarchical timing spans.
 //!
 //! A span charges wall-clock time to a `(name, parent)` slot in a global
-//! fixed-capacity registry. Slots are interned on first use and never
+//! fixed-capacity registry, the crate's one interned table (counters and
+//! histograms use the same one). Slots are interned on first use and never
 //! freed; the hot path (enter/exit) is a registry scan plus two `Instant`
 //! reads and two relaxed `fetch_add`s — no locks, no allocation. Totals
 //! are *thread-seconds*: when several threads run under the same parent
@@ -22,196 +23,42 @@
 //! tree is visible as a number instead of a mystery.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
+
+use crate::registry::{Registry, ROOT};
 
 /// Maximum distinct `(name, parent)` span slots; later spans are dropped.
 pub const MAX_SPANS: usize = 512;
 
-/// Parent index meaning "root".
-const NO_PARENT: usize = usize::MAX;
-
-const EMPTY: u8 = 0;
-const READY: u8 = 2;
-
-/// One interned span kind.
-struct Slot {
-    state: AtomicU8,
-    name_ptr: AtomicUsize,
-    name_len: AtomicUsize,
-    parent: AtomicUsize,
-    total_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Slot {
-    const fn new() -> Self {
-        Slot {
-            state: AtomicU8::new(EMPTY),
-            name_ptr: AtomicUsize::new(0),
-            name_len: AtomicUsize::new(0),
-            parent: AtomicUsize::new(NO_PARENT),
-            total_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// The interned name. Only valid on `READY` slots (the name pointer
-    /// was published with release ordering before the state flipped).
-    fn name(&self) -> &'static str {
-        let ptr = self.name_ptr.load(Ordering::Relaxed) as *const u8;
-        let len = self.name_len.load(Ordering::Relaxed);
-        // SAFETY: written exclusively from a `&'static str` under the
-        // registration lock before `state` was released to `READY`.
-        unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr, len)) }
-    }
-}
-
-/// A fixed-capacity span registry. The process-wide instance backs the
-/// public module functions; tests exercising exhaustion build their own
-/// so they cannot poison everyone else's slots.
-struct Registry {
-    slots: [Slot; MAX_SPANS],
-    /// Number of claimed slots (slots are claimed densely from 0).
-    next: AtomicUsize,
-    /// Spinlock serialising slot *insertion* only; lookups stay lock-free.
-    lock: AtomicBool,
-    /// Span entries refused because the registry was full.
-    dropped: AtomicU64,
-}
-
-impl Registry {
-    const fn new() -> Self {
-        Registry {
-            slots: [const { Slot::new() }; MAX_SPANS],
-            next: AtomicUsize::new(0),
-            lock: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Find the slot for `(name, parent)` in `[0, hi)`, comparing names by
-    /// content so identical literals from different crates unify.
-    fn find(&self, name: &str, parent: usize, hi: usize) -> Option<usize> {
-        (0..hi.min(MAX_SPANS)).find(|&i| {
-            let s = &self.slots[i];
-            s.state.load(Ordering::Acquire) == READY
-                && s.parent.load(Ordering::Relaxed) == parent
-                && s.name() == name
-        })
-    }
-
-    /// Intern `(name, parent)`, returning its slot. A full registry
-    /// returns `None` and bumps the dropped tally — the caller records
-    /// nothing rather than misattributing time to someone else's slot.
-    fn intern(&self, name: &'static str, parent: usize) -> Option<usize> {
-        let hi = self.next.load(Ordering::Acquire);
-        if let Some(i) = self.find(name, parent, hi) {
-            return Some(i);
-        }
-        // Slow path: serialise insertion so a key is claimed exactly once.
-        while self
-            .lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        let hi = self.next.load(Ordering::Acquire);
-        let got = match self.find(name, parent, hi) {
-            Some(i) => Some(i),
-            None if hi < MAX_SPANS => {
-                let s = &self.slots[hi];
-                s.name_ptr.store(name.as_ptr() as usize, Ordering::Relaxed);
-                s.name_len.store(name.len(), Ordering::Relaxed);
-                s.parent.store(parent, Ordering::Relaxed);
-                s.state.store(READY, Ordering::Release);
-                self.next.store(hi + 1, Ordering::Release);
-                Some(hi)
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        };
-        self.lock.store(false, Ordering::Release);
-        got
-    }
-
-    /// Build the `/`-joined path of slot `i` by walking its parent chain.
-    fn path_of(&self, i: usize) -> String {
-        let mut parts: Vec<&'static str> = Vec::new();
-        let mut at = i;
-        // The parent chain is acyclic by construction (a slot's parent
-        // always has a lower index), but cap the walk defensively.
-        for _ in 0..MAX_SPANS {
-            parts.push(self.slots[at].name());
-            let p = self.slots[at].parent.load(Ordering::Relaxed);
-            if p == NO_PARENT {
-                break;
-            }
-            at = p;
-        }
-        parts.reverse();
-        parts.join("/")
-    }
-
-    fn snapshot(&self) -> Vec<SpanStat> {
-        let hi = self.next.load(Ordering::Acquire);
-        let mut out: Vec<SpanStat> = (0..hi.min(MAX_SPANS))
-            .filter(|&i| self.slots[i].state.load(Ordering::Acquire) == READY)
-            .map(|i| SpanStat {
-                path: self.path_of(i),
-                total_s: self.slots[i].total_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-                count: self.slots[i].count.load(Ordering::Relaxed),
-            })
-            .filter(|s| s.count > 0)
-            .collect();
-        out.sort_by(|a, b| a.path.cmp(&b.path));
-        out
-    }
-
-    fn stat(&self, path: &str) -> Option<(f64, u64)> {
-        let hi = self.next.load(Ordering::Acquire);
-        (0..hi.min(MAX_SPANS))
-            .filter(|&i| self.slots[i].state.load(Ordering::Acquire) == READY)
-            .find(|&i| self.path_of(i) == path)
-            .map(|i| {
-                (
-                    self.slots[i].total_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-                    self.slots[i].count.load(Ordering::Relaxed),
-                )
-            })
-    }
-
-    fn reset(&self) {
-        let hi = self.next.load(Ordering::Acquire);
-        for slot in self.slots.iter().take(hi.min(MAX_SPANS)) {
-            slot.total_ns.store(0, Ordering::Relaxed);
-            slot.count.store(0, Ordering::Relaxed);
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    fn reset_prefix(&self, prefix: &str) {
-        let hi = self.next.load(Ordering::Acquire);
-        for (i, slot) in self.slots.iter().enumerate().take(hi.min(MAX_SPANS)) {
-            if slot.state.load(Ordering::Acquire) != READY {
-                continue;
-            }
-            let p = self.path_of(i);
-            if p == prefix
-                || (p.starts_with(prefix) && p.as_bytes().get(prefix.len()) == Some(&b'/'))
-            {
-                slot.total_ns.store(0, Ordering::Relaxed);
-                slot.count.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-}
+/// Cells of a span slot.
+const TOTAL_NS: usize = 0;
+const COUNT: usize = 1;
 
 /// The process-wide registry behind [`span`], [`snapshot`] and friends.
-static REGISTRY: Registry = Registry::new();
+static REGISTRY: Registry<2, MAX_SPANS> = Registry::new();
+
+/// The `/`-joined path of slot `i`, walking its parent chain (a slot's
+/// parent always has a lower index, so the walk ends).
+fn path_of(i: usize) -> String {
+    let mut parts = vec![REGISTRY.name(i)];
+    let mut at = REGISTRY.parent(i);
+    while at != ROOT {
+        parts.push(REGISTRY.name(at));
+        at = REGISTRY.parent(at);
+    }
+    parts.reverse();
+    parts.join("/")
+}
+
+/// Total seconds and count of slot `i`.
+fn totals(i: usize) -> (f64, u64) {
+    let v = REGISTRY.values(i);
+    (
+        v[TOTAL_NS].load(Ordering::Relaxed) as f64 * 1e-9,
+        v[COUNT].load(Ordering::Relaxed),
+    )
+}
 
 thread_local! {
     /// Stack of open span slot indices on this thread.
@@ -225,12 +72,12 @@ pub struct SpanHandle(usize);
 
 impl SpanHandle {
     /// The root handle: spans opened under it have no parent.
-    pub const ROOT: SpanHandle = SpanHandle(NO_PARENT);
+    pub const ROOT: SpanHandle = SpanHandle(ROOT);
 }
 
 /// The innermost span currently open on this thread (or the root handle).
 pub fn current() -> SpanHandle {
-    STACK.with(|s| SpanHandle(s.borrow().last().copied().unwrap_or(NO_PARENT)))
+    STACK.with(|s| SpanHandle(s.borrow().last().copied().unwrap_or(ROOT)))
 }
 
 /// RAII timing guard returned by [`span`] / [`span_under`]. Charges the
@@ -266,10 +113,9 @@ impl Drop for Span {
             return;
         };
         let ns = start.elapsed().as_nanos() as u64;
-        REGISTRY.slots[slot]
-            .total_ns
-            .fetch_add(ns, Ordering::Relaxed);
-        REGISTRY.slots[slot].count.fetch_add(1, Ordering::Relaxed);
+        let v = REGISTRY.values(slot);
+        v[TOTAL_NS].fetch_add(ns, Ordering::Relaxed);
+        v[COUNT].fetch_add(1, Ordering::Relaxed);
         // Guards drop in LIFO order (they are !Send and scope-bound), but
         // be defensive: remove our slot wherever it sits, and tolerate a
         // thread-local already torn down during thread exit.
@@ -329,7 +175,7 @@ impl Drop for Attach {
 /// it. This is how a worker pool inherits the span of the thread that
 /// spawned it.
 pub fn attach(handle: SpanHandle) -> Attach {
-    let pushed = handle.0 != NO_PARENT && crate::enabled();
+    let pushed = handle.0 != ROOT && crate::enabled();
     if pushed {
         STACK.with(|s| s.borrow_mut().push(handle.0));
     }
@@ -353,18 +199,32 @@ pub struct SpanStat {
 
 /// Snapshot every span with a non-zero count, sorted by path.
 pub fn snapshot() -> Vec<SpanStat> {
-    REGISTRY.snapshot()
+    let mut out: Vec<SpanStat> = (0..REGISTRY.len())
+        .map(|i| {
+            let (total_s, count) = totals(i);
+            SpanStat {
+                path: path_of(i),
+                total_s,
+                count,
+            }
+        })
+        .filter(|s| s.count > 0)
+        .collect();
+    out.sort_by(|a, b| a.path.cmp(&b.path));
+    out
 }
 
 /// Total seconds and completion count recorded for the span at `path`
 /// (e.g. `"eval/compile"`), or `None` if no such span exists yet.
 pub fn stat(path: &str) -> Option<(f64, u64)> {
-    REGISTRY.stat(path)
+    (0..REGISTRY.len())
+        .find(|&i| path_of(i) == path)
+        .map(totals)
 }
 
 /// How many span entries were refused because the registry was full.
 pub fn dropped() -> u64 {
-    REGISTRY.dropped.load(Ordering::Relaxed)
+    REGISTRY.dropped()
 }
 
 /// Zero every span total, count and the dropped tally (slots stay
@@ -376,7 +236,14 @@ pub fn reset() {
 /// Zero totals for the span at `prefix` and everything below it (path
 /// equal to `prefix` or starting with `prefix/`).
 pub fn reset_prefix(prefix: &str) {
-    REGISTRY.reset_prefix(prefix);
+    for i in 0..REGISTRY.len() {
+        let p = path_of(i);
+        if p.strip_prefix(prefix)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+        {
+            REGISTRY.clear(i);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -475,35 +342,6 @@ mod tests {
         for w in snap.windows(2) {
             assert!(w[0].path < w[1].path);
         }
-    }
-
-    #[test]
-    fn full_registry_drops_new_keys_and_counts_them() {
-        // A *local* registry, so overflowing it cannot poison the global
-        // one that every other test in this process shares.
-        static LOCAL: Registry = Registry::new();
-        // Distinct leaked names: interning is by name content, so each
-        // claims a fresh slot.
-        for i in 0..MAX_SPANS {
-            let name: &'static str = Box::leak(format!("ovf_{i}").into_boxed_str());
-            assert!(LOCAL.intern(name, NO_PARENT).is_some(), "slot {i}");
-        }
-        assert_eq!(LOCAL.next.load(Ordering::Relaxed), MAX_SPANS);
-        assert_eq!(LOCAL.dropped.load(Ordering::Relaxed), 0);
-        // The registry is full: new keys degrade to drops...
-        let extra: &'static str = Box::leak("ovf_overflow".to_string().into_boxed_str());
-        assert_eq!(LOCAL.intern(extra, NO_PARENT), None);
-        assert_eq!(LOCAL.intern(extra, NO_PARENT), None);
-        assert_eq!(LOCAL.dropped.load(Ordering::Relaxed), 2);
-        // ...while already-interned keys keep working.
-        assert!(LOCAL.intern("ovf_0", NO_PARENT).is_some());
-        assert_eq!(LOCAL.dropped.load(Ordering::Relaxed), 2);
-        // A full-registry snapshot still renders (zero-count slots are
-        // filtered, so charge one slot a tick first).
-        LOCAL.slots[0].count.fetch_add(1, Ordering::Relaxed);
-        let snap = LOCAL.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].path, "ovf_0");
     }
 
     #[test]

@@ -58,11 +58,7 @@ pub fn kernel_series(budget: usize) -> Vec<(String, HistStat)> {
     if series.len() > budget {
         let mut other = HistStat::new(KERNEL_SERVICE_METRIC);
         for (_, h) in series.drain(budget..) {
-            other.count += h.count;
-            other.sum = other.sum.saturating_add(h.sum);
-            for (o, b) in other.buckets.iter_mut().zip(h.buckets.iter()) {
-                *o += b;
-            }
+            other.merge(&h);
         }
         series.push((OTHER_LABEL.to_string(), other));
     }

@@ -11,12 +11,13 @@
 //! ## The disable contract
 //!
 //! Profiling mirrors the `TTA_OBS=0` promise of `crates/obs`, but goes one
-//! step further: the cycle loops are generic over a [`ProfileSink`], and the
-//! default entry points ([`crate::run`] and friends) instantiate them with
-//! [`NoProfile`], whose hook methods are empty `#[inline(always)]` bodies —
-//! the profiling code is *compiled out* of that monomorphisation, not
-//! branched around. [`crate::run_profiled`] is a separate monomorphisation
-//! feeding a [`Collector`]. Either way `SimResult` (cycles,
+//! step further: the cycle loops are generic over a crate-private sink
+//! trait, and the default entry points ([`crate::run`] and friends)
+//! instantiate them with a sink whose hook methods are empty
+//! `#[inline(always)]` bodies — the profiling code is *compiled out* of
+//! that monomorphisation, not branched around. [`crate::run_profiled`] is
+//! a separate monomorphisation feeding a collector that builds the
+//! [`GuestProfile`]. Either way `SimResult` (cycles,
 //! return value, memory image, `SimStats`) is bit-identical — enforced by
 //! `tests/profile_parity.rs` at the workspace root.
 //!
@@ -26,8 +27,8 @@
 //! per program counter*: a TTA instruction always performs the same moves,
 //! reads and triggers every time it executes. The hot-loop hook is therefore
 //! a single `counts[pc] += 1`; the full profile is reconstructed after the
-//! run by walking the program once with the counts as multipliers
-//! ([`finish_tta`] and friends). The VLIW core additionally records dynamic
+//! run by walking the program once per core style with the counts as
+//! multipliers. The VLIW core additionally records dynamic
 //! RF write-port pressure, because writebacks land at `issue + latency` and
 //! several issue cycles can drain onto the same register file in one cycle.
 
