@@ -11,7 +11,6 @@
 //! handler-maintained state instead of racing it. Scratch state like
 //! the timer tick count is deliberately left out of the checksum.
 
-use crate::Kernel;
 use tta_ir::builder::{FunctionBuilder, ModuleBuilder};
 use tta_ir::inst::MemRegion;
 use tta_ir::Module;
@@ -227,22 +226,6 @@ pub fn all_guests() -> Vec<ReactiveGuest> {
     ]
 }
 
-/// Look a reactive guest up by name.
-pub fn guest_by_name(name: &str) -> Option<ReactiveGuest> {
-    all_guests().into_iter().find(|g| g.name == name)
-}
-
-/// The closed-world view of a guest (build + expected), for call sites
-/// that only need the [`Kernel`] shape. The I/O spec must still come
-/// from [`ReactiveGuest::spec`].
-pub fn as_kernel(g: &ReactiveGuest) -> Kernel {
-    Kernel {
-        name: g.name,
-        build: g.build,
-        expected: g.expected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,8 +261,5 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), sums.len(), "checksum collision between guests");
-        assert!(guest_by_name("uart_echo").is_some());
-        assert!(guest_by_name("sha").is_none());
-        assert_eq!(as_kernel(&all_guests()[0]).name, "uart_echo");
     }
 }

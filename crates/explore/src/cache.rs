@@ -170,11 +170,6 @@ impl CompileCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 impl Default for CompileCache {
@@ -221,7 +216,6 @@ mod tests {
             cache.get_or_compile(CompileCache::key_for(&m, ir), &kernel, &m);
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.shard_count(), SHARDS);
     }
 
     // The obs counters are process-global and sibling tests move them

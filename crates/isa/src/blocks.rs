@@ -126,15 +126,6 @@ impl BlockMap {
         }
         n
     }
-
-    /// Mean instructions per maximal superblock (0.0 for empty programs).
-    pub fn mean_block_len(&self) -> f64 {
-        let blocks = self.block_count();
-        if blocks == 0 {
-            return 0.0;
-        }
-        self.run_len.len() as f64 / blocks as f64
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +167,6 @@ mod tests {
         assert_eq!(map.run_len(3), 2); // alu, nop — capped by program end
         assert_eq!(map.run_len(4), 1);
         assert_eq!(map.block_count(), 2);
-        assert_eq!(map.mean_block_len(), 2.5);
     }
 
     #[test]
@@ -272,6 +262,5 @@ mod tests {
             BlockMap::of_program(&Program::Vliw(vec![])).block_count(),
             0
         );
-        assert_eq!(BlockMap::of_scalar(&[]).mean_block_len(), 0.0);
     }
 }

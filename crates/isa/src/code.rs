@@ -150,14 +150,6 @@ impl VliwBundle {
         }
     }
 
-    /// Number of operations issued (long immediates count once).
-    pub fn op_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Some(VliwSlot::Op(_)) | Some(VliwSlot::LimmHead { .. })))
-            .count()
-    }
-
     /// Whether the bundle does nothing.
     pub fn is_nop(&self) -> bool {
         self.slots.iter().all(|s| s.is_none())
@@ -302,7 +294,6 @@ mod tests {
             value: 1 << 20,
         });
         b.slots[1] = Some(VliwSlot::LimmCont);
-        assert_eq!(b.op_count(), 1);
         assert!(!b.is_nop());
     }
 

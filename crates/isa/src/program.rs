@@ -54,27 +54,6 @@ impl Program {
         image_bits(m, self.len())
     }
 
-    /// Count of NOP instructions/bundles (a schedule-quality metric).
-    pub fn nop_count(&self) -> usize {
-        match self {
-            Program::Tta(v) => v.iter().filter(|i| i.is_nop()).count(),
-            Program::Vliw(v) => v.iter().filter(|b| b.is_nop()).count(),
-            Program::Scalar(_) => 0,
-        }
-    }
-
-    /// Total programmed moves (TTA) or operations (VLIW/scalar).
-    pub fn payload_count(&self) -> usize {
-        match self {
-            Program::Tta(v) => v
-                .iter()
-                .map(|i| i.move_count() + usize::from(i.limm.is_some()))
-                .sum(),
-            Program::Vliw(v) => v.iter().map(|b| b.op_count()).sum(),
-            Program::Scalar(v) => v.len(),
-        }
-    }
-
     /// Validate against a machine. The program style must match the machine
     /// style.
     pub fn validate(&self, m: &Machine) -> Result<(), Vec<IsaError>> {
@@ -608,19 +587,5 @@ mod tests {
             .validate(&m)
             .unwrap_err();
         assert!(errs.iter().any(|e| e.0.contains("imm-prefix")));
-    }
-
-    #[test]
-    fn payload_and_nop_counts() {
-        let m = presets::m_tta_1();
-        let mut i = TtaInst::nop(m.buses.len());
-        i.slots[0] = Some(Move {
-            src: MoveSrc::Imm(1),
-            dst: MoveDst::FuOperand(FuId(0)),
-        });
-        let p = Program::Tta(vec![i, TtaInst::nop(3)]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.nop_count(), 1);
-        assert_eq!(p.payload_count(), 1);
     }
 }

@@ -159,21 +159,6 @@ impl<B> TierTable<B> {
         self.slots[pc as usize].block.get()
     }
 
-    /// Number of pcs covered (the program length).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table covers an empty program.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The configured promotion threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
     /// Number of pcs with an installed compiled block.
     pub fn compiled_count(&self) -> usize {
         self.slots
@@ -201,8 +186,6 @@ mod tests {
             e => panic!("expected compiled, got {e:?}"),
         }
         assert_eq!(t.compiled_count(), 1);
-        assert_eq!(t.len(), 4);
-        assert!(!t.is_empty());
     }
 
     #[test]

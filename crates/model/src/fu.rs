@@ -102,11 +102,6 @@ impl FunctionUnit {
     pub fn has_result_port(&self) -> bool {
         self.ops.iter().any(|op| op.has_result())
     }
-
-    /// The longest latency among hosted operations.
-    pub fn max_latency(&self) -> u32 {
-        self.ops.iter().map(|op| op.latency()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -121,14 +116,12 @@ mod tests {
         assert!(!alu.supports(Opcode::Ldw));
         assert!(alu.has_operand_port());
         assert!(alu.has_result_port());
-        assert_eq!(alu.max_latency(), 3); // mul
 
         let lsu = FunctionUnit::full_lsu("lsu");
         assert_eq!(lsu.opcode_count(), 8);
         assert!(lsu.supports(Opcode::Stq));
         assert!(lsu.has_operand_port()); // stores carry data on the operand port
         assert!(lsu.has_result_port()); // loads produce results
-        assert_eq!(lsu.max_latency(), 3);
 
         let cu = FunctionUnit::control_unit("ctrl");
         assert_eq!(cu.opcode_count(), 4);

@@ -53,11 +53,6 @@ impl RegisterFile {
             .next_power_of_two()
             .trailing_zeros()
     }
-
-    /// Total storage bits.
-    pub fn storage_bits(&self) -> u32 {
-        self.regs as u32 * self.width as u32
-    }
 }
 
 /// A location in one of the machine's register files: the unit of register
@@ -87,10 +82,5 @@ mod tests {
         assert_eq!(RegisterFile::new("a", 96, 1, 1).index_bits(), 7); // rounds up
         assert_eq!(RegisterFile::new("a", 33, 1, 1).index_bits(), 6);
         assert_eq!(RegisterFile::new("a", 1, 1, 1).index_bits(), 1);
-    }
-
-    #[test]
-    fn storage() {
-        assert_eq!(RegisterFile::new("a", 64, 4, 2).storage_bits(), 2048);
     }
 }

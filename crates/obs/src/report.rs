@@ -57,25 +57,25 @@ pub fn to_json() -> Json {
         .map(|(n, v)| (n, Json::Num(v as f64)))
         .collect();
     let hists = crate::hist::snapshot().iter().map(hist_json).collect();
-    let dropped = Json::Obj(vec![
-        ("spans".into(), Json::Num(crate::span::dropped() as f64)),
-        (
-            "counters".into(),
-            Json::Num(crate::counter::dropped() as f64),
-        ),
-        (
-            "gauges".into(),
-            Json::Num(crate::counter::dropped_gauges() as f64),
-        ),
-        ("hists".into(), Json::Num(crate::hist::dropped() as f64)),
-    ]);
     Json::Obj(vec![
         ("obs_version".into(), Json::Num(OBS_VERSION as f64)),
         ("spans".into(), Json::Arr(spans)),
         ("counters".into(), Json::Obj(counters)),
         ("gauges".into(), Json::Obj(gauges)),
         ("hists".into(), Json::Arr(hists)),
-        ("obs_dropped".into(), dropped),
+        ("obs_dropped".into(), dropped_json()),
+    ])
+}
+
+/// The registries' refused-update tallies as one object (`spans`,
+/// `counters`, `gauges`, `hists`): the report's `obs_dropped`.
+pub fn dropped_json() -> Json {
+    let n = |v: u64| Json::Num(v as f64);
+    Json::Obj(vec![
+        ("spans".into(), n(crate::span::dropped())),
+        ("counters".into(), n(crate::counter::dropped())),
+        ("gauges".into(), n(crate::counter::dropped_gauges())),
+        ("hists".into(), n(crate::hist::dropped())),
     ])
 }
 

@@ -41,11 +41,6 @@ impl TraceBuilder {
         TraceBuilder::default()
     }
 
-    /// Number of events added so far.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
     /// Metadata event naming process `pid` in the viewer.
     pub fn process_name(&mut self, pid: u64, name: &str) {
         self.metadata("process_name", pid, 0, name);
@@ -209,7 +204,6 @@ mod tests {
         );
         t.counter(1, "bus moves", 0.0, &[("bus0", 1.5), ("bus1", 0.25)]);
         t.counter(1, "bus moves", 64.0, &[("bus0", 2.0), ("bus1", 0.0)]);
-        assert_eq!(t.event_count(), 5);
         let doc = t.to_json();
         assert_valid_trace(&doc);
         // And the emitted text parses back identically.

@@ -527,18 +527,7 @@ fn healthz_body(shared: &Shared) -> Json {
             "cache_misses".into(),
             Json::Num(c("eval.compile_cache.misses")),
         ),
-        (
-            "dropped".into(),
-            Json::Obj(vec![
-                ("spans".into(), Json::Num(obs::span::dropped() as f64)),
-                ("counters".into(), Json::Num(obs::counter::dropped() as f64)),
-                (
-                    "gauges".into(),
-                    Json::Num(obs::counter::dropped_gauges() as f64),
-                ),
-                ("hists".into(), Json::Num(obs::hist::dropped() as f64)),
-            ]),
-        ),
+        ("dropped".into(), obs::report::dropped_json()),
     ])
 }
 

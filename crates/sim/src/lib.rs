@@ -65,8 +65,8 @@ pub fn run_with_tiers(
     simulate(m, program, memory, fuel, &mut NoProfile, tta, None)
 }
 
-/// Run a reactive program: like [`run_with_fuel`] with a memory-mapped
-/// device bus, interrupt controller and scripted interrupt schedule
+/// Run a reactive program: like [`run_with_fuel`] with the memory-mapped
+/// UART, timer, interrupt controller and scripted interrupt schedule
 /// attached. `irq_entry` is where the compiled `__irq` handler region
 /// starts (see `tta_compiler::Compiled::irq_entry`); with `None`,
 /// interrupts latch in the controller but are never delivered, matching
