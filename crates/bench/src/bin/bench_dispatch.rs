@@ -16,12 +16,10 @@
 //! control-bearing (run-terminal) instruction, and at every pc
 //! discontinuity.
 //!
-//! Each case carries shared compiled-tier state ([`tta_sim::Tiers`], the
-//! environment configuration) warmed by one untimed run, so the timed
-//! region measures the steady state of the configured tier: compiled TTA
-//! superblock chains by default, pure interpretation under `TTA_JIT=0`
-//! (VLIW and scalar always interpret). `bench_report` diffs the file
-//! against the committed baseline in CI.
+//! Each case carries shared simulator state ([`tta_sim::Tiers`]) warmed
+//! by one untimed run, so the timed region measures steady-state
+//! dispatch: for TTA, slices of the thunk array the warm-up run built.
+//! `bench_report` diffs the file against the committed baseline in CI.
 
 use std::time::Instant;
 
@@ -76,8 +74,8 @@ fn prepare(kernel: &'static str, machine: Machine, module: &tta_ir::Module) -> C
     )
     .unwrap_or_else(|e| panic!("{kernel} on {}: {e}", machine.name));
     let map = BlockMap::of_program(&compiled.program);
-    // Shared tier state, warmed by one untimed run so the timed region
-    // measures steady-state dispatch (promotion is paid here).
+    // Shared state, warmed by one untimed run so the timed region
+    // measures steady-state dispatch (the TTA thunk array is built here).
     let tiers = tta_sim::Tiers::for_program(&compiled.program);
     let warm = tta_sim::run_with_tiers(
         &machine,
@@ -87,7 +85,10 @@ fn prepare(kernel: &'static str, machine: Machine, module: &tta_ir::Module) -> C
         &tiers,
     )
     .unwrap_or_else(|e| panic!("{kernel} on {}: {e}", machine.name));
-    assert_eq!(warm.cycles, result.cycles, "tiered warm-up diverged");
+    assert_eq!(
+        warm.cycles, result.cycles,
+        "warm-up diverged from the traced run"
+    );
     Case {
         kernel,
         machine,
@@ -210,18 +211,12 @@ fn main() {
         })
         .collect();
 
-    let compiled_blocks: u64 = cases.iter().map(|c| c.tiers.compiled_blocks() as u64).sum();
     let json = Json::Obj(vec![
         ("bench".into(), Json::Str("dispatch".into())),
         ("machines".into(), Json::Num(machines.len() as f64)),
         ("kernels".into(), Json::Num(kernels.len() as f64)),
         ("reps".into(), Json::Num(reps as f64)),
         ("iters".into(), Json::Num(iters as f64)),
-        (
-            "jit_enabled".into(),
-            Json::Bool(tta_sim::TierConfig::from_env().enabled),
-        ),
-        ("compiled_blocks".into(), Json::Num(compiled_blocks as f64)),
         ("wall_s_min".into(), Json::Num(round(min, 6))),
         ("wall_s_median".into(), Json::Num(round(median, 6))),
         ("blocks".into(), Json::Num(blocks as f64)),

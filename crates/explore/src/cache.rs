@@ -11,9 +11,9 @@
 //! by key hash: a server draining dozens of concurrent simulations then
 //! only contends on a shard when two jobs race for the *same* artefact's
 //! neighbourhood, not on one global mutex. Values are
-//! `(Arc<Compiled>, Arc<Tiers>)` — the shared tier table means superblocks
-//! promoted by the first run of a pair are reused by every later run
-//! (promotion is lock-free, so sharing across worker threads is safe).
+//! `(Arc<Compiled>, Arc<Tiers>)` — the TTA thunk array the first run of a
+//! pair builds into its `Tiers` is reused by every later run, from any
+//! worker thread.
 //!
 //! The cache is *bounded*: each shard keeps at most its share of the
 //! configured capacity and evicts its oldest insertion first (FIFO — the
@@ -36,7 +36,7 @@ use tta_obs as obs;
 use crate::eval::PreparedKernel;
 
 /// A cached compile artefact: the compiled program plus its shared
-/// compiled-tier promotion state.
+/// simulator state (the TTA thunk array, built on first run).
 pub type Entry = (Arc<Compiled>, Arc<tta_sim::Tiers>);
 
 /// Cache key: (machine-`Debug` hash, IR-text hash).
@@ -203,7 +203,10 @@ mod tests {
         let a = cache.get_or_compile(key, &kernel, &machine);
         let b = cache.get_or_compile(key, &kernel, &machine);
         assert!(Arc::ptr_eq(&a.0, &b.0), "hit must share the artefact");
-        assert!(Arc::ptr_eq(&a.1, &b.1), "hit must share the tier table");
+        assert!(
+            Arc::ptr_eq(&a.1, &b.1),
+            "hit must share the simulator state"
+        );
         assert_eq!(cache.len(), 1);
     }
 

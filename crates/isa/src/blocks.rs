@@ -113,19 +113,6 @@ impl BlockMap {
     pub fn is_empty(&self) -> bool {
         self.run_len.is_empty()
     }
-
-    /// Number of maximal superblocks in the program: runs counted from
-    /// their canonical starts (pc 0 and every instruction following a
-    /// terminal one). Mid-run jump entries do not add blocks.
-    pub fn block_count(&self) -> usize {
-        let mut n = 0;
-        let mut pc = 0usize;
-        while pc < self.run_len.len() {
-            n += 1;
-            pc += self.run_len[pc] as usize;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +153,6 @@ mod tests {
         assert_eq!(map.run_len(2), 1); // the jump itself
         assert_eq!(map.run_len(3), 2); // alu, nop — capped by program end
         assert_eq!(map.run_len(4), 1);
-        assert_eq!(map.block_count(), 2);
     }
 
     #[test]
@@ -215,7 +201,6 @@ mod tests {
         assert_eq!(map.run_len(0), 3);
         assert_eq!(map.run_len(2), 1);
         assert_eq!(map.run_len(3), 1);
-        assert_eq!(map.block_count(), 2);
     }
 
     #[test]
@@ -245,7 +230,6 @@ mod tests {
         assert_eq!(map.run_len(0), 4); // up to and including the cjnz
         assert_eq!(map.run_len(1), 3);
         assert_eq!(map.run_len(4), 1); // halt is its own run
-        assert_eq!(map.block_count(), 2);
         assert!(!scalar_ends_block(&ScalarInst::ImmPrefix));
         assert!(scalar_ends_block(&prog[4]));
     }
@@ -258,9 +242,5 @@ mod tests {
         assert_eq!(map.run_len(0), 2);
         assert!(!map.is_empty());
         assert!(BlockMap::of_program(&Program::Scalar(vec![])).is_empty());
-        assert_eq!(
-            BlockMap::of_program(&Program::Vliw(vec![])).block_count(),
-            0
-        );
     }
 }

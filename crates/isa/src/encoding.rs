@@ -27,7 +27,7 @@ pub fn ceil_log2(n: usize) -> u32 {
 /// Number of addressable source items on a bus: every register of every
 /// readable RF, each readable FU result port, and each long-immediate
 /// register.
-pub fn tta_src_items(m: &Machine, bus: &Bus) -> usize {
+fn tta_src_items(m: &Machine, bus: &Bus) -> usize {
     let mut items = m.limm.imm_regs as usize;
     for s in &bus.sources {
         items += match *s {
@@ -41,7 +41,7 @@ pub fn tta_src_items(m: &Machine, bus: &Bus) -> usize {
 /// Number of addressable destination items on a bus: every register of
 /// every writable RF, each operand port, and one code per opcode of each
 /// reachable trigger port, plus the slot-NOP code.
-pub fn tta_dst_items(m: &Machine, bus: &Bus) -> usize {
+fn tta_dst_items(m: &Machine, bus: &Bus) -> usize {
     let mut items = 1; // NOP
     for d in &bus.dests {
         items += match *d {
@@ -80,7 +80,7 @@ pub fn tta_instruction_bits(m: &Machine) -> u32 {
 /// register of any file (partitioned files spend the same bits on bank
 /// select + index, as in the paper where 2-issue machines use 6 bits and
 /// 3-issue machines 7).
-pub fn vliw_reg_bits(m: &Machine) -> u32 {
+fn vliw_reg_bits(m: &Machine) -> u32 {
     ceil_log2(m.total_regs() as usize)
 }
 
@@ -91,7 +91,7 @@ pub fn vliw_imm_bits(m: &Machine) -> u32 {
 
 /// Full VLIW instruction width in bits: per slot, 4-bit opcode + two source
 /// fields (reg bits + immediate flag) + destination field.
-pub fn vliw_instruction_bits(m: &Machine) -> u32 {
+fn vliw_instruction_bits(m: &Machine) -> u32 {
     let reg = vliw_reg_bits(m);
     let slot = 4 + 2 * (reg + 1) + reg;
     slot * m.slots.len() as u32

@@ -28,7 +28,6 @@ pub mod blocks;
 pub mod code;
 pub mod encoding;
 pub mod program;
-pub mod tier;
 
 pub use bits::TtaCodec;
 pub use blocks::BlockMap;
@@ -38,4 +37,3 @@ pub use code::{
 };
 pub use encoding::{image_bits, instruction_bits};
 pub use program::{IsaError, Program};
-pub use tier::{TierConfig, TierEntry, TierTable};

@@ -41,7 +41,8 @@
 //!
 //! * [`IrqAt::Cycle`] — raise at a simulated cycle. Cycle counts differ
 //!   across core styles by design, so this axis serves within-style
-//!   tests (tier-parity, latency pinning) and reactive example guests.
+//!   tests (shared-state parity, latency pinning) and reactive example
+//!   guests.
 //! * [`IrqAt::MmioStore`] — raise once the guest has performed its K-th
 //!   MMIO store. The dynamic MMIO-store sequence is identical across the
 //!   interpreter and every style (MMIO ops are naturally program-

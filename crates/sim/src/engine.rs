@@ -8,17 +8,16 @@
 //! The program is segmented into superblocks ([`tta_isa::BlockMap`]) once
 //! per run, and the loop dispatches a superblock at a time: the fuel
 //! check, the pc bounds check, the I/O poll and the delay-slot
-//! bookkeeping happen once per block entry, and the interior of a block
-//! runs as a tight loop of [`Engine::step`] in a monomorphisation whose
-//! control arm is compiled out (`CTRL = false`). Only the terminal
-//! instruction runs the control arm. Cycle counts, statistics and error
-//! behaviour are bit-identical to per-cycle execution; the
-//! fuel-exhaustion boundary is pinned by `tests/fuel_boundary.rs`.
+//! bookkeeping happen once per block entry, and the engine runs the
+//! entry's instructions in one call to [`Engine::run_slice`] — the TTA
+//! engine as a slice of its thunk array, the VLIW engine as a loop of its
+//! step whose control arm is compiled out of every instruction but the
+//! run's terminal one. Cycle counts, statistics and error behaviour are
+//! bit-identical to per-cycle execution; the fuel-exhaustion boundary is
+//! pinned by `tests/fuel_boundary.rs`.
 //!
-//! The TTA's compiled tier enters through [`Engine::run_compiled`], the
-//! one hook the VLIW engine leaves empty. The scalar engine uses [`Core`]
-//! but keeps its own short loop: its fuel counts instructions, not
-//! cycles, and it has no delay slots.
+//! The scalar engine uses [`Core`] but keeps its own short loop: its fuel
+//! counts instructions, not cycles, and it has no delay slots.
 
 use crate::profile::ProfileSink;
 use crate::result::{SimError, SimResult, SimStats};
@@ -208,23 +207,26 @@ impl<'a, C> Core<'a, C> {
 }
 
 /// A statically scheduled engine (TTA or VLIW) as [`run_blocks`] drives
-/// it: its datapath, cycle step and trap drain; everything else is the
-/// loop's or the [`Core`]'s.
+/// it: its datapath, block-entry execution and trap drain; everything else
+/// is the loop's or the [`Core`]'s.
 pub(crate) trait Engine<'a> {
     /// The datapath state a trap checkpoints beside the pc.
     type Checkpoint;
 
     fn core(&mut self) -> &mut Core<'a, Self::Checkpoint>;
 
-    /// One architectural cycle at `pc`. With `CTRL = false` the caller
-    /// guarantees (via the block map) that the instruction carries no
-    /// control effect, and the control arm is compiled out of the
-    /// monomorphisation. Returns whether the core halted.
-    fn step<S: ProfileSink, const CTRL: bool>(
+    /// Execute the `len` instructions from `pc`, the first at `cycle`: a
+    /// prefix of the straight-line run at `pc`, which includes the run's
+    /// control-bearing terminal instruction iff `terminal`. Returns
+    /// whether the core halted. A taken jump arms `pending_jump`; the
+    /// caller does all delay-slot bookkeeping.
+    fn run_slice<S: ProfileSink>(
         &mut self,
         sink: &mut S,
         pc: u32,
         cycle: u64,
+        len: u64,
+        terminal: bool,
         pending_jump: &mut Option<(u32, u32)>,
     ) -> Result<bool, SimError>;
 
@@ -239,22 +241,6 @@ pub(crate) trait Engine<'a> {
 
     /// Handler return: restore the checkpoint; `cycle` is the resume cycle.
     fn trap_restore(&mut self, datapath: Self::Checkpoint, cycle: u64);
-
-    /// Run the whole `len`-instruction block at `pc` in a compiled tier,
-    /// returning whether it halted, or `None` to interpret it. `unclamped`
-    /// says whether the entry may run the whole block (no pending jump;
-    /// fuel and the I/O window cover it). Called only for passive sinks.
-    #[inline(always)]
-    fn run_compiled(
-        &mut self,
-        _pc: u32,
-        _cycle: u64,
-        _len: u64,
-        _unclamped: bool,
-        _pending_jump: &mut Option<(u32, u32)>,
-    ) -> Result<Option<bool>, SimError> {
-        Ok(None)
-    }
 }
 
 /// The block-dispatch loop of the TTA and VLIW engines: one superblock
@@ -306,50 +292,32 @@ pub(crate) fn run_blocks<'a, S: ProfileSink, E: Engine<'a>>(
             len = len.min(k as u64 + 1);
         }
         len = len.min(fuel - cycle).min(win);
+        debug_assert!(len > 0, "a block entry runs at least one instruction");
         // Only the run's terminal instruction can carry control effects,
         // and it is part of this dispatch iff nothing clamped `len`.
         let terminal = len == full;
-
-        let compiled = if S::PASSIVE {
-            let unclamped = terminal && pending_jump.is_none();
-            eng.run_compiled(pc, cycle, full, unclamped, &mut pending_jump)?
-        } else {
-            None
-        };
-        let halt = match compiled {
-            Some(halt) => {
-                pc += full as u32 - 1;
-                cycle += full;
-                halt
+        let was_pending = pending_jump;
+        let halt = eng.run_slice(sink, pc, cycle, len, terminal, &mut pending_jump)?;
+        let straight = if terminal { len - 1 } else { len };
+        pc += straight as u32;
+        cycle += len;
+        // A jump pending before the slice counts down over its straight
+        // part (the slice's terminal cannot take another: that is a
+        // nested-jump error). A redirect inside the straight part
+        // (straight == k + 1) can only happen when the terminal
+        // instruction was clamped away. A jump the terminal takes is
+        // handled below.
+        if let Some((k, target)) = was_pending {
+            if k as u64 + 1 == straight {
+                pc = target;
+                pending_jump = None;
+            } else {
+                pending_jump = Some((k - straight as u32, target));
             }
-            None => {
-                let straight = if terminal { len - 1 } else { len };
-                for _ in 0..straight {
-                    eng.step::<S, false>(sink, pc, cycle, &mut pending_jump)?;
-                    pc += 1;
-                    cycle += 1;
-                }
-                // The per-cycle engine decrements the delay-slot count at
-                // each cycle's end; batch the `straight` decrements here.
-                // A redirect inside the straight portion (straight ==
-                // k + 1) can only happen when the terminal instruction was
-                // clamped away.
-                if let Some((k, target)) = pending_jump {
-                    if k as u64 + 1 == straight {
-                        pc = target;
-                        pending_jump = None;
-                    } else {
-                        pending_jump = Some((k - straight as u32, target));
-                    }
-                }
-                if !terminal {
-                    continue;
-                }
-                let halt = eng.step::<S, true>(sink, pc, cycle, &mut pending_jump)?;
-                cycle += 1;
-                halt
-            }
-        };
+        }
+        if !terminal {
+            continue;
+        }
         if halt {
             let core = eng.core();
             match core.iret(&mut pc, &mut pending_jump, &mut cycle, TRAP_CYCLES)? {

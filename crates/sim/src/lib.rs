@@ -15,20 +15,19 @@ pub mod profile;
 pub mod result;
 mod scalar;
 mod state;
-mod tier;
 mod tta;
 mod vliw;
 
 pub use profile::{static_activity, CycleActivity, FuProfile, GuestProfile, RfProfile};
 pub use result::{SimError, SimResult, SimStats};
-pub use tier::Tiers;
-pub use tta_isa::TierConfig;
 pub use tta_model::io::{IoSpec, IrqAt};
+
+use std::sync::OnceLock;
 
 use crate::engine::{Core, IoCtx};
 use crate::profile::{Collector, NoProfile, ProfileSink, TraceSink};
-use crate::tta::TtaTiers;
-use tta_isa::{BlockMap, Program};
+use crate::tta::TtaCode;
+use tta_isa::{BlockMap, Program, TtaInst};
 use tta_model::io::IoSystem;
 use tta_model::Machine;
 
@@ -40,9 +39,34 @@ pub fn run(m: &Machine, program: &Program, memory: Vec<u8>) -> Result<SimResult,
     run_with_fuel(m, program, memory, DEFAULT_FUEL)
 }
 
-/// [`run`] with an explicit cycle budget. The TTA compiled tier is
-/// configured from the environment with a fresh per-run promotion table;
-/// share one across runs with [`run_with_tiers`].
+/// Per-program simulator state shared across runs (and threads): for a
+/// TTA program, the thunk array its engine executes, built on the
+/// program's first run. Every later run through [`run_with_tiers`] or
+/// [`run_with_io_tiers`] reuses it, which is how the compile cache keeps
+/// the build off the serving path. VLIW and scalar programs keep nothing
+/// here.
+pub struct Tiers {
+    program_len: usize,
+    tta: OnceLock<TtaCode>,
+}
+
+impl Tiers {
+    /// Empty state for `program`; a run fills it.
+    pub fn for_program(program: &Program) -> Tiers {
+        Tiers {
+            program_len: program.len(),
+            tta: OnceLock::new(),
+        }
+    }
+
+    /// The thunk array of `program` on `m`, built on first use.
+    fn tta_code(&self, m: &Machine, program: &[TtaInst]) -> &TtaCode {
+        self.tta.get_or_init(|| TtaCode::build(m, program))
+    }
+}
+
+/// [`run`] with an explicit cycle budget. The TTA thunk array is built
+/// for this run alone; share one across runs with [`run_with_tiers`].
 pub fn run_with_fuel(
     m: &Machine,
     program: &Program,
@@ -52,8 +76,8 @@ pub fn run_with_fuel(
     run_with_tiers(m, program, memory, fuel, &Tiers::for_program(program))
 }
 
-/// [`run_with_fuel`] against shared tier state (must have been built for
-/// this same `program`).
+/// [`run_with_fuel`] against shared state (built for this same `program`
+/// on this same machine).
 pub fn run_with_tiers(
     m: &Machine,
     program: &Program,
@@ -61,8 +85,7 @@ pub fn run_with_tiers(
     fuel: u64,
     tiers: &Tiers,
 ) -> Result<SimResult, SimError> {
-    let tta = tiers.tta_for(program);
-    simulate(m, program, memory, fuel, &mut NoProfile, tta, None)
+    simulate(m, program, memory, fuel, &mut NoProfile, tiers, None)
 }
 
 /// Run a reactive program: like [`run_with_fuel`] with the memory-mapped
@@ -70,8 +93,8 @@ pub fn run_with_tiers(
 /// attached. `irq_entry` is where the compiled `__irq` handler region
 /// starts (see `tta_compiler::Compiled::irq_entry`); with `None`,
 /// interrupts latch in the controller but are never delivered, matching
-/// the IR interpreter's semantics for handler-less modules. Builds fresh
-/// per-run tier state from the environment configuration.
+/// the IR interpreter's semantics for handler-less modules. Builds
+/// per-run state, as [`run_with_fuel`] does.
 pub fn run_with_io(
     m: &Machine,
     program: &Program,
@@ -84,8 +107,8 @@ pub fn run_with_io(
     run_with_io_tiers(m, program, memory, fuel, spec, irq_entry, &tiers)
 }
 
-/// [`run_with_io`] against shared tier state (must have been built for
-/// this same `program`). The I/O system itself is always per-run: devices
+/// [`run_with_io`] against shared state (built for this same `program` on
+/// this same machine). The I/O system itself is always per-run: devices
 /// and the interrupt controller reset with the guest.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_io_tiers(
@@ -97,13 +120,12 @@ pub fn run_with_io_tiers(
     irq_entry: Option<u32>,
     tiers: &Tiers,
 ) -> Result<SimResult, SimError> {
-    let tta = tiers.tta_for(program);
     let mut io = IoSystem::new(spec);
     let ctx = IoCtx {
         sys: &mut io,
         irq_entry,
     };
-    simulate(m, program, memory, fuel, &mut NoProfile, tta, Some(ctx))
+    simulate(m, program, memory, fuel, &mut NoProfile, tiers, Some(ctx))
 }
 
 /// Run any program while collecting a [`GuestProfile`] (see [`profile`]
@@ -115,7 +137,8 @@ pub fn run_profiled(
     memory: Vec<u8>,
 ) -> Result<(SimResult, GuestProfile), SimError> {
     let mut sink = Collector::new(m, program.len());
-    let r = simulate(m, program, memory, DEFAULT_FUEL, &mut sink, None, None)?;
+    let tiers = Tiers::for_program(program);
+    let r = simulate(m, program, memory, DEFAULT_FUEL, &mut sink, &tiers, None)?;
     let mut p = profile::finish(m, program, sink);
     p.cycles = r.cycles;
     Ok((r, p))
@@ -130,29 +153,35 @@ pub fn run_traced(
     fuel: u64,
 ) -> Result<(SimResult, Vec<u32>), SimError> {
     let mut sink = TraceSink::for_program(program.len());
-    let r = simulate(m, program, memory, fuel, &mut sink, None, None)?;
+    let tiers = Tiers::for_program(program);
+    let r = simulate(m, program, memory, fuel, &mut sink, &tiers, None)?;
     Ok((r, sink.trace))
 }
 
 /// The one style dispatch behind every entry point: it segments the
 /// program into superblocks and builds the run's [`Core`] for the
-/// engine. Compiled TTA tiers are used only with the passive
-/// [`NoProfile`] sink (see [`ProfileSink::PASSIVE`]); the run is timed as
-/// a `simulate` span and its statistics are flushed to the obs counters.
+/// engine, every sink alike. The run is timed as a `simulate` span and
+/// its statistics are flushed to the obs counters.
 fn simulate<S: ProfileSink>(
     m: &Machine,
     program: &Program,
     memory: Vec<u8>,
     fuel: u64,
     sink: &mut S,
-    tiers: Option<&TtaTiers>,
+    tiers: &Tiers,
     io: Option<IoCtx<'_>>,
 ) -> Result<SimResult, SimError> {
+    assert_eq!(
+        tiers.program_len,
+        program.len(),
+        "simulator state was built for a different program"
+    );
     let span = tta_obs::span("simulate");
     let blocks = BlockMap::of_program(program);
     let result = match program {
         Program::Tta(p) => {
-            tta::run_tta_with(m, p, &blocks, Core::new(memory, io), fuel, sink, tiers)
+            let code = tiers.tta_code(m, p);
+            tta::run_tta_with(m, code, &blocks, Core::new(memory, io), fuel, sink)
         }
         Program::Vliw(p) => vliw::run_vliw_with(m, p, &blocks, Core::new(memory, io), fuel, sink),
         Program::Scalar(p) => {

@@ -39,10 +39,9 @@ use tta_model::{CoreStyle, Machine};
 /// Per-cycle hooks the simulator cycle loops invoke. Crate-private: the
 /// public surface is [`crate::run_profiled`] and [`crate::run_traced`].
 pub(crate) trait ProfileSink {
-    /// Whether every hook is a no-op. Only a passive sink permits the
-    /// compiled superblock tier (see `crate::tier`): compiled blocks
-    /// batch their bookkeeping and never call `retire`, which would
-    /// corrupt a trace or profile. `NoProfile` is the only passive sink.
+    /// Whether every hook is a no-op, which lets the VLIW writeback
+    /// drain skip its per-cycle pressure count. `NoProfile` is the only
+    /// passive sink.
     const PASSIVE: bool;
     /// One instruction/bundle at `pc` entered execution this cycle.
     fn retire(&mut self, pc: u32);

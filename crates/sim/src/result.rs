@@ -47,29 +47,6 @@ pub struct SimStats {
     pub mmio_stores: u64,
 }
 
-impl SimStats {
-    /// Add every field of `d` into `self`. Compiled superblocks batch
-    /// their statically-known statistics into one per-block delta applied
-    /// at block exit; every counter is a plain sum, so batching cannot
-    /// change the totals.
-    pub fn accumulate(&mut self, d: &SimStats) {
-        self.instructions += d.instructions;
-        self.payload += d.payload;
-        self.rf_reads += d.rf_reads;
-        self.rf_writes += d.rf_writes;
-        self.bypass_reads += d.bypass_reads;
-        self.limms += d.limms;
-        self.branches_taken += d.branches_taken;
-        self.stall_cycles += d.stall_cycles;
-        self.loads += d.loads;
-        self.stores += d.stores;
-        self.irqs += d.irqs;
-        self.irq_cycles += d.irq_cycles;
-        self.mmio_loads += d.mmio_loads;
-        self.mmio_stores += d.mmio_stores;
-    }
-}
-
 /// The outcome of a simulated run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {

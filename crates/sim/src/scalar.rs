@@ -16,9 +16,9 @@
 //! the TTA and VLIW engines share ([`crate::engine::run_blocks`]): scalar
 //! fuel counts instructions, not cycles, and there are no delay slots to
 //! clamp. Memory, MMIO routing and interrupt bookkeeping are the shared
-//! [`Core`]'s. There is no compiled tier: the step is already a direct
-//! walk over the predecoded array, and dependence stalls and branch
-//! penalties are dynamic anyway (DESIGN.md §14).
+//! [`Core`]'s. There are no TTA-style thunks: the step is already a
+//! direct walk over the predecoded array, and dependence stalls and
+//! branch penalties are dynamic anyway (DESIGN.md §14).
 
 use crate::engine::{Boundary, Core};
 use crate::profile::ProfileSink;

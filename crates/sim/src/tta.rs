@@ -14,41 +14,46 @@
 //! during an in-flight jump raise [`SimError::Machine`] — each of these is
 //! a scheduler bug that static validation cannot see.
 //!
-//! ## Fused-block dispatch and the compiled tier
+//! ## One thunk executor
 //!
-//! The tiers are numbered as in DESIGN.md §14: decode (tier 1), fused-block
-//! interpretation (tier 2) and compiled blocks (tier 3).
+//! Each program is built once into one array of [`TtaOp`] thunks — a
+//! thunk is one move with its opcode match, register resolution and value
+//! routing already performed — laid out as each instruction's thunks
+//! followed by a [`TtaOp::Next`]. Beside the array, one [`Row`] per pc
+//! records where the pc's thunks start and the static `SimStats` counts of
+//! the instructions before it. Every entry of the block-dispatch loop
+//! ([`crate::engine::run_blocks`]) runs a slice of that array: a whole
+//! straight-line run, a pending jump's delay-slot window, or an entry
+//! clamped by fuel or by the I/O window — every entry at a pc runs a
+//! prefix of that pc's run, so one array serves them all. The slice's
+//! statistics are charged once, from two rows. [`crate::Tiers`] keeps the
+//! array, built on the program's first run, so the compile cache shares it
+//! across runs and threads.
 //!
-//! The program is predecoded once per run: empty slots are dropped, moves
-//! are split into source/write/trigger classes and every register
-//! reference is resolved to a flat index, so the interior of a superblock
-//! streams straight through the contiguous per-class move arrays. The
-//! block-dispatch loop itself is shared with the VLIW engine
-//! ([`crate::engine::run_blocks`]).
+//! Completions ride a four-deep wheel (`wheel[cycle & 3]`, valid because
+//! every pipelined latency is 1–3 cycles and the wheel is drained every
+//! cycle): every trigger launches through it and every cycle delivers from
+//! it, at slice entry and at each `Next`.
 //!
-//! Hot superblocks are additionally *promoted* into compiled blocks:
-//! [`compile_tta_block`] matches every decoded move once and emits one
-//! flat array of resolved thunks ([`TtaOp`] values: one per move, plus a
-//! boundary per cycle) with the block's static `SimStats` contribution
-//! precomputed. The block is one boxed closure over that array, and
-//! [`exec_tta_block`] dispatches it with a single `match`, so
-//! steady-state execution pays neither the per-move decode match nor the
-//! per-move statistics traffic. Completions ride a four-deep wheel
-//! (`wheel[cycle & 3]`, valid because every pipelined latency is 1–3
-//! cycles and the wheel is drained every cycle) shared by both tiers:
-//! every launch of either tier goes through it and every cycle of either
-//! tier delivers from it, so a block entered with results in flight from
-//! interpreted code delivers them on exactly the right cycle. Only whole
-//! superblocks are compiled; a clamped entry (a pending jump's delay
-//! window, the fuel limit or the I/O window) runs interpreted.
+//! ## Same-cycle hazards
+//!
+//! The contract samples every source before any write of the cycle
+//! applies, but thunks apply their writes in stream order. The build
+//! orders each instruction's thunks so that no thunk reads what an earlier
+//! thunk of the same instruction wrote: operand-port writes first (the
+//! instruction's triggers read the new operand), then triggers, then RF
+//! writes, then the long immediate. Result ports change only at `Next`.
+//! The RF writes are ordered so that none overwrites a register another RF
+//! write of the instruction still reads; a cycle among them (a swap) is
+//! broken by a latch: [`TtaOp::Latch`] samples one write's register before
+//! the cycle's other writes, and [`TtaOp::RfLatch`] writes it last.
 
 use crate::engine::{run_blocks, Core, Engine};
-use crate::profile::{NoProfile, ProfileSink};
+use crate::profile::ProfileSink;
 use crate::result::{SimError, SimResult, SimStats};
 use crate::state::FlatRf;
-use crate::tier::TierCounts;
-use tta_isa::{BlockMap, MoveDst, MoveSrc, TierEntry, TierTable, TtaInst};
-use tta_model::{Machine, OpClass, Opcode};
+use tta_isa::{BlockMap, MoveDst, MoveSrc, TtaInst};
+use tta_model::{FuId, Machine, OpClass, Opcode};
 
 /// In-flight result budget per function unit. The deepest pipeline is the
 /// longest op latency (3) per trigger move, and a well-formed instruction
@@ -66,97 +71,11 @@ struct FuSim {
     live: u8,
 }
 
-/// A decoded move source: register references resolved to flat indices.
-#[derive(Debug, Clone, Copy)]
-enum DecSrc {
-    Rf(u32),
-    FuResult(u16),
-    Imm(i32),
-    ImmReg(u8),
-}
-
-/// A decoded non-trigger destination. The `u16` pairs each write with the
-/// sampled value of its move (index into the per-instruction value window).
-#[derive(Debug, Clone, Copy)]
-enum DecWrite {
-    Rf(u32),
-    FuOperand(u16),
-}
-
-/// A decoded trigger: value index, unit, opcode.
-#[derive(Debug, Clone, Copy)]
-struct DecTrig {
-    vi: u16,
-    fu: u16,
-    op: Opcode,
-}
-
-/// One instruction as ranges into the flat per-class move arrays.
-#[derive(Debug, Clone, Copy)]
-struct DecInst {
-    srcs: (u32, u32),
-    writes: (u32, u32),
-    trigs: (u32, u32),
-    limm: Option<(u8, i32)>,
-}
-
-/// The whole program, predecoded into dense per-class arrays. Because the
-/// per-class arrays are filled in program order, the moves of a
-/// superblock's instructions are contiguous in memory and block dispatch
-/// streams straight through them.
-struct Decoded {
-    srcs: Vec<DecSrc>,
-    writes: Vec<(u16, DecWrite)>,
-    trigs: Vec<DecTrig>,
-    insts: Vec<DecInst>,
-    /// Widest instruction (sizes the reusable sampled-value scratch).
-    max_moves: usize,
-}
-
-fn decode(rf: &FlatRf, program: &[TtaInst]) -> Decoded {
-    let mut d = Decoded {
-        srcs: Vec::new(),
-        writes: Vec::new(),
-        trigs: Vec::new(),
-        insts: Vec::with_capacity(program.len()),
-        max_moves: 0,
-    };
-    for inst in program {
-        let s0 = d.srcs.len() as u32;
-        let w0 = d.writes.len() as u32;
-        let t0 = d.trigs.len() as u32;
-        let mut vi: u16 = 0;
-        for slot in &inst.slots {
-            let Some(mv) = slot else { continue };
-            d.srcs.push(match mv.src {
-                MoveSrc::Rf(r) => DecSrc::Rf(rf.flat(r)),
-                MoveSrc::FuResult(f) => DecSrc::FuResult(f.0),
-                MoveSrc::Imm(v) => DecSrc::Imm(v),
-                MoveSrc::ImmReg(k) => DecSrc::ImmReg(k),
-            });
-            match mv.dst {
-                MoveDst::Rf(r) => d.writes.push((vi, DecWrite::Rf(rf.flat(r)))),
-                MoveDst::FuOperand(f) => d.writes.push((vi, DecWrite::FuOperand(f.0))),
-                MoveDst::FuTrigger(f, op) => d.trigs.push(DecTrig { vi, fu: f.0, op }),
-            }
-            vi += 1;
-        }
-        d.max_moves = d.max_moves.max(vi as usize);
-        d.insts.push(DecInst {
-            srcs: (s0, d.srcs.len() as u32),
-            writes: (w0, d.writes.len() as u32),
-            trigs: (t0, d.trigs.len() as u32),
-            limm: inst.limm,
-        });
-    }
-    d
-}
-
-/// Mutable datapath state of one run, shared by every step of the block
-/// dispatch loop and by compiled blocks.
+/// Mutable datapath state of one run, shared by every slice the block
+/// dispatch loop runs.
 pub(crate) struct TtaEngine<'a> {
     m: &'a Machine,
-    dec: &'a Decoded,
+    code: &'a TtaCode,
     fus: Vec<FuSim>,
     /// Completion wheel: results due at cycle `c` sit in `wheel[c & 3]`
     /// as `(unit, value)` in launch order. Sound because every pipelined
@@ -164,12 +83,9 @@ pub(crate) struct TtaEngine<'a> {
     wheel: [Vec<(u16, i32)>; 4],
     rf: FlatRf,
     immregs: Vec<Option<i32>>,
-    /// Sampled move values of the current instruction, reused every cycle.
-    values: Vec<i32>,
+    /// Register values sampled early by [`TtaOp::Latch`].
+    latches: Vec<i32>,
     core: Core<'a, TtaShadow>,
-    /// The promotion table of the compiled tier, if enabled.
-    tier: Option<&'a TtaTiers>,
-    tc: TierCounts,
 }
 
 /// The datapath checkpoint a TTA trap must save beside the pc. A
@@ -194,8 +110,7 @@ pub(crate) struct TtaShadow {
 
 impl TtaEngine<'_> {
     /// Phase 1: land the completions due this cycle in their result
-    /// ports. Shared by the interpreted step and compiled blocks — both
-    /// must call it exactly once per architectural cycle.
+    /// ports. Called exactly once per architectural cycle.
     #[inline(always)]
     fn deliver(&mut self, cycle: u64) -> Result<(), SimError> {
         let bucket = (cycle & 3) as usize;
@@ -242,7 +157,7 @@ impl TtaEngine<'_> {
     }
 
     /// Start an operation on unit `fi`, its result due `op.latency()`
-    /// cycles out. Both tiers launch through here.
+    /// cycles out. Every trigger launches through here.
     #[inline(always)]
     fn launch(&mut self, fi: u16, op: Opcode, v: i32, cycle: u64, pc: u32) -> Result<(), SimError> {
         let fu = &mut self.fus[fi as usize];
@@ -274,118 +189,6 @@ impl TtaEngine<'_> {
         *pending_jump = Some((self.m.jump_delay_slots, target));
         Ok(())
     }
-
-    /// Phases 2–5 of one architectural cycle at `pc` (everything except
-    /// completion delivery). With `CTRL = false` the caller guarantees
-    /// (via the block map) that the instruction carries no control
-    /// trigger, and the whole control arm is compiled out of the
-    /// monomorphisation. Returns whether the core halted.
-    #[inline(always)]
-    fn exec_inst<S: ProfileSink, const CTRL: bool>(
-        &mut self,
-        sink: &mut S,
-        pc: u32,
-        cycle: u64,
-        pending_jump: &mut Option<(u32, u32)>,
-    ) -> Result<bool, SimError> {
-        let dec = self.dec;
-        let m = self.m;
-        let inst = dec.insts[pc as usize];
-        self.core.stats.instructions += 1;
-        sink.retire(pc);
-
-        // (2) Sample sources.
-        for (vi, src) in dec.srcs[inst.srcs.0 as usize..inst.srcs.1 as usize]
-            .iter()
-            .enumerate()
-        {
-            let v = match *src {
-                DecSrc::Rf(i) => {
-                    self.core.stats.rf_reads += 1;
-                    self.rf.vals[i as usize]
-                }
-                DecSrc::FuResult(f) => {
-                    self.core.stats.bypass_reads += 1;
-                    match self.fus[f as usize].result {
-                        Some(v) => v,
-                        None => return Err(err_result_port(m, f, pc)),
-                    }
-                }
-                DecSrc::Imm(v) => v,
-                DecSrc::ImmReg(k) => match self.immregs[k as usize] {
-                    Some(v) => v,
-                    None => return Err(err_immreg(k, pc)),
-                },
-            };
-            self.values[vi] = v;
-            self.core.stats.payload += 1;
-        }
-
-        // (3) Apply operand-port and RF writes.
-        for &(vi, w) in &dec.writes[inst.writes.0 as usize..inst.writes.1 as usize] {
-            let v = self.values[vi as usize];
-            match w {
-                DecWrite::Rf(i) => {
-                    self.core.stats.rf_writes += 1;
-                    self.rf.vals[i as usize] = v;
-                }
-                DecWrite::FuOperand(f) => self.fus[f as usize].operand = v,
-            }
-        }
-
-        // (4) Triggers.
-        let mut halt = false;
-        for trig in &dec.trigs[inst.trigs.0 as usize..inst.trigs.1 as usize] {
-            let trig_v = self.values[trig.vi as usize];
-            let op = trig.op;
-            match op.class() {
-                OpClass::Alu => {
-                    let result = if op.num_inputs() == 1 {
-                        op.eval_alu(trig_v, 0)
-                    } else {
-                        op.eval_alu(self.fus[trig.fu as usize].operand, trig_v)
-                    };
-                    self.launch(trig.fu, op, result, cycle, pc)?;
-                }
-                OpClass::Lsu => {
-                    if op.is_load() {
-                        self.core.stats.loads += 1;
-                        let v = self.core.mem_load(op, trig_v as u32, cycle)?;
-                        self.launch(trig.fu, op, v, cycle, pc)?;
-                    } else {
-                        self.core.stats.stores += 1;
-                        let operand = self.fus[trig.fu as usize].operand;
-                        self.core.mem_store(op, trig_v as u32, operand, cycle)?;
-                    }
-                }
-                OpClass::Ctrl if CTRL => match op {
-                    Opcode::Halt => halt = true,
-                    Opcode::Jump | Opcode::CJnz | Opcode::CJz => {
-                        let (taken, target) = match op {
-                            Opcode::Jump => (true, trig_v as u32),
-                            Opcode::CJnz => {
-                                (trig_v != 0, self.fus[trig.fu as usize].operand as u32)
-                            }
-                            Opcode::CJz => (trig_v == 0, self.fus[trig.fu as usize].operand as u32),
-                            _ => unreachable!(),
-                        };
-                        if taken {
-                            self.take_jump(pc, target, pending_jump)?;
-                        }
-                    }
-                    _ => unreachable!(),
-                },
-                OpClass::Ctrl => unreachable!("control trigger inside a superblock interior"),
-            }
-        }
-
-        // (5) Long immediate (visible next cycle — applied after sampling).
-        if let Some((k, v)) = inst.limm {
-            self.core.stats.limms += 1;
-            self.immregs[k as usize] = Some(v);
-        }
-        Ok(halt)
-    }
 }
 
 impl<'a> Engine<'a> for TtaEngine<'a> {
@@ -396,17 +199,169 @@ impl<'a> Engine<'a> for TtaEngine<'a> {
         &mut self.core
     }
 
-    /// One full architectural cycle at `pc` (the interpreted tier).
+    /// Run instructions `pc0 .. pc0 + len` as one slice of the thunk
+    /// array. The slice leaves out the trailing `Next` of its last
+    /// instruction: the next entry delivers its own first cycle, after the
+    /// loop's I/O poll. Only a slice that reaches its run's terminal
+    /// instruction holds control thunks, so `terminal` needs no check here.
     #[inline(always)]
-    fn step<S: ProfileSink, const CTRL: bool>(
+    fn run_slice<S: ProfileSink>(
         &mut self,
         sink: &mut S,
-        pc: u32,
-        cycle: u64,
+        pc0: u32,
+        cycle0: u64,
+        len: u64,
+        _terminal: bool,
         pending_jump: &mut Option<(u32, u32)>,
     ) -> Result<bool, SimError> {
+        let code = self.code;
+        let from = &code.rows[pc0 as usize];
+        let to = &code.rows[pc0 as usize + len as usize];
+        let ops = &code.ops[from.first as usize..to.first as usize - 1];
+        let mut pc = pc0;
+        let mut cycle = cycle0;
+        let mut halt = false;
         self.deliver(cycle)?;
-        self.exec_inst::<S, CTRL>(sink, pc, cycle, pending_jump)
+        for op in ops {
+            // SAFETY: every register, unit and long-immediate-register
+            // index in the array was validated against `code.dims` when it
+            // was built, and `run_tta_with` checked the engine's shape
+            // against the same dims before the run.
+            unsafe {
+                match *op {
+                    TtaOp::Next => {
+                        sink.retire(pc);
+                        pc += 1;
+                        cycle += 1;
+                        self.deliver(cycle)?;
+                    }
+                    TtaOp::RfRf { s, d } => {
+                        let v = self.rf_get(s);
+                        self.rf_set(d, v);
+                    }
+                    TtaOp::RfImm { v, d } => self.rf_set(d, v),
+                    TtaOp::RfFu { f, d } => {
+                        let v = self.result(f, pc)?;
+                        self.rf_set(d, v);
+                    }
+                    TtaOp::RfIr { k, d } => {
+                        let v = self.immreg(k, pc)?;
+                        self.rf_set(d, v);
+                    }
+                    TtaOp::OpRf { s, f } => {
+                        let v = self.rf_get(s);
+                        self.set_operand(f, v);
+                    }
+                    TtaOp::OpImm { v, f } => self.set_operand(f, v),
+                    TtaOp::OpFu { s, f } => {
+                        let v = self.result(s, pc)?;
+                        self.set_operand(f, v);
+                    }
+                    TtaOp::OpIr { k, f } => {
+                        let v = self.immreg(k, pc)?;
+                        self.set_operand(f, v);
+                    }
+                    TtaOp::A1Rf { s, fu, op } => {
+                        let v = self.rf_get(s);
+                        self.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    }
+                    TtaOp::A1Imm { v, fu, op } => {
+                        self.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    }
+                    TtaOp::A1Fu { s, fu, op } => {
+                        let v = self.result(s, pc)?;
+                        self.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    }
+                    TtaOp::A1Ir { k, fu, op } => {
+                        let v = self.immreg(k, pc)?;
+                        self.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
+                    }
+                    TtaOp::A2Rf { s, fu, op } => {
+                        let v = self.rf_get(s);
+                        let a = self.operand(fu);
+                        self.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    }
+                    TtaOp::A2Imm { v, fu, op } => {
+                        let a = self.operand(fu);
+                        self.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    }
+                    TtaOp::A2Fu { s, fu, op } => {
+                        let v = self.result(s, pc)?;
+                        let a = self.operand(fu);
+                        self.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    }
+                    TtaOp::A2Ir { k, fu, op } => {
+                        let v = self.immreg(k, pc)?;
+                        let a = self.operand(fu);
+                        self.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
+                    }
+                    TtaOp::LdRf { s, fu, op } => {
+                        let addr = self.rf_get(s) as u32;
+                        let v = self.core.mem_load(op, addr, cycle)?;
+                        self.launch(fu, op, v, cycle, pc)?;
+                    }
+                    TtaOp::LdImm { v, fu, op } => {
+                        let v = self.core.mem_load(op, v as u32, cycle)?;
+                        self.launch(fu, op, v, cycle, pc)?;
+                    }
+                    TtaOp::LdFu { s, fu, op } => {
+                        let addr = self.result(s, pc)? as u32;
+                        let v = self.core.mem_load(op, addr, cycle)?;
+                        self.launch(fu, op, v, cycle, pc)?;
+                    }
+                    TtaOp::LdIr { k, fu, op } => {
+                        let addr = self.immreg(k, pc)? as u32;
+                        let v = self.core.mem_load(op, addr, cycle)?;
+                        self.launch(fu, op, v, cycle, pc)?;
+                    }
+                    TtaOp::StRf { s, fu, op } => {
+                        let addr = self.rf_get(s) as u32;
+                        let v = self.operand(fu);
+                        self.core.mem_store(op, addr, v, cycle)?;
+                    }
+                    TtaOp::StImm { v: addr, fu, op } => {
+                        let v = self.operand(fu);
+                        self.core.mem_store(op, addr as u32, v, cycle)?;
+                    }
+                    TtaOp::StFu { s, fu, op } => {
+                        let addr = self.result(s, pc)? as u32;
+                        let v = self.operand(fu);
+                        self.core.mem_store(op, addr, v, cycle)?;
+                    }
+                    TtaOp::StIr { k, fu, op } => {
+                        let addr = self.immreg(k, pc)? as u32;
+                        let v = self.operand(fu);
+                        self.core.mem_store(op, addr, v, cycle)?;
+                    }
+                    TtaOp::Limm { k, v } => *self.immregs.get_unchecked_mut(k as usize) = Some(v),
+                    TtaOp::Halt { src } => {
+                        // The halt trigger's value is unused, but its
+                        // source is sampled like any other.
+                        src.read(self, pc)?;
+                        halt = true;
+                    }
+                    TtaOp::Jump { src } => {
+                        let target = src.read(self, pc)? as u32;
+                        self.take_jump(pc, target, pending_jump)?;
+                    }
+                    TtaOp::CJump { src, fu, nz } => {
+                        let v = src.read(self, pc)?;
+                        if (v != 0) == nz {
+                            let target = self.operand(fu) as u32;
+                            self.take_jump(pc, target, pending_jump)?;
+                        }
+                    }
+                    TtaOp::Latch { s, l } => self.latches[l as usize] = self.rf_get(s),
+                    TtaOp::RfLatch { l, d } => {
+                        let v = self.latches[l as usize];
+                        self.rf_set(d, v);
+                    }
+                }
+            }
+        }
+        sink.retire(pc);
+        Row::charge(&mut self.core.stats, from, to, len);
+        Ok(halt)
     }
 
     /// Handler entry is the TTA's architecturally expensive trap: the
@@ -467,59 +422,14 @@ impl<'a> Engine<'a> for TtaEngine<'a> {
             self.wheel[(cycle as usize + rel) & 3] = entries;
         }
     }
-
-    /// Tier-3 dispatch: an unclamped entry of a hot block executes
-    /// compiled; a clamped entry of a compiled pc falls back to
-    /// interpreted, and is counted.
-    #[inline(always)]
-    fn run_compiled(
-        &mut self,
-        pc: u32,
-        cycle: u64,
-        len: u64,
-        unclamped: bool,
-        pending_jump: &mut Option<(u32, u32)>,
-    ) -> Result<Option<bool>, SimError> {
-        let Some(tab) = self.tier else {
-            return Ok(None);
-        };
-        if !unclamped {
-            if tab.get(pc).is_some() {
-                self.tc.fallbacks += 1;
-            }
-            return Ok(None);
-        }
-        let block = match tab.entry(pc) {
-            TierEntry::Compiled(b) => Some(b),
-            TierEntry::Promote => {
-                let dims = Dims {
-                    rf: self.rf.vals.len(),
-                    fus: self.fus.len(),
-                    immregs: self.immregs.len(),
-                };
-                // A thread sharing the table may have won the race; its
-                // block is the same, but the promotion is its own.
-                if tab.install(pc, compile_tta_block(self.dec, dims, pc, len as u32)) {
-                    self.tc.promotions += 1;
-                }
-                tab.get(pc)
-            }
-            TierEntry::Cold => None,
-        };
-        let Some(block) = block else {
-            return Ok(None);
-        };
-        self.tc.entries += 1;
-        block(self, cycle, pending_jump).map(Some)
-    }
 }
 
-/// Unchecked datapath accessors for compiled blocks.
+/// Unchecked datapath accessors for the thunks.
 ///
 /// # Safety
 /// Callers must have validated every index against the engine's [`Dims`]
-/// — [`compile_tta_block`] asserts each emitted index at promotion time
-/// and [`exec_tta_block`] checks the engine shape once on entry.
+/// — [`TtaCode::build`] asserts each emitted index and [`run_tta_with`]
+/// checks the engine shape once per run.
 impl TtaEngine<'_> {
     #[inline(always)]
     unsafe fn rf_get(&self, i: u32) -> i32 {
@@ -565,8 +475,8 @@ impl TtaEngine<'_> {
 }
 
 /// Out-of-line constructors for the machine-rule errors: they are the
-/// never-taken branches of the hot dispatch loops, and keeping the
-/// formatting machinery behind a cold call keeps those loops compact.
+/// never-taken branches of the hot dispatch loop, and keeping the
+/// formatting machinery behind a cold call keeps that loop compact.
 #[cold]
 #[inline(never)]
 fn err_result_port(m: &Machine, f: u16, pc: u32) -> SimError {
@@ -599,10 +509,9 @@ fn err_nested_jump(pc: u32) -> SimError {
     SimError::Machine(format!("jump triggered during an in-flight jump (pc {pc})"))
 }
 
-/// A resolved value source in a compiled block, carried by the control
-/// thunks; every other thunk flattens the source kind into its variant
-/// instead.
-#[derive(Debug, Clone, Copy)]
+/// A resolved value source, carried by the control thunks; every other
+/// thunk flattens the source kind into its variant instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
     Rf(u32),
     Fu(u16),
@@ -613,7 +522,7 @@ enum Src {
 impl Src {
     /// # Safety
     /// Every index must have been validated against the engine's [`Dims`]
-    /// (promotion-time validation + the entry check of `exec_tta_block`).
+    /// (see the accessors above).
     #[inline(always)]
     unsafe fn read(self, eng: &TtaEngine, pc: u32) -> Result<i32, SimError> {
         unsafe {
@@ -627,26 +536,34 @@ impl Src {
     }
 }
 
-/// Engine shape a compiled block was validated against. Checked once per
-/// block invocation, which makes the unchecked register/unit/limm-reg
-/// accesses of the thunks sound even if a caller pairs the tier table
-/// with the wrong machine.
-#[derive(Debug, Clone, Copy)]
+/// Engine shape a thunk array was validated against, checked once per
+/// run, which makes the unchecked register/unit/limm-reg accesses of the
+/// thunks sound even if a caller pairs the array with the wrong machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Dims {
     rf: usize,
     fus: usize,
     immregs: usize,
 }
 
+impl Dims {
+    fn of(m: &Machine, rf: &FlatRf) -> Dims {
+        Dims {
+            rf: rf.len(),
+            fus: m.funits.len(),
+            immregs: m.limm.imm_regs as usize,
+        }
+    }
+}
+
 // The thunk stride below was measured; a change to `TtaOp` keeps it or
 // measures the new one.
 const _: () = assert!(std::mem::size_of::<TtaOp>() == 16);
 
-/// One thunk of a compiled superblock: a decoded move with its opcode
-/// match, register resolution and value routing already performed, and
-/// the source kind flattened into the variant so dispatch is a single
-/// jump. Every trigger launches through the completion wheel, as in the
-/// interpreted step, and every instruction boundary is an explicit
+/// One thunk: a move with its opcode match, register resolution and value
+/// routing already performed, and the source kind flattened into the
+/// variant so dispatch is a single jump. Every trigger launches through
+/// the completion wheel, and every instruction boundary is an explicit
 /// [`TtaOp::Next`] that also delivers, so fuel accounting stays exact.
 /// Adjacent thunks are not fused into mega-ops (DESIGN.md §14, "Why no
 /// fusion"), and no launch bypasses the wheel ("Why one launch form").
@@ -658,8 +575,8 @@ const _: () = assert!(std::mem::size_of::<TtaOp>() == 16);
 #[derive(Debug, Clone, Copy)]
 #[repr(align(8))]
 enum TtaOp {
-    /// End of one instruction: advance `pc`/`cycle` and deliver the
-    /// completions due in the new cycle (its phase 1).
+    /// End of one instruction: retire it, advance `pc`/`cycle` and deliver
+    /// the completions due in the new cycle (its phase 1).
     Next,
     /// Register-to-register move.
     RfRf {
@@ -791,7 +708,9 @@ enum TtaOp {
         v: i32,
     },
     /// Halt trigger (terminal instructions only).
-    Halt,
+    Halt {
+        src: Src,
+    },
     /// Unconditional jump trigger (terminal instructions only).
     Jump {
         src: Src,
@@ -802,389 +721,292 @@ enum TtaOp {
         fu: u16,
         nz: bool,
     },
-    /// Same-cycle hazard (a move reads a register another move of the
-    /// instruction writes): run the reference phase order instead.
-    Phased {
-        pc: u32,
+    /// Sample register `s` into latch `l` ahead of an RF-write cycle.
+    Latch {
+        s: u32,
+        l: u16,
     },
-    /// [`TtaOp::Phased`] for the terminal, control-bearing instruction.
-    PhasedCtrl {
-        pc: u32,
+    /// Write latch `l` into register `d`: the RF write [`TtaOp::Latch`]
+    /// sampled for.
+    RfLatch {
+        l: u16,
+        d: u32,
     },
 }
 
-/// A compiled superblock: the promotion product stored in the tier table.
-/// Invoked as `block(engine, entry_cycle, pending_jump)`; returns whether
-/// the core halted. Callers guarantee an unclamped entry (no pending
-/// jump; fuel and the I/O window cover the whole run).
-pub(crate) type TtaBlockFn = Box<
-    dyn for<'e> Fn(&mut TtaEngine<'e>, u64, &mut Option<(u32, u32)>) -> Result<bool, SimError>
-        + Send
-        + Sync,
->;
+/// One pc's row beside the thunk array: where its thunks start, and the
+/// static `SimStats` counts of every instruction before it. A slice of
+/// instructions `pc .. end` runs thunks `rows[pc].first .. rows[end].first`
+/// (less the last `Next`) and charges `rows[end]` minus `rows[pc]`; a
+/// sentinel row after the last instruction closes the program.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    first: u32,
+    payload: u32,
+    rf_reads: u32,
+    rf_writes: u32,
+    bypass_reads: u32,
+    limms: u32,
+    loads: u32,
+    stores: u32,
+}
 
-/// Compiled-tier state of one TTA program: at most one compiled block
-/// per pc, each a whole superblock from that pc. Clamped entries (a
-/// pending jump's delay window, the fuel limit, the I/O window) are
-/// never compiled; they run interpreted.
-pub(crate) type TtaTiers = TierTable<TtaBlockFn>;
+// Every program a search compiles keeps its rows alive; a wider row is a
+// `search_cold` `peak_rss_mb` question, not a free change.
+const _: () = assert!(std::mem::size_of::<Row>() == 32);
 
-/// Execute a compiled block: straight-line thunk dispatch with the
-/// block's static statistics applied once at the end. Like the
-/// interpreted step, it delivers completions at entry and at every cycle
-/// boundary.
-fn exec_tta_block(
-    ops: &[TtaOp],
-    delta: &SimStats,
+impl Row {
+    /// Charge the `len` instructions between rows `from` and `to`.
+    #[inline(always)]
+    fn charge(stats: &mut SimStats, from: &Row, to: &Row, len: u64) {
+        stats.instructions += len;
+        stats.payload += u64::from(to.payload - from.payload);
+        stats.rf_reads += u64::from(to.rf_reads - from.rf_reads);
+        stats.rf_writes += u64::from(to.rf_writes - from.rf_writes);
+        stats.bypass_reads += u64::from(to.bypass_reads - from.bypass_reads);
+        stats.limms += u64::from(to.limms - from.limms);
+        stats.loads += u64::from(to.loads - from.loads);
+        stats.stores += u64::from(to.stores - from.stores);
+    }
+}
+
+/// One TTA program built into thunks for one machine shape: the array
+/// every block entry slices, its per-pc rows (one more than the program
+/// has instructions) and the latch count the widest RF-write cycle needs.
+pub(crate) struct TtaCode {
+    ops: Box<[TtaOp]>,
+    rows: Box<[Row]>,
     dims: Dims,
-    eng: &mut TtaEngine,
-    pc0: u32,
-    cycle0: u64,
-    pending_jump: &mut Option<(u32, u32)>,
-) -> Result<bool, SimError> {
-    assert!(
-        eng.rf.vals.len() == dims.rf
-            && eng.fus.len() == dims.fus
-            && eng.immregs.len() == dims.immregs,
-        "compiled block executed against a different machine shape"
-    );
-    let mut pc = pc0;
-    let mut cycle = cycle0;
-    let mut halt = false;
-    eng.deliver(cycle)?;
-    for op in ops {
-        // SAFETY: every register, unit and long-immediate-register index
-        // in `ops` was validated against `dims` at promotion time, and
-        // the engine was checked against `dims` on entry above.
-        unsafe {
-            match *op {
-                TtaOp::Next => {
-                    pc += 1;
-                    cycle += 1;
-                    eng.deliver(cycle)?;
-                }
-                TtaOp::RfRf { s, d } => {
-                    let v = eng.rf_get(s);
-                    eng.rf_set(d, v);
-                }
-                TtaOp::RfImm { v, d } => eng.rf_set(d, v),
-                TtaOp::RfFu { f, d } => {
-                    let v = eng.result(f, pc)?;
-                    eng.rf_set(d, v);
-                }
-                TtaOp::RfIr { k, d } => {
-                    let v = eng.immreg(k, pc)?;
-                    eng.rf_set(d, v);
-                }
-                TtaOp::OpRf { s, f } => {
-                    let v = eng.rf_get(s);
-                    eng.set_operand(f, v);
-                }
-                TtaOp::OpImm { v, f } => eng.set_operand(f, v),
-                TtaOp::OpFu { s, f } => {
-                    let v = eng.result(s, pc)?;
-                    eng.set_operand(f, v);
-                }
-                TtaOp::OpIr { k, f } => {
-                    let v = eng.immreg(k, pc)?;
-                    eng.set_operand(f, v);
-                }
-                TtaOp::A1Rf { s, fu, op } => {
-                    let v = eng.rf_get(s);
-                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
-                }
-                TtaOp::A1Imm { v, fu, op } => {
-                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
-                }
-                TtaOp::A1Fu { s, fu, op } => {
-                    let v = eng.result(s, pc)?;
-                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
-                }
-                TtaOp::A1Ir { k, fu, op } => {
-                    let v = eng.immreg(k, pc)?;
-                    eng.launch(fu, op, op.eval_alu(v, 0), cycle, pc)?;
-                }
-                TtaOp::A2Rf { s, fu, op } => {
-                    let v = eng.rf_get(s);
-                    let a = eng.operand(fu);
-                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
-                }
-                TtaOp::A2Imm { v, fu, op } => {
-                    let a = eng.operand(fu);
-                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
-                }
-                TtaOp::A2Fu { s, fu, op } => {
-                    let v = eng.result(s, pc)?;
-                    let a = eng.operand(fu);
-                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
-                }
-                TtaOp::A2Ir { k, fu, op } => {
-                    let v = eng.immreg(k, pc)?;
-                    let a = eng.operand(fu);
-                    eng.launch(fu, op, op.eval_alu(a, v), cycle, pc)?;
-                }
-                TtaOp::LdRf { s, fu, op } => {
-                    let addr = eng.rf_get(s) as u32;
-                    let v = eng.core.mem_load(op, addr, cycle)?;
-                    eng.launch(fu, op, v, cycle, pc)?;
-                }
-                TtaOp::LdImm { v, fu, op } => {
-                    let v = eng.core.mem_load(op, v as u32, cycle)?;
-                    eng.launch(fu, op, v, cycle, pc)?;
-                }
-                TtaOp::LdFu { s, fu, op } => {
-                    let addr = eng.result(s, pc)? as u32;
-                    let v = eng.core.mem_load(op, addr, cycle)?;
-                    eng.launch(fu, op, v, cycle, pc)?;
-                }
-                TtaOp::LdIr { k, fu, op } => {
-                    let addr = eng.immreg(k, pc)? as u32;
-                    let v = eng.core.mem_load(op, addr, cycle)?;
-                    eng.launch(fu, op, v, cycle, pc)?;
-                }
-                TtaOp::StRf { s, fu, op } => {
-                    let addr = eng.rf_get(s) as u32;
-                    let v = eng.operand(fu);
-                    eng.core.mem_store(op, addr, v, cycle)?;
-                }
-                TtaOp::StImm { v: addr, fu, op } => {
-                    let v = eng.operand(fu);
-                    eng.core.mem_store(op, addr as u32, v, cycle)?;
-                }
-                TtaOp::StFu { s, fu, op } => {
-                    let addr = eng.result(s, pc)? as u32;
-                    let v = eng.operand(fu);
-                    eng.core.mem_store(op, addr, v, cycle)?;
-                }
-                TtaOp::StIr { k, fu, op } => {
-                    let addr = eng.immreg(k, pc)? as u32;
-                    let v = eng.operand(fu);
-                    eng.core.mem_store(op, addr, v, cycle)?;
-                }
-                TtaOp::Limm { k, v } => *eng.immregs.get_unchecked_mut(k as usize) = Some(v),
-                TtaOp::Halt => halt = true,
-                TtaOp::Jump { src } => {
-                    let target = src.read(eng, pc)? as u32;
-                    eng.take_jump(pc, target, pending_jump)?;
-                }
-                TtaOp::CJump { src, fu, nz } => {
-                    let v = src.read(eng, pc)?;
-                    if (v != 0) == nz {
-                        let target = eng.operand(fu) as u32;
-                        eng.take_jump(pc, target, pending_jump)?;
+    latches: usize,
+}
+
+/// An RF write waiting for its place in the instruction's thunk stream:
+/// its source (or the latch that sampled it) and its destination.
+#[derive(Debug, Clone, Copy)]
+struct PendingWrite {
+    src: Src,
+    latch: Option<u16>,
+    d: u32,
+}
+
+impl PendingWrite {
+    /// Whether this write still reads register `r` at its own place in
+    /// the stream.
+    fn reads(&self, r: u32) -> bool {
+        self.latch.is_none() && self.src == Src::Rf(r)
+    }
+}
+
+impl TtaCode {
+    /// Build `program` for `m`: each instruction's thunks in hazard-safe
+    /// order (see the module docs), then a `Next`. Every emitted
+    /// register/unit/limm-register index is asserted against the machine's
+    /// [`Dims`], which licenses the unchecked accesses of the thunks.
+    pub(crate) fn build(m: &Machine, program: &[TtaInst]) -> TtaCode {
+        let rf = FlatRf::new(m);
+        let dims = Dims::of(m, &rf);
+        let reg = |r| {
+            let i = rf.flat(r);
+            assert!((i as usize) < dims.rf, "register out of range");
+            i
+        };
+        let unit = |f: FuId| {
+            assert!((f.0 as usize) < dims.fus, "unit out of range");
+            f.0
+        };
+        let immreg = |k: u8| {
+            assert!((k as usize) < dims.immregs, "limm register out of range");
+            k
+        };
+        let mut ops: Vec<TtaOp> = Vec::with_capacity(program.len() * 3);
+        let mut rows: Vec<Row> = Vec::with_capacity(program.len() + 1);
+        let mut row = Row::default();
+        let mut latches = 0;
+        let (mut operands, mut triggers, mut rf_writes) = (Vec::new(), Vec::new(), Vec::new());
+        for inst in program {
+            row.first = u32::try_from(ops.len()).expect("program too large");
+            rows.push(row);
+            operands.clear();
+            triggers.clear();
+            rf_writes.clear();
+            for mv in inst.slots.iter().flatten() {
+                row.payload += 1;
+                let src = match mv.src {
+                    MoveSrc::Rf(r) => {
+                        row.rf_reads += 1;
+                        Src::Rf(reg(r))
                     }
-                }
-                TtaOp::Phased { pc: ppc } => {
-                    debug_assert_eq!(ppc, pc);
-                    eng.exec_inst::<NoProfile, false>(&mut NoProfile, ppc, cycle, pending_jump)?;
-                }
-                TtaOp::PhasedCtrl { pc: ppc } => {
-                    debug_assert_eq!(ppc, pc);
-                    halt |=
-                        eng.exec_inst::<NoProfile, true>(&mut NoProfile, ppc, cycle, pending_jump)?;
+                    MoveSrc::FuResult(f) => {
+                        row.bypass_reads += 1;
+                        Src::Fu(unit(f))
+                    }
+                    MoveSrc::Imm(v) => Src::Imm(v),
+                    MoveSrc::ImmReg(k) => Src::ImmReg(immreg(k)),
+                };
+                match mv.dst {
+                    MoveDst::FuOperand(f) => operands.push((src, unit(f))),
+                    MoveDst::FuTrigger(f, op) => triggers.push((src, unit(f), op)),
+                    MoveDst::Rf(r) => rf_writes.push(PendingWrite {
+                        src,
+                        latch: None,
+                        d: reg(r),
+                    }),
                 }
             }
-        }
-    }
-    eng.core.stats.accumulate(delta);
-    Ok(halt)
-}
-
-/// Compile the superblock `[pc0, pc0 + len)` into one boxed closure over
-/// one array of resolved thunks. Each decoded move is matched exactly
-/// once, here, in one pass per instruction: its moves, then its triggers
-/// in slot order (control ones included, as in `exec_inst`), then its
-/// long immediate. Per-move statistics are folded into a static
-/// per-block delta (taken branches stay dynamic). An instruction with a
-/// same-cycle hazard is truncated back to its first thunk and replaced by
-/// one [`TtaOp::Phased`], which runs the reference phase order and
-/// charges its own statistics. Every emitted register/unit/limm-register
-/// index is asserted against `dims`, which licenses the unchecked
-/// accesses of [`exec_tta_block`].
-fn compile_tta_block(dec: &Decoded, dims: Dims, pc0: u32, len: u32) -> TtaBlockFn {
-    let mut ops: Vec<TtaOp> = Vec::new();
-    let mut delta = SimStats::default();
-    // Registers written so far by the current instruction. The reference
-    // engine samples every source before any write applies, but thunks
-    // apply writes in emission order, so a source is a same-cycle hazard
-    // iff a move emitted before it wrote its register: for write moves
-    // any earlier write, for triggers (emitted after every write) any
-    // write of the instruction.
-    let mut written: Vec<u32> = Vec::new();
-    let resolve = |s: DecSrc, written: &[u32], d: &mut SimStats, hazard: &mut bool| match s {
-        DecSrc::Rf(r) => {
-            assert!((r as usize) < dims.rf, "decoded register out of range");
-            d.rf_reads += 1;
-            *hazard |= written.contains(&r);
-            Src::Rf(r)
-        }
-        DecSrc::FuResult(f) => {
-            assert!((f as usize) < dims.fus, "decoded unit out of range");
-            d.bypass_reads += 1;
-            Src::Fu(f)
-        }
-        DecSrc::Imm(v) => Src::Imm(v),
-        DecSrc::ImmReg(k) => {
-            assert!(
-                (k as usize) < dims.immregs,
-                "decoded limm register out of range"
-            );
-            Src::ImmReg(k)
-        }
-    };
-    let check_fu = |f: u16| {
-        assert!((f as usize) < dims.fus, "decoded unit out of range");
-        f
-    };
-    for i in 0..len {
-        let pc = pc0 + i;
-        let inst = dec.insts[pc as usize];
-        let srcs = &dec.srcs[inst.srcs.0 as usize..inst.srcs.1 as usize];
-        let writes = &dec.writes[inst.writes.0 as usize..inst.writes.1 as usize];
-        let trigs = &dec.trigs[inst.trigs.0 as usize..inst.trigs.1 as usize];
-        if i > 0 {
+            // Operand-port writes in slot order (a later slot's write to
+            // the same port wins, as in the reference phase order), then
+            // the triggers that read them, in slot order.
+            for &(s, f) in &operands {
+                ops.push(match s {
+                    Src::Rf(s) => TtaOp::OpRf { s, f },
+                    Src::Imm(v) => TtaOp::OpImm { v, f },
+                    Src::Fu(s) => TtaOp::OpFu { s, f },
+                    Src::ImmReg(k) => TtaOp::OpIr { k, f },
+                });
+            }
+            for &(s, fu, op) in &triggers {
+                ops.push(trigger(s, fu, op, &mut row));
+            }
+            row.rf_writes += rf_writes.len() as u32;
+            latches = latches.max(emit_rf_writes(&mut ops, &mut rf_writes));
+            if let Some((k, v)) = inst.limm {
+                row.limms += 1;
+                ops.push(TtaOp::Limm { k: immreg(k), v });
+            }
             ops.push(TtaOp::Next);
         }
-        let start = ops.len();
-        let mut d = SimStats::default();
-        d.instructions += 1;
-        written.clear();
-        let mut hazard = false;
-
-        for &(vi, w) in writes {
-            d.payload += 1;
-            let s = resolve(srcs[vi as usize], &written, &mut d, &mut hazard);
-            ops.push(match w {
-                DecWrite::Rf(r) => {
-                    assert!((r as usize) < dims.rf, "decoded register out of range");
-                    d.rf_writes += 1;
-                    written.push(r);
-                    match s {
-                        Src::Rf(si) => TtaOp::RfRf { s: si, d: r },
-                        Src::Imm(v) => TtaOp::RfImm { v, d: r },
-                        Src::Fu(f) => TtaOp::RfFu { f, d: r },
-                        Src::ImmReg(k) => TtaOp::RfIr { k, d: r },
-                    }
-                }
-                DecWrite::FuOperand(f) => {
-                    let f = check_fu(f);
-                    match s {
-                        Src::Rf(si) => TtaOp::OpRf { s: si, f },
-                        Src::Imm(v) => TtaOp::OpImm { v, f },
-                        Src::Fu(sf) => TtaOp::OpFu { s: sf, f },
-                        Src::ImmReg(k) => TtaOp::OpIr { k, f },
-                    }
-                }
-            });
-        }
-        for trig in trigs {
-            d.payload += 1;
-            let s = resolve(srcs[trig.vi as usize], &written, &mut d, &mut hazard);
-            let (fu, op) = (check_fu(trig.fu), trig.op);
-            ops.push(match op.class() {
-                OpClass::Alu if op.num_inputs() == 1 => match s {
-                    Src::Rf(s) => TtaOp::A1Rf { s, fu, op },
-                    Src::Imm(v) => TtaOp::A1Imm { v, fu, op },
-                    Src::Fu(s) => TtaOp::A1Fu { s, fu, op },
-                    Src::ImmReg(k) => TtaOp::A1Ir { k, fu, op },
-                },
-                OpClass::Alu => match s {
-                    Src::Rf(s) => TtaOp::A2Rf { s, fu, op },
-                    Src::Imm(v) => TtaOp::A2Imm { v, fu, op },
-                    Src::Fu(s) => TtaOp::A2Fu { s, fu, op },
-                    Src::ImmReg(k) => TtaOp::A2Ir { k, fu, op },
-                },
-                OpClass::Lsu if op.is_load() => {
-                    d.loads += 1;
-                    match s {
-                        Src::Rf(s) => TtaOp::LdRf { s, fu, op },
-                        Src::Imm(v) => TtaOp::LdImm { v, fu, op },
-                        Src::Fu(s) => TtaOp::LdFu { s, fu, op },
-                        Src::ImmReg(k) => TtaOp::LdIr { k, fu, op },
-                    }
-                }
-                OpClass::Lsu => {
-                    d.stores += 1;
-                    match s {
-                        Src::Rf(s) => TtaOp::StRf { s, fu, op },
-                        Src::Imm(v) => TtaOp::StImm { v, fu, op },
-                        Src::Fu(s) => TtaOp::StFu { s, fu, op },
-                        Src::ImmReg(k) => TtaOp::StIr { k, fu, op },
-                    }
-                }
-                OpClass::Ctrl => match op {
-                    Opcode::Halt => TtaOp::Halt,
-                    Opcode::Jump => TtaOp::Jump { src: s },
-                    Opcode::CJnz => TtaOp::CJump {
-                        src: s,
-                        fu,
-                        nz: true,
-                    },
-                    Opcode::CJz => TtaOp::CJump {
-                        src: s,
-                        fu,
-                        nz: false,
-                    },
-                    _ => unreachable!("non-transfer control opcode"),
-                },
-            });
-        }
-        if let Some((k, v)) = inst.limm {
-            assert!(
-                (k as usize) < dims.immregs,
-                "decoded limm register out of range"
-            );
-            d.limms += 1;
-            ops.push(TtaOp::Limm { k, v });
-        }
-
-        if hazard {
-            // Reference phase order for this one instruction; its stats
-            // are charged live by `exec_inst`, so keep them out of the
-            // static delta.
-            ops.truncate(start);
-            ops.push(if i + 1 == len {
-                TtaOp::PhasedCtrl { pc }
-            } else {
-                TtaOp::Phased { pc }
-            });
-        } else {
-            delta.accumulate(&d);
+        row.first = u32::try_from(ops.len()).expect("program too large");
+        rows.push(row);
+        TtaCode {
+            ops: ops.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
+            dims,
+            latches,
         }
     }
-    let ops = ops.into_boxed_slice();
-    Box::new(move |eng, cycle0, pending_jump| {
-        exec_tta_block(&ops, &delta, dims, eng, pc0, cycle0, pending_jump)
-    })
+}
+
+/// The thunk of one trigger move, counting its loads and stores.
+fn trigger(s: Src, fu: u16, op: Opcode, row: &mut Row) -> TtaOp {
+    match op.class() {
+        OpClass::Alu if op.num_inputs() == 1 => match s {
+            Src::Rf(s) => TtaOp::A1Rf { s, fu, op },
+            Src::Imm(v) => TtaOp::A1Imm { v, fu, op },
+            Src::Fu(s) => TtaOp::A1Fu { s, fu, op },
+            Src::ImmReg(k) => TtaOp::A1Ir { k, fu, op },
+        },
+        OpClass::Alu => match s {
+            Src::Rf(s) => TtaOp::A2Rf { s, fu, op },
+            Src::Imm(v) => TtaOp::A2Imm { v, fu, op },
+            Src::Fu(s) => TtaOp::A2Fu { s, fu, op },
+            Src::ImmReg(k) => TtaOp::A2Ir { k, fu, op },
+        },
+        OpClass::Lsu if op.is_load() => {
+            row.loads += 1;
+            match s {
+                Src::Rf(s) => TtaOp::LdRf { s, fu, op },
+                Src::Imm(v) => TtaOp::LdImm { v, fu, op },
+                Src::Fu(s) => TtaOp::LdFu { s, fu, op },
+                Src::ImmReg(k) => TtaOp::LdIr { k, fu, op },
+            }
+        }
+        OpClass::Lsu => {
+            row.stores += 1;
+            match s {
+                Src::Rf(s) => TtaOp::StRf { s, fu, op },
+                Src::Imm(v) => TtaOp::StImm { v, fu, op },
+                Src::Fu(s) => TtaOp::StFu { s, fu, op },
+                Src::ImmReg(k) => TtaOp::StIr { k, fu, op },
+            }
+        }
+        OpClass::Ctrl => match op {
+            Opcode::Halt => TtaOp::Halt { src: s },
+            Opcode::Jump => TtaOp::Jump { src: s },
+            Opcode::CJnz => TtaOp::CJump {
+                src: s,
+                fu,
+                nz: true,
+            },
+            Opcode::CJz => TtaOp::CJump {
+                src: s,
+                fu,
+                nz: false,
+            },
+            _ => unreachable!("non-transfer control opcode"),
+        },
+    }
+}
+
+/// Emit one instruction's RF writes (given in slot order) so that the
+/// stream reproduces the contract's parallel semantics: a write goes out
+/// once no other pending write still reads its destination and no
+/// earlier-slot pending write targets the same register (so the later
+/// slot still wins). When every pending write waits on another, the
+/// writes form a cycle; the first one that reads a register is latched —
+/// its register sampled now, its write emitted when its turn comes.
+/// Returns the number of latches used.
+fn emit_rf_writes(ops: &mut Vec<TtaOp>, pending: &mut Vec<PendingWrite>) -> usize {
+    let mut latches = 0;
+    while !pending.is_empty() {
+        let ready = (0..pending.len()).find(|&i| {
+            let d = pending[i].d;
+            pending
+                .iter()
+                .enumerate()
+                .all(|(j, w)| j == i || !(w.reads(d) || (j < i && w.d == d)))
+        });
+        let Some(i) = ready else {
+            // Only an unlatched register read can close a cycle: writes
+            // to one destination alone are ordered by slot.
+            let w = pending
+                .iter_mut()
+                .find(|w| w.latch.is_none() && matches!(w.src, Src::Rf(_)))
+                .expect("an RF-write cycle reads a register");
+            let Src::Rf(s) = w.src else { unreachable!() };
+            let l = u16::try_from(latches).expect("latch index fits u16");
+            ops.push(TtaOp::Latch { s, l });
+            w.latch = Some(l);
+            latches += 1;
+            continue;
+        };
+        let PendingWrite { src, latch, d } = pending.remove(i);
+        ops.push(match (latch, src) {
+            (Some(l), _) => TtaOp::RfLatch { l, d },
+            (None, Src::Rf(s)) => TtaOp::RfRf { s, d },
+            (None, Src::Imm(v)) => TtaOp::RfImm { v, d },
+            (None, Src::Fu(f)) => TtaOp::RfFu { f, d },
+            (None, Src::ImmReg(k)) => TtaOp::RfIr { k, d },
+        });
+    }
+    latches
 }
 
 /// The TTA engine behind [`crate::run`] and friends, monomorphised over
-/// the profile sink. `tier`, if present, is the promotion table of the
-/// compiled tier — consulted only on block entries of passive sinks.
+/// the profile sink: runs `code` (built for `m`) under the shared
+/// block-dispatch loop.
 pub(crate) fn run_tta_with<S: ProfileSink>(
     m: &Machine,
-    program: &[TtaInst],
+    code: &TtaCode,
     blocks: &BlockMap,
     core: Core<'_, TtaShadow>,
     fuel: u64,
     sink: &mut S,
-    tier: Option<&TtaTiers>,
 ) -> Result<SimResult, SimError> {
     let rf = FlatRf::new(m);
-    let dec = decode(&rf, program);
+    assert_eq!(
+        Dims::of(m, &rf),
+        code.dims,
+        "thunk array built for a different machine shape"
+    );
     let mut eng = TtaEngine {
         m,
-        dec: &dec,
+        code,
         fus: vec![FuSim::default(); m.funits.len()],
         wheel: Default::default(),
         rf,
         immregs: vec![None; m.limm.imm_regs as usize],
-        values: vec![0; dec.max_moves],
+        latches: vec![0; code.latches],
         core,
-        tier,
-        tc: TierCounts::default(),
     };
-    let r = run_blocks(&mut eng, sink, blocks, fuel);
-    eng.tc.flush();
-    r
+    run_blocks(&mut eng, sink, blocks, fuel)
 }

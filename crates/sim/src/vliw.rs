@@ -18,9 +18,9 @@
 //! engine runs under the block-dispatch loop it shares with the TTA
 //! ([`crate::engine::run_blocks`]), which owns fuel, the delay-slot
 //! bookkeeping, the I/O boundary and interrupt entry and return; this
-//! module supplies the step and the trap's writeback drain. There is no
-//! compiled tier: the step is already a direct walk over the predecoded
-//! slot array, so threaded code measured no faster (DESIGN.md §14).
+//! module supplies the per-bundle step and the trap's writeback drain.
+//! The step is already a direct walk over the predecoded slot array, so
+//! threaded code like the TTA's thunks measured no faster (DESIGN.md §14).
 
 use crate::engine::{run_blocks, Core, Engine};
 use crate::profile::ProfileSink;
@@ -178,16 +178,11 @@ impl VliwEngine<'_> {
         *pending_jump = Some((self.m.jump_delay_slots, target));
         Ok(())
     }
-}
 
-impl<'a> Engine<'a> for VliwEngine<'a> {
-    type Checkpoint = Vec<i32>;
-
-    #[inline(always)]
-    fn core(&mut self) -> &mut Core<'a, Vec<i32>> {
-        &mut self.core
-    }
-
+    /// One architectural cycle at `pc`. With `CTRL = false` the caller
+    /// guarantees (via the block map) that the bundle carries no control
+    /// operation, and the control arm is compiled out of the
+    /// monomorphisation. Returns whether the core halted.
     #[inline(always)]
     fn step<S: ProfileSink, const CTRL: bool>(
         &mut self,
@@ -274,6 +269,37 @@ impl<'a> Engine<'a> for VliwEngine<'a> {
 
         self.drain(sink, cycle)?;
         Ok(halt)
+    }
+}
+
+impl<'a> Engine<'a> for VliwEngine<'a> {
+    type Checkpoint = Vec<i32>;
+
+    #[inline(always)]
+    fn core(&mut self) -> &mut Core<'a, Vec<i32>> {
+        &mut self.core
+    }
+
+    /// A step per bundle; only the run's terminal bundle runs the
+    /// control arm.
+    #[inline(always)]
+    fn run_slice<S: ProfileSink>(
+        &mut self,
+        sink: &mut S,
+        pc: u32,
+        cycle: u64,
+        len: u64,
+        terminal: bool,
+        pending_jump: &mut Option<(u32, u32)>,
+    ) -> Result<bool, SimError> {
+        let straight = if terminal { len - 1 } else { len };
+        for i in 0..straight {
+            self.step::<S, false>(sink, pc + i as u32, cycle + i, pending_jump)?;
+        }
+        if !terminal {
+            return Ok(false);
+        }
+        self.step::<S, true>(sink, pc + straight as u32, cycle + straight, pending_jump)
     }
 
     /// The VLIW's in-flight state is its writeback wheel: the trap drains

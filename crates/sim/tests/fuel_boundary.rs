@@ -15,7 +15,7 @@ use tta_ir::inst::MemRegion;
 use tta_ir::Module;
 use tta_model::io::{IoSpec, IrqAt, IRQ_CTRL_ADDR, SOFT_LINE};
 use tta_model::{presets, Machine};
-use tta_sim::{SimError, SimResult, TierConfig, Tiers};
+use tta_sim::{SimError, SimResult, Tiers};
 
 /// A small looping kernel: two dependent loops with stores and loads, so
 /// the compiled programs have several superblocks, taken and fall-through
@@ -157,10 +157,9 @@ fn reactive_loop_module() -> Module {
 
 /// The interrupt leg of the boundary sweep: with a fixed schedule, every
 /// fuel value below the exact cost errs with `OutOfFuel` and every value
-/// at or above it reproduces the unconstrained run bit-for-bit — on the
-/// interpreted engine, the eagerly compiled tier, and the default
-/// promotion threshold alike, and all three configurations agree with
-/// each other on the unconstrained result.
+/// at or above it reproduces the unconstrained run bit-for-bit — with
+/// simulator state built fresh for every run and with one state shared by
+/// the whole sweep alike, and the two agree on the unconstrained result.
 fn reactive_sweep(machine: &Machine) {
     let module = reactive_loop_module();
     let compiled =
@@ -169,35 +168,13 @@ fn reactive_sweep(machine: &Machine) {
         schedule: vec![(IrqAt::Cycle(20), SOFT_LINE), (IrqAt::Cycle(60), SOFT_LINE)],
         ..IoSpec::default()
     };
-    let configs = [
-        (
-            "interpreted",
-            TierConfig {
-                enabled: false,
-                threshold: 0,
-            },
-        ),
-        (
-            "threshold-0",
-            TierConfig {
-                enabled: true,
-                threshold: 0,
-            },
-        ),
-        (
-            "default-threshold",
-            TierConfig {
-                enabled: true,
-                threshold: TierConfig::DEFAULT_THRESHOLD,
-            },
-        ),
-    ];
     let mut baseline: Option<SimResult> = None;
-    for (what, cfg) in &configs {
-        // Shared across the whole sweep, so blocks promoted by earlier
-        // runs serve later fuel values fully compiled — the steady state.
-        let tiers = Tiers::with_config(&compiled.program, cfg);
+    for what in ["fresh", "shared"] {
+        // Shared across the whole sweep, the thunk array the first run
+        // builds serves every later fuel value.
+        let shared = Tiers::for_program(&compiled.program);
         let run = |fuel: u64| {
+            let fresh = Tiers::for_program(&compiled.program);
             tta_sim::run_with_io_tiers(
                 machine,
                 &compiled.program,
@@ -205,7 +182,7 @@ fn reactive_sweep(machine: &Machine) {
                 fuel,
                 &spec,
                 compiled.irq_entry,
-                &tiers,
+                if what == "fresh" { &fresh } else { &shared },
             )
         };
         let full = run(200_000)

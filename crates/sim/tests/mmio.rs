@@ -5,9 +5,9 @@
 //! design point: UART bytes round-trip rx → handler → tx bit-identically
 //! across the three styles (and the IR reference interpreter), the timer
 //! edge cases (period 0 never fires, period 1 storms, arming near the
-//! fuel boundary) behave the same compiled as interpreted, and the
-//! compiled tier produces bit-identical reactive runs at every `TTA_JIT`
-//! setting under a fixed schedule.
+//! fuel boundary) behave the same compiled as interpreted, and a reactive
+//! run on fresh simulator state equals the runs that build and reuse a
+//! shared thunk array under a fixed schedule.
 
 use tta_compiler::compile;
 use tta_ir::builder::{FunctionBuilder, ModuleBuilder};
@@ -19,7 +19,7 @@ use tta_model::io::{
     UART_RX_ADDR, UART_TX_ADDR,
 };
 use tta_model::presets;
-use tta_sim::{run_with_io, run_with_io_tiers, SimResult, TierConfig, Tiers};
+use tta_sim::{run_with_io, run_with_io_tiers, SimResult, Tiers};
 
 const FUEL: u64 = 200_000;
 
@@ -114,50 +114,36 @@ fn uart_bytes_round_trip_identically_on_every_design_point() {
 }
 
 #[test]
-fn reactive_runs_are_bit_identical_across_jit_modes() {
+fn reactive_runs_are_bit_identical_on_shared_state() {
     let module = echo_module(4);
     let spec = echo_spec();
     for machine in &presets::all_design_points() {
         let c = compile(&module, machine)
             .unwrap_or_else(|e| panic!("compile on {}: {e}", machine.name));
-        let run = |cfg: TierConfig| {
-            let tiers = Tiers::with_config(&c.program, &cfg);
-            let go = || {
-                run_with_io_tiers(
-                    machine,
-                    &c.program,
-                    module.initial_memory(),
-                    FUEL,
-                    &spec,
-                    c.irq_entry,
-                    &tiers,
-                )
-                .unwrap_or_else(|e| panic!("{} ({cfg:?}): {e}", machine.name))
-            };
-            // Steady state too: the second run through the same shared
-            // tier table executes fully compiled.
-            let first = go();
-            (first, go())
-        };
-        let (interp, interp2) = run(TierConfig {
-            enabled: false,
-            threshold: 0,
-        });
-        let (eager, eager2) = run(TierConfig {
-            enabled: true,
-            threshold: 0,
-        });
-        let (deferred, _) = run(TierConfig {
-            enabled: true,
-            threshold: TierConfig::DEFAULT_THRESHOLD,
-        });
-        for (r, what) in [
-            (&interp2, "interpreted re-run"),
-            (&eager, "threshold-0 first run"),
-            (&eager2, "threshold-0 steady state"),
-            (&deferred, "default-threshold run"),
-        ] {
-            assert_eq!(r, &interp, "{}: {what} diverged", machine.name);
+        let fresh = run_with_io(
+            machine,
+            &c.program,
+            module.initial_memory(),
+            FUEL,
+            &spec,
+            c.irq_entry,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+        // The first run through shared state builds the TTA thunk array,
+        // the second reuses it.
+        let tiers = Tiers::for_program(&c.program);
+        for what in ["building run", "reusing run"] {
+            let r = run_with_io_tiers(
+                machine,
+                &c.program,
+                module.initial_memory(),
+                FUEL,
+                &spec,
+                c.irq_entry,
+                &tiers,
+            )
+            .unwrap_or_else(|e| panic!("{} ({what}): {e}", machine.name));
+            assert_eq!(r, fresh, "{}: {what} diverged", machine.name);
         }
     }
 }

@@ -5,8 +5,10 @@
 use tta_isa::{
     Move, MoveDst, MoveSrc, OpSrc, Operation, Program, ScalarInst, TtaInst, VliwBundle, VliwSlot,
 };
-use tta_model::{presets, FuId, Machine, Opcode, RegRef, RfId};
-use tta_sim::{SimError, SimResult, TierConfig, Tiers};
+use tta_model::{
+    presets, FuId, Machine, Opcode, RegRef, RegisterFile, RfId, SearchConfig, TtaParams,
+};
+use tta_sim::{SimError, SimResult, Tiers};
 
 const ALU: FuId = FuId(0);
 // In the single-ALU presets the LSU is unit 1 and the control unit 2.
@@ -24,30 +26,22 @@ fn mv(src: MoveSrc, dst: MoveDst) -> Option<Move> {
     Some(Move { src, dst })
 }
 
-/// Run a TTA program on m-tta-1 with 64 KiB of memory in each tier mode:
-/// interpreted only, compiled from the first entry and the default
-/// promotion threshold. The three outcomes must be equal.
+/// Run a TTA program on m-tta-1 with 64 KiB of memory (see
+/// [`run_tta_on`]).
 fn run_tta(insts: Vec<TtaInst>) -> Result<SimResult, SimError> {
-    let m = presets::m_tta_1();
+    run_tta_on(&presets::m_tta_1(), insts)
+}
+
+/// Run a TTA program on `m` with 64 KiB of memory, twice on one shared
+/// [`Tiers`]: the run that builds the thunk array and a run that reuses
+/// it must agree.
+fn run_tta_on(m: &Machine, insts: Vec<TtaInst>) -> Result<SimResult, SimError> {
     let program = Program::Tta(insts);
-    let [interpreted, compiled, default] = [
-        TierConfig::disabled(),
-        TierConfig::with_threshold(0),
-        TierConfig::with_threshold(TierConfig::DEFAULT_THRESHOLD),
-    ]
-    .map(|cfg| {
-        let tiers = Tiers::with_config(&program, &cfg);
-        tta_sim::run_with_tiers(&m, &program, vec![0; 1 << 16], 10_000, &tiers)
-    });
-    let brief = |r: &Result<SimResult, SimError>| r.clone().map(|r| (r.cycles, r.ret, r.stats));
-    assert!(
-        compiled == interpreted && default == interpreted,
-        "tier modes disagree: interpreted {:?}, threshold 0 {:?}, default {:?}",
-        brief(&interpreted),
-        brief(&compiled),
-        brief(&default)
-    );
-    interpreted
+    let tiers = Tiers::for_program(&program);
+    let [first, reused] =
+        [(); 2].map(|()| tta_sim::run_with_tiers(m, &program, vec![0; 1 << 16], 10_000, &tiers));
+    assert_eq!(first, reused, "a reused thunk array diverged");
+    first
 }
 
 /// Run a VLIW program on `m` with 64 KiB of memory.
@@ -136,6 +130,192 @@ fn rf_write_is_visible_one_cycle_later() {
     ])];
     prog2.extend(store_and_halt(MoveSrc::FuResult(ALU)));
     assert_eq!(run_tta(prog2).unwrap().ret, 0);
+}
+
+/// A single-issue TTA with one 2R/2W register bank on three fully
+/// connected buses (a generated design point), so one instruction can
+/// carry two RF writes that read each other's registers. Units are
+/// numbered as in m-tta-1.
+fn tta_2r2w() -> Machine {
+    SearchConfig::Tta(TtaParams {
+        issue: 1,
+        banks: 1,
+        regs_per_bank: 32,
+        read_ports: 2,
+        write_ports: 2,
+        buses: 3,
+        full_conn: true,
+    })
+    .build()
+}
+
+/// [`run_tta_on`] for a program that must pass static validation on `m`:
+/// the same-cycle hazard cases are legal schedules, not malformed ones.
+fn run_valid_tta(m: &Machine, insts: Vec<TtaInst>) -> Result<SimResult, SimError> {
+    if let Err(errs) = Program::Tta(insts.clone()).validate(m) {
+        panic!("invalid on {}: {errs:?}", m.name);
+    }
+    run_tta_on(m, insts)
+}
+
+/// `r3 - r4` into the ALU (operand port r3, trigger r4), then the result
+/// stored as the return value.
+fn return_r3_minus_r4() -> Vec<TtaInst> {
+    let mut prog = vec![inst([
+        mv(MoveSrc::Rf(rr(3)), MoveDst::FuOperand(ALU)),
+        mv(MoveSrc::Rf(rr(4)), MoveDst::FuTrigger(ALU, Opcode::Sub)),
+        None,
+    ])];
+    prog.extend(store_and_halt(MoveSrc::FuResult(ALU)));
+    prog
+}
+
+#[test]
+fn trigger_samples_a_register_before_its_same_cycle_write() {
+    // r3 = 5 and alu.o = 9; then one instruction writes r3 = 20 and
+    // triggers an add on r3. The trigger samples r3 before the write
+    // applies, so the sum is 9 + 5, not 9 + 20.
+    let mut prog = vec![
+        inst([
+            mv(MoveSrc::Imm(5), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Imm(9), MoveDst::FuOperand(ALU)),
+            None,
+        ]),
+        inst([
+            mv(MoveSrc::Imm(20), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Rf(rr(3)), MoveDst::FuTrigger(ALU, Opcode::Add)),
+            None,
+        ]),
+    ];
+    prog.extend(store_and_halt(MoveSrc::FuResult(ALU)));
+    let r = run_valid_tta(&presets::m_tta_1(), prog).unwrap();
+    assert_eq!(r.ret, 14);
+    assert_eq!(r.cycles, 4);
+}
+
+#[test]
+fn rf_write_chain_reads_the_pre_cycle_value() {
+    // r3 = 5; then `r4 <- r3` and `r3 <- #30` in one instruction, in
+    // both slot orders: r4 gets the old r3, so r3 - r4 = 30 - 5.
+    let m = tta_2r2w();
+    let chain = mv(MoveSrc::Rf(rr(3)), MoveDst::Rf(rr(4)));
+    let set = mv(MoveSrc::Imm(30), MoveDst::Rf(rr(3)));
+    for slots in [[set, chain, None], [chain, set, None]] {
+        let mut prog = vec![
+            inst([mv(MoveSrc::Imm(5), MoveDst::Rf(rr(3))), None, None]),
+            inst(slots),
+        ];
+        prog.extend(return_r3_minus_r4());
+        let r = run_valid_tta(&m, prog).unwrap();
+        assert_eq!(r.ret, 25);
+        assert_eq!(r.stats.rf_writes, 3);
+    }
+}
+
+#[test]
+fn rf_write_swap_exchanges_two_registers() {
+    // r3 = 5, r4 = 7; then `r3 <- r4` and `r4 <- r3` in one
+    // instruction: the registers trade values, so r3 - r4 = 7 - 5.
+    let m = tta_2r2w();
+    let mut prog = vec![
+        inst([
+            mv(MoveSrc::Imm(5), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Imm(7), MoveDst::Rf(rr(4))),
+            None,
+        ]),
+        inst([
+            mv(MoveSrc::Rf(rr(4)), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Rf(rr(3)), MoveDst::Rf(rr(4))),
+            None,
+        ]),
+    ];
+    prog.extend(return_r3_minus_r4());
+    let r = run_valid_tta(&m, prog).unwrap();
+    assert_eq!(r.ret, 2);
+    assert_eq!(r.stats.rf_reads, 4);
+    assert_eq!(r.stats.rf_writes, 4);
+}
+
+#[test]
+fn rf_write_rotation_through_three_registers() {
+    // One 3R/3W bank: r3, r4, r5 = 5, 7, 11, then `r3 <- r4`,
+    // `r4 <- r5` and `r5 <- r3` in one instruction, a cycle of three RF
+    // writes. Afterwards r3 - r4 = 7 - 11.
+    let m = presets::custom_tta(
+        "rot-3",
+        1,
+        vec![RegisterFile::new("rf0", 32, 3, 3)],
+        3,
+        true,
+    );
+    let mut prog = vec![
+        inst([
+            mv(MoveSrc::Imm(5), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Imm(7), MoveDst::Rf(rr(4))),
+            mv(MoveSrc::Imm(11), MoveDst::Rf(rr(5))),
+        ]),
+        inst([
+            mv(MoveSrc::Rf(rr(4)), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Rf(rr(5)), MoveDst::Rf(rr(4))),
+            mv(MoveSrc::Rf(rr(3)), MoveDst::Rf(rr(5))),
+        ]),
+    ];
+    prog.extend(return_r3_minus_r4());
+    assert_eq!(run_valid_tta(&m, prog.clone()).unwrap().ret, -4);
+    // Same schedule, r5 moved into r4 first: r3 - r5 = 7 - 5.
+    prog.insert(
+        2,
+        inst([mv(MoveSrc::Rf(rr(5)), MoveDst::Rf(rr(4))), None, None]),
+    );
+    assert_eq!(run_valid_tta(&m, prog).unwrap().ret, 2);
+}
+
+#[test]
+fn rf_writes_to_one_register_keep_slot_order() {
+    // Two RF writes to r3 in one instruction: the later slot wins, and
+    // an RF write reading r3 still gets the pre-cycle value. r3, r4 = 5,
+    // 7 first, on a 3R/3W bank.
+    let m = presets::custom_tta(
+        "rot-3",
+        1,
+        vec![RegisterFile::new("rf0", 32, 3, 3)],
+        3,
+        true,
+    );
+    let init = || {
+        inst([
+            mv(MoveSrc::Imm(5), MoveDst::Rf(rr(3))),
+            mv(MoveSrc::Imm(7), MoveDst::Rf(rr(4))),
+            None,
+        ])
+    };
+    let cases = [
+        // `r4 <- r3`, `r3 <- #10`, `r3 <- #20`: r3 - r4 = 20 - 5.
+        (
+            [
+                mv(MoveSrc::Rf(rr(3)), MoveDst::Rf(rr(4))),
+                mv(MoveSrc::Imm(10), MoveDst::Rf(rr(3))),
+                mv(MoveSrc::Imm(20), MoveDst::Rf(rr(3))),
+            ],
+            15,
+        ),
+        // `r3 <- #10`, `r4 <- r3`, `r3 <- r4`: a swap whose r3 half
+        // must also land after an earlier-slot write to r3, so
+        // r3 - r4 = 7 - 5.
+        (
+            [
+                mv(MoveSrc::Imm(10), MoveDst::Rf(rr(3))),
+                mv(MoveSrc::Rf(rr(3)), MoveDst::Rf(rr(4))),
+                mv(MoveSrc::Rf(rr(4)), MoveDst::Rf(rr(3))),
+            ],
+            2,
+        ),
+    ];
+    for (slots, want) in cases {
+        let mut prog = vec![init(), inst(slots)];
+        prog.extend(return_r3_minus_r4());
+        assert_eq!(run_valid_tta(&m, prog).unwrap().ret, want);
+    }
 }
 
 #[test]

@@ -1,23 +1,18 @@
-//! Tier-transition boundary tests: the promotion-threshold invariant
-//! across *runs*, not just within one. A superblock promoted mid-run by
-//! run N executes compiled from the first entry of run N+1 when the
-//! promotion table is shared ([`tta_sim::Tiers`]); both runs — and every
-//! threshold configuration, including promote-on-first-entry and the
-//! tier disabled outright — must report bit-identical `SimResult`s
-//! (cycles, return value, final memory, every `SimStats` field).
+//! Shared simulator state across runs and threads: a [`tta_sim::Tiers`]
+//! holds the TTA thunk array its first run builds, and every later run —
+//! in the same thread or in another, racing on the build or not — must
+//! report a `SimResult` bit-identical to a run on fresh state (cycles,
+//! return value, final memory, every `SimStats` field).
 //!
-//! Only the TTA engine has a compiled tier; the VLIW and scalar cases
-//! pin that their tier state stays empty and changes nothing.
+//! Only the TTA engine keeps anything in that state; the VLIW and scalar
+//! cases pin that sharing it changes nothing for them either.
 //!
 //! Beyond the kernels, every program of the fixed generator stream that
-//! `program_snapshot` hashes (plain and reactive modules) must also run
-//! identically compiled and interpreted on every TTA preset.
-//!
-//! These tests pin the boundary with explicit [`TierConfig`] values so
-//! they are independent of the `TTA_JIT` / `TTA_JIT_THRESHOLD`
-//! environment; the CI `jit-parity` job covers the environment-driven
-//! paths by replaying the cycle-snapshot and parity suites under each
-//! setting.
+//! `program_snapshot` hashes (plain and reactive modules) must run
+//! identically on the state its own first run built, on every TTA
+//! preset. The executor itself is held to the interpreted reference by
+//! the generated-stream lines of `cycle_snapshot`, which run that stream
+//! on fresh state.
 
 use std::sync::OnceLock;
 
@@ -25,7 +20,7 @@ use tta_compiler::{compile_prepared, prepare, TtaOptions};
 use tta_fuzz::gen::{generate, generate_reactive, GenConfig};
 use tta_isa::Program;
 use tta_model::{presets, CoreStyle, Machine};
-use tta_sim::{run_with_io_tiers, run_with_tiers, IoSpec, TierConfig, Tiers, DEFAULT_FUEL};
+use tta_sim::{run_with_fuel, run_with_io_tiers, run_with_tiers, IoSpec, Tiers, DEFAULT_FUEL};
 
 struct Case {
     kernel: &'static str,
@@ -35,9 +30,8 @@ struct Case {
 }
 
 /// One branchy and one loop-heavy kernel on one machine of each style —
-/// enough to cross every TTA dispatch path (compiled whole blocks, and
-/// clamped entries such as delay-slot windows falling back to the
-/// interpreter) without snapshot-suite runtimes.
+/// enough to cross every TTA dispatch path (whole runs and clamped
+/// entries such as delay-slot windows) without snapshot-suite runtimes.
 fn cases() -> &'static Vec<Case> {
     static CASES: OnceLock<Vec<Case>> = OnceLock::new();
     CASES.get_or_init(|| {
@@ -71,108 +65,43 @@ fn run_once(c: &Case, tiers: &Tiers) -> tta_sim::SimResult {
     .unwrap_or_else(|e| panic!("{} on {}: {e}", c.kernel, c.machine.name))
 }
 
-/// A run that promotes superblocks mid-flight and a later run that enters
-/// them compiled from the start must both match the interpreted result.
+/// Two threads race on the first build of one shared state and then run
+/// on it again; every run must match a run on fresh state.
 #[test]
-fn promotion_between_runs_is_bit_identical() {
+fn shared_state_across_runs_and_threads_is_bit_identical() {
     for c in cases() {
-        let off = Tiers::with_config(
-            &c.program,
-            &TierConfig {
-                enabled: false,
-                threshold: 0,
-            },
-        );
-        let baseline = run_once(c, &off);
-
-        // Low threshold: hot blocks cross it early in run 1, so run 1
-        // straddles the interpreted→compiled boundary and run 2 is
-        // compiled throughout.
-        let tiers = Tiers::with_config(
-            &c.program,
-            &TierConfig {
-                enabled: true,
-                threshold: 4,
-            },
-        );
-        let run1 = run_once(c, &tiers);
-        let promoted = tiers.compiled_blocks();
-        let run2 = run_once(c, &tiers);
-        if matches!(c.program, Program::Tta(_)) {
-            assert!(
-                promoted > 0,
-                "{} on {}: no promotions at threshold 4",
-                c.kernel,
-                c.machine.name
-            );
-        } else {
+        let fresh = run_with_fuel(&c.machine, &c.program, c.memory.clone(), DEFAULT_FUEL)
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", c.kernel, c.machine.name));
+        let tiers = Tiers::for_program(&c.program);
+        let runs: Vec<tta_sim::SimResult> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| [run_once(c, &tiers), run_once(c, &tiers)]))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        for (i, r) in runs.iter().enumerate() {
             assert_eq!(
-                tiers.compiled_blocks(),
-                0,
-                "{} on {}: only the TTA engine has a compiled tier",
-                c.kernel,
-                c.machine.name
+                r, &fresh,
+                "{} on {}: run {i} on shared state diverged",
+                c.kernel, c.machine.name
             );
         }
         assert_eq!(
-            run1, baseline,
-            "{} on {}: promoting run diverged",
-            c.kernel, c.machine.name
-        );
-        assert_eq!(
-            run2, baseline,
-            "{} on {}: compiled run diverged",
-            c.kernel, c.machine.name
-        );
-        // Heat accumulates across runs, so run 2 may promote blocks whose
-        // entries straddled the threshold — but never lose any.
-        assert!(
-            tiers.compiled_blocks() >= promoted,
-            "{} on {}: promotion table shrank",
+            run_once(c, &tiers),
+            fresh,
+            "{} on {}: a later run on shared state diverged",
             c.kernel,
             c.machine.name
         );
     }
 }
 
-/// Promote-on-first-entry (threshold 0), the default threshold, and the
-/// tier disabled must be indistinguishable in every reported number.
-#[test]
-fn threshold_extremes_match_disabled() {
-    for c in cases() {
-        let results: Vec<tta_sim::SimResult> = [
-            TierConfig {
-                enabled: false,
-                threshold: 0,
-            },
-            TierConfig {
-                enabled: true,
-                threshold: 0,
-            },
-            TierConfig {
-                enabled: true,
-                threshold: TierConfig::DEFAULT_THRESHOLD,
-            },
-        ]
-        .iter()
-        .map(|cfg| run_once(c, &Tiers::with_config(&c.program, cfg)))
-        .collect();
-        assert_eq!(
-            results[0], results[1],
-            "{} on {}: threshold 0 diverged from disabled",
-            c.kernel, c.machine.name
-        );
-        assert_eq!(
-            results[0], results[2],
-            "{} on {}: default threshold diverged from disabled",
-            c.kernel, c.machine.name
-        );
-    }
-}
-
-/// Generated programs, compiled for every TTA preset: the tier disabled
-/// and promote-on-first-entry must agree on every field of the result
-/// (or on the error). Same seed stream as `program_snapshot`.
+/// Generated programs, compiled for every TTA preset: the run that builds
+/// a `Tiers` and a later run that reuses it must agree on every field of
+/// the result (or on the error). Same seed stream as `program_snapshot`.
 #[test]
 fn generated_programs_match_across_tiers() {
     let cfg = GenConfig::default();
@@ -181,7 +110,7 @@ fn generated_programs_match_across_tiers() {
         .filter(|m| m.style == CoreStyle::Tta)
         .collect();
     assert_eq!(machines.len(), 7);
-    let (mut pairs, mut compiled_blocks) = (0, 0);
+    let (mut pairs, mut completed) = (0, 0);
     for seed in 0..200 {
         let plain = (generate(seed, &cfg), IoSpec::default());
         for (kind, (module, spec)) in [
@@ -193,7 +122,8 @@ fn generated_programs_match_across_tiers() {
             for machine in &machines {
                 let compiled = compile_prepared(&front, machine, TtaOptions::default())
                     .unwrap_or_else(|e| panic!("{kind} seed {seed} on {}: {e}", machine.name));
-                let run = |tiers: &Tiers| {
+                let tiers = Tiers::for_program(&compiled.program);
+                let run = || {
                     run_with_io_tiers(
                         machine,
                         &compiled.program,
@@ -201,22 +131,21 @@ fn generated_programs_match_across_tiers() {
                         DEFAULT_FUEL,
                         &spec,
                         compiled.irq_entry,
-                        tiers,
+                        &tiers,
                     )
                 };
-                let hot = Tiers::with_config(&compiled.program, &TierConfig::with_threshold(0));
-                let off = Tiers::with_config(&compiled.program, &TierConfig::disabled());
+                let building = run();
                 assert_eq!(
-                    run(&hot),
-                    run(&off),
-                    "{kind} seed {seed} on {}: compiled tier diverged",
+                    run(),
+                    building,
+                    "{kind} seed {seed} on {}: run on shared state diverged",
                     machine.name
                 );
-                compiled_blocks += hot.compiled_blocks();
+                completed += usize::from(building.is_ok());
                 pairs += 1;
             }
         }
     }
     assert_eq!(pairs, 2800);
-    assert!(compiled_blocks > 0, "threshold 0 compiled no block");
+    assert!(completed > 0, "no generated program ran to completion");
 }
