@@ -1,4 +1,6 @@
-//! A small fixed-capacity bit set used by the dataflow analyses.
+//! Fixed-capacity bit sets used by the dataflow analyses: one set
+//! ([`BitSet`]), or one set per block kept in a single word matrix
+//! ([`BitRows`]).
 
 /// A dense bit set over `0..capacity`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,44 +40,50 @@ impl BitSet {
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// `self |= other`; returns whether `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        debug_assert_eq!(self.capacity, other.capacity);
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let old = *a;
-            *a |= b;
-            changed |= *a != old;
+    /// Overwrite this set with row `r` of `rows`, which must have the
+    /// same capacity.
+    pub(crate) fn copy_row(&mut self, rows: &BitRows, r: usize) {
+        debug_assert_eq!(self.capacity, rows.capacity);
+        self.words.copy_from_slice(rows.row(r));
+    }
+}
+
+/// A matrix of bit sets over `0..capacity`, one row per index, in one
+/// flat word vector: row `r` is the `stride` words from `r * stride`.
+/// Building one costs one allocation, whatever the row count.
+#[derive(Debug, Clone)]
+pub struct BitRows {
+    words: Vec<u64>,
+    stride: usize,
+    capacity: usize,
+}
+
+impl BitRows {
+    /// `rows` empty sets with room for `capacity` elements each.
+    pub(crate) fn new(rows: usize, capacity: usize) -> Self {
+        let stride = capacity.div_ceil(64);
+        BitRows {
+            words: vec![0; rows * stride],
+            stride,
+            capacity,
         }
-        changed
     }
 
-    /// `self |= a - b`; returns whether `self` changed.
-    pub fn union_with_difference(&mut self, a: &BitSet, b: &BitSet) -> bool {
-        debug_assert_eq!(self.capacity, a.capacity);
-        debug_assert_eq!(self.capacity, b.capacity);
-        let mut changed = false;
-        for ((s, x), y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            let old = *s;
-            *s |= x & !y;
-            changed |= *s != old;
-        }
-        changed
+    /// Insert element `i` into row `r`.
+    pub(crate) fn insert(&mut self, r: usize, i: usize) {
+        debug_assert!(i < self.capacity);
+        self.words[r * self.stride + i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    /// Whether row `r` contains element `i`.
+    pub fn contains(&self, r: usize, i: usize) -> bool {
+        debug_assert!(i < self.capacity);
+        self.words[r * self.stride + i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterate elements in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+    /// Row `r`'s elements in increasing order.
+    pub fn iter(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(r).iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -87,6 +95,16 @@ impl BitSet {
                 }
             })
         })
+    }
+
+    /// Row `r`'s words.
+    pub(crate) fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Row `r`'s words, mutably.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.words[r * self.stride..(r + 1) * self.stride]
     }
 }
 
@@ -105,41 +123,32 @@ mod tests {
         assert!(!s.contains(4));
         s.remove(3);
         assert!(!s.contains(3));
-        assert_eq!(s.len(), 1);
+        assert!(s.contains(130));
     }
 
     #[test]
-    fn union() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.insert(1);
-        b.insert(99);
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 99]);
-    }
-
-    #[test]
-    fn union_with_difference() {
-        let (mut s, mut a, mut b) = (BitSet::new(130), BitSet::new(130), BitSet::new(130));
-        s.insert(0);
-        for i in [1, 64, 129] {
-            a.insert(i);
+    fn rows_are_disjoint_and_iterate_in_order() {
+        let mut m = BitRows::new(3, 130);
+        for i in [129, 0, 64, 1] {
+            m.insert(1, i);
         }
-        b.insert(64);
-        assert!(s.union_with_difference(&a, &b));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 129]);
-        assert!(!s.union_with_difference(&a, &b));
+        m.insert(2, 63);
+        assert_eq!(m.iter(0).count(), 0);
+        assert_eq!(m.iter(1).collect::<Vec<_>>(), vec![0, 1, 64, 129]);
+        assert_eq!(m.iter(2).collect::<Vec<_>>(), vec![63]);
+        assert!(m.contains(1, 64) && !m.contains(0, 64) && !m.contains(2, 64));
+        assert_eq!(m.row(1).len(), 3);
+
+        let mut s = BitSet::new(130);
+        s.insert(5);
+        s.copy_row(&m, 1);
+        assert!(s.contains(129) && !s.contains(5));
     }
 
     #[test]
-    fn iter_order_and_empty() {
-        let mut s = BitSet::new(300);
-        for i in [250, 3, 64, 65] {
-            s.insert(i);
-        }
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64, 65, 250]);
-        assert!(!s.is_empty());
-        assert!(BitSet::new(10).is_empty());
+    fn zero_capacity_rows_are_empty() {
+        let m = BitRows::new(4, 0);
+        assert!(m.row(3).is_empty());
+        assert_eq!(m.iter(2).count(), 0);
     }
 }

@@ -140,7 +140,7 @@ impl Compiled {
 
 /// The reserved VLIW branch-target scratch register: the highest register
 /// of the first file.
-pub fn vliw_bt_reg(m: &Machine) -> RegRef {
+fn vliw_bt_reg(m: &Machine) -> RegRef {
     RegRef {
         rf: RfId(0),
         index: m.rfs[0].regs - 1,
@@ -381,8 +381,8 @@ fn compile_segment(
         CoreStyle::Vliw => vec![vliw_bt_reg(machine)],
         _ => vec![],
     };
-    let alloc = allocate(&flat, machine, &reserved, seg.spill_base)
-        .map_err(|e| CompileError::Alloc(e.0))?;
+    let alloc =
+        allocate(flat, machine, &reserved, seg.spill_base).map_err(|e| CompileError::Alloc(e.0))?;
     let spilled = alloc.spilled;
     let lf = {
         let _s = tta_obs::span("lower");

@@ -24,7 +24,7 @@ fn loop_blocks(f: &Function) -> Vec<bool> {
         .map(|b| {
             b.term
                 .as_ref()
-                .map(|t| t.successors().iter().map(|s| s.0 as usize).collect())
+                .map(|t| t.successors().map(|s| s.0 as usize).collect())
                 .unwrap_or_default()
         })
         .collect();

@@ -2,13 +2,31 @@
 //!
 //! Removes instructions whose results are never observed: pure operations
 //! (ALU, copies, loads) whose destination register is not live at the
-//! point of definition. Stores, calls and terminators are always live.
+//! point of definition. Stores, calls and terminators are always live, and
+//! so is a load from an immediate address at or above [`MMIO_BASE`]:
+//! reading a device register is observable (a `UART_RX` read pops a byte,
+//! every MMIO load is counted, and an unmapped word faults) even when the
+//! value is discarded.
 //! Runs after inlining — argument-binding copies for unused parameters and
 //! values computed only for dead paths disappear here, the way `-O3` would
 //! clean them up before scheduling.
 
+use crate::bitset::BitSet;
 use crate::liveness::Liveness;
-use tta_ir::{Function, Inst};
+use tta_ir::{Function, Inst, Operand};
+use tta_model::io::MMIO_BASE;
+
+/// Whether `inst` has an effect beyond defining its destination.
+fn side_effecting(inst: &Inst) -> bool {
+    match inst {
+        Inst::Store { .. } | Inst::Call { .. } => true,
+        Inst::Load {
+            addr: Operand::Imm(a),
+            ..
+        } => *a as u32 >= MMIO_BASE,
+        _ => false,
+    }
+}
 
 /// Remove dead instructions. Returns the number removed (iterates to a
 /// fixpoint, since removing one use can kill its producers).
@@ -17,22 +35,20 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
     let mut removed_total = 0;
     loop {
         let live = Liveness::compute(f);
+        let mut live_now = BitSet::new(f.next_vreg as usize);
         let mut removed = 0;
         for (bi, b) in f.blocks.iter_mut().enumerate() {
             // Walk backwards keeping a running live set within the block,
             // seeded with the successor liveness plus the terminator's own
             // reads (live_out only covers values consumed in successors).
-            let mut live_now = live.live_out[bi].clone();
-            if let Some(t) = &b.term {
-                for u in t.uses() {
-                    live_now.insert(u.0 as usize);
-                }
+            live_now.copy_row(&live.live_out, bi);
+            for u in b.term.iter().flat_map(|t| t.uses()) {
+                live_now.insert(u.0 as usize);
             }
             let mut keep = vec![true; b.insts.len()];
             for (ii, inst) in b.insts.iter().enumerate().rev() {
-                let side_effecting = matches!(inst, Inst::Store { .. } | Inst::Call { .. });
                 let dead = match inst.def() {
-                    Some(d) if !side_effecting => !live_now.contains(d.0 as usize),
+                    Some(d) if !side_effecting(inst) => !live_now.contains(d.0 as usize),
                     _ => false,
                 };
                 if dead {
@@ -102,6 +118,25 @@ mod tests {
         let n = eliminate_dead_code(&mut f);
         assert_eq!(n, 1);
         assert_eq!(f.blocks[0].insts.len(), 2);
+    }
+
+    #[test]
+    fn keeps_discarded_mmio_loads() {
+        // A discarded `UART_RX` read still pops a byte; a discarded load
+        // from ordinary memory is dead.
+        let rx = tta_model::io::UART_RX_ADDR as i32;
+        let mut fb = FunctionBuilder::new("f", 0, true);
+        let _popped = fb.ldw(rx, MemRegion::ANY);
+        let _dead = fb.ldw(16, MemRegion(1));
+        let v = fb.ldw(rx, MemRegion::ANY);
+        fb.ret(v);
+        let mut f = fb.finish();
+        assert_eq!(eliminate_dead_code(&mut f), 1);
+        assert_eq!(f.blocks[0].insts.len(), 2);
+        assert!(f.blocks[0]
+            .insts
+            .iter()
+            .all(|i| matches!(i, Inst::Load { addr: Operand::Imm(a), .. } if *a == rx)));
     }
 
     #[test]

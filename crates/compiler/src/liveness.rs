@@ -1,76 +1,71 @@
 //! Per-block liveness analysis over virtual registers.
 
-use crate::bitset::BitSet;
-use tta_ir::Function;
+use crate::bitset::BitRows;
+use tta_ir::{Function, Terminator};
 
-/// Live-in/live-out sets per block, indexed by `BlockId`.
+/// Live-in/live-out sets per block: row `b` of each matrix belongs to
+/// `BlockId(b)`, and each row is a set of vreg numbers.
 #[derive(Debug, Clone)]
 pub struct Liveness {
     /// Registers live at block entry.
-    pub live_in: Vec<BitSet>,
+    pub live_in: BitRows,
     /// Registers live at block exit.
-    pub live_out: Vec<BitSet>,
+    pub live_out: BitRows,
 }
 
 impl Liveness {
     /// Compute liveness for a function with a standard backward dataflow,
-    /// in place on the sets' words.
+    /// in place on the rows' words. It allocates three word matrices
+    /// (live-in, live-out and the per-block defs) and nothing per block
+    /// or per round; successors are read from the terminators.
     ///
     /// `live_in` starts at each block's upward-exposed uses (`gen`) rather
     /// than empty: every solution contains `gen`, and the rounds only ever
     /// add to both sets (`out |= in[succ]`, `in |= out - kill`), so they
-    /// stop at the same least fixpoint without allocating anything.
+    /// stop at the same least fixpoint.
     pub fn compute(f: &Function) -> Liveness {
         let nregs = f.next_vreg as usize;
         let nblocks = f.blocks.len();
 
-        // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut live_in = Vec::with_capacity(nblocks);
-        let mut kill = Vec::with_capacity(nblocks);
-        for b in &f.blocks {
-            let mut g = BitSet::new(nregs);
-            let mut k = BitSet::new(nregs);
+        // Per-block gen (upward-exposed uses, straight into `live_in`)
+        // and kill (defs).
+        let mut live_in = BitRows::new(nblocks, nregs);
+        let mut kill = BitRows::new(nblocks, nregs);
+        for (bi, b) in f.blocks.iter().enumerate() {
             for inst in &b.insts {
                 for u in inst.uses() {
-                    if !k.contains(u.0 as usize) {
-                        g.insert(u.0 as usize);
+                    if !kill.contains(bi, u.0 as usize) {
+                        live_in.insert(bi, u.0 as usize);
                     }
                 }
                 if let Some(d) = inst.def() {
-                    k.insert(d.0 as usize);
+                    kill.insert(bi, d.0 as usize);
                 }
             }
-            if let Some(t) = &b.term {
-                for u in t.uses() {
-                    if !k.contains(u.0 as usize) {
-                        g.insert(u.0 as usize);
-                    }
+            for u in b.term.iter().flat_map(Terminator::uses) {
+                if !kill.contains(bi, u.0 as usize) {
+                    live_in.insert(bi, u.0 as usize);
                 }
             }
-            live_in.push(g);
-            kill.push(k);
         }
 
-        let mut live_out: Vec<BitSet> = vec![BitSet::new(nregs); nblocks];
-        let succs: Vec<Vec<u32>> = f
-            .blocks
-            .iter()
-            .map(|b| {
-                b.term
-                    .as_ref()
-                    .map(|t| t.successors().into_iter().map(|s| s.0).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
-
+        let mut live_out = BitRows::new(nblocks, nregs);
         let mut changed = true;
         while changed {
             changed = false;
             for bi in (0..nblocks).rev() {
-                for &s in &succs[bi] {
-                    changed |= live_out[bi].union_with(&live_in[s as usize]);
+                let out = live_out.row_mut(bi);
+                for s in f.blocks[bi].term.iter().flat_map(Terminator::successors) {
+                    for (o, &i) in out.iter_mut().zip(live_in.row(s.0 as usize)) {
+                        changed |= i & !*o != 0;
+                        *o |= i;
+                    }
                 }
-                changed |= live_in[bi].union_with_difference(&live_out[bi], &kill[bi]);
+                let words = live_in.row_mut(bi).iter_mut().zip(kill.row(bi));
+                for ((i, &k), &o) in words.zip(&*out) {
+                    changed |= o & !k & !*i != 0;
+                    *i |= o & !k;
+                }
             }
         }
         Liveness { live_in, live_out }
@@ -80,6 +75,7 @@ impl Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tta_ir::builder::FunctionBuilder;
 
     #[test]
@@ -91,9 +87,9 @@ mod tests {
         let f = fb.finish();
         let l = Liveness::compute(&f);
         // Entry: only the parameter is live-in.
-        assert!(l.live_in[0].contains(0));
-        assert!(!l.live_in[0].contains(a.0 as usize));
-        assert!(l.live_out[0].is_empty());
+        assert!(l.live_in.contains(0, 0));
+        assert!(!l.live_in.contains(0, a.0 as usize));
+        assert_eq!(l.live_out.iter(0).count(), 0);
     }
 
     #[test]
@@ -121,26 +117,30 @@ mod tests {
         let head_i = 1usize;
         let body_i = 2usize;
         // acc and i are live around the back edge.
-        assert!(l.live_in[head_i].contains(acc.0 as usize));
-        assert!(l.live_in[head_i].contains(i.0 as usize));
-        assert!(l.live_out[body_i].contains(acc.0 as usize));
-        assert!(l.live_out[body_i].contains(i.0 as usize));
+        assert!(l.live_in.contains(head_i, acc.0 as usize));
+        assert!(l.live_in.contains(head_i, i.0 as usize));
+        assert!(l.live_out.contains(body_i, acc.0 as usize));
+        assert!(l.live_out.contains(body_i, i.0 as usize));
         // The condition is block-local to head.
-        assert!(!l.live_out[head_i].contains(c.0 as usize));
+        assert!(!l.live_out.contains(head_i, c.0 as usize));
     }
 
-    /// The textbook round-robin solver: fresh sets every round, `in`
-    /// rebuilt from empty as `gen ∪ (out − kill)`.
-    fn reference(f: &Function) -> Liveness {
-        let n = f.next_vreg as usize;
+    /// The textbook round-robin solver: fresh sets every round, `out`
+    /// rebuilt as the union of the successors' `in`, and `in` as
+    /// `gen ∪ (out − kill)`. Returns `(live_in, live_out)` per block.
+    #[allow(clippy::type_complexity)]
+    fn reference(f: &Function) -> (Vec<BTreeSet<usize>>, Vec<BTreeSet<usize>>) {
         let (mut gen, mut kill) = (Vec::new(), Vec::new());
         for b in &f.blocks {
-            let (mut g, mut k) = (BitSet::new(n), BitSet::new(n));
-            let term_uses = b.term.iter().flat_map(|t| t.uses());
-            let steps = b.insts.iter().map(|i| (i.uses(), i.def()));
-            for (uses, def) in steps.chain(std::iter::once((term_uses.collect(), None))) {
+            let (mut g, mut k) = (BTreeSet::new(), BTreeSet::new());
+            let steps = b
+                .insts
+                .iter()
+                .map(|i| (i.uses().collect::<Vec<_>>(), i.def()));
+            let term = b.term.iter().map(|t| (t.uses().collect(), None));
+            for (uses, def) in steps.chain(term) {
                 for u in uses {
-                    if !k.contains(u.0 as usize) {
+                    if !k.contains(&(u.0 as usize)) {
                         g.insert(u.0 as usize);
                     }
                 }
@@ -152,37 +152,37 @@ mod tests {
             kill.push(k);
         }
         let nb = f.blocks.len();
-        let mut l = Liveness {
-            live_in: vec![BitSet::new(n); nb],
-            live_out: vec![BitSet::new(n); nb],
-        };
+        let (mut live_in, mut live_out) = (vec![BTreeSet::new(); nb], vec![BTreeSet::new(); nb]);
         let mut changed = true;
         while changed {
             changed = false;
             for bi in (0..nb).rev() {
-                let mut out = BitSet::new(n);
+                let mut out = BTreeSet::new();
                 for s in f.blocks[bi].term.iter().flat_map(|t| t.successors()) {
-                    out.union_with(&l.live_in[s.0 as usize]);
+                    out.extend(live_in[s.0 as usize].iter().copied());
                 }
                 let mut inp = gen[bi].clone();
-                for e in out.iter().filter(|&e| !kill[bi].contains(e)) {
-                    inp.insert(e);
-                }
-                changed |= out != l.live_out[bi] || inp != l.live_in[bi];
-                l.live_out[bi] = out;
-                l.live_in[bi] = inp;
+                inp.extend(out.difference(&kill[bi]).copied());
+                changed |= out != live_out[bi] || inp != live_in[bi];
+                live_out[bi] = out;
+                live_in[bi] = inp;
             }
         }
-        l
+        (live_in, live_out)
     }
 
     #[test]
     fn matches_the_reference_solver_on_every_kernel() {
         for k in tta_chstone::all_kernels() {
             let f = crate::inline::inline_module(&(k.build)()).unwrap();
-            let (got, want) = (Liveness::compute(&f), reference(&f));
-            assert_eq!(got.live_in, want.live_in, "{}", k.name);
-            assert_eq!(got.live_out, want.live_out, "{}", k.name);
+            let got = Liveness::compute(&f);
+            let (want_in, want_out) = reference(&f);
+            for bi in 0..f.blocks.len() {
+                let row = |m: &BitRows| m.iter(bi).collect::<Vec<_>>();
+                let set = |s: &BTreeSet<usize>| s.iter().copied().collect::<Vec<_>>();
+                assert_eq!(row(&got.live_in), set(&want_in[bi]), "{} bb{bi}", k.name);
+                assert_eq!(row(&got.live_out), set(&want_out[bi]), "{} bb{bi}", k.name);
+            }
         }
     }
 
@@ -200,8 +200,8 @@ mod tests {
         fb.ret(b);
         let f = fb.finish();
         let l = Liveness::compute(&f);
-        assert!(l.live_out[0].contains(a.0 as usize));
-        assert!(!l.live_out[1].contains(a.0 as usize));
-        assert!(l.live_out[1].contains(b.0 as usize));
+        assert!(l.live_out.contains(0, a.0 as usize));
+        assert!(!l.live_out.contains(1, a.0 as usize));
+        assert!(l.live_out.contains(1, b.0 as usize));
     }
 }

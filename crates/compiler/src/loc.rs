@@ -105,19 +105,6 @@ pub enum LocTerm {
     Ret(Option<LocSrc>),
 }
 
-impl LocTerm {
-    /// Successor blocks.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            LocTerm::Jump(b) => vec![*b],
-            LocTerm::Branch {
-                if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            LocTerm::Ret(_) => vec![],
-        }
-    }
-}
-
 /// Absolute byte address of the return-value slot (shared with the
 /// simulators through `tta-isa`).
 pub use tta_isa::RETVAL_ADDR;
@@ -143,10 +130,11 @@ pub struct LocFunc {
     pub blocks: Vec<LocBlock>,
 }
 
-/// Lower an allocated function to located code.
+/// Lower an allocated function to located code. Each block's live-out
+/// registers come from the allocation's own liveness, which was solved on
+/// `alloc.func` as it stands.
 pub fn lower(alloc: &Allocation) -> LocFunc {
     let f = &alloc.func;
-    let live = crate::liveness::Liveness::compute(f);
     let reg = |r: VReg| alloc.reg(r);
     let src = |o: Operand| match o {
         Operand::Reg(r) => LocSrc::Reg(reg(r)),
@@ -215,8 +203,10 @@ pub fn lower(alloc: &Allocation) -> LocFunc {
             },
             Terminator::Ret(v) => LocTerm::Ret(v.map(src)),
         };
-        let live_out: Vec<RegRef> = live.live_out[bi]
-            .iter()
+        let live_out: Vec<RegRef> = alloc
+            .live
+            .live_out
+            .iter(bi)
             .filter_map(|v| alloc.assignment[v].as_ref().copied())
             .collect();
         blocks.push(LocBlock {
@@ -244,7 +234,7 @@ mod tests {
         let d = fb.ldw(16, tta_ir::MemRegion(1));
         fb.ret(d);
         let f = fb.finish();
-        let alloc = allocate(&f, &presets::m_tta_1(), &[], 1 << 16).unwrap();
+        let alloc = allocate(f, &presets::m_tta_1(), &[], 1 << 16).unwrap();
         lower(&alloc)
     }
 
@@ -288,7 +278,7 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(i);
         let f = fb.finish();
-        let alloc = allocate(&f, &presets::m_tta_1(), &[], 1 << 16).unwrap();
+        let alloc = allocate(f, &presets::m_tta_1(), &[], 1 << 16).unwrap();
         let lf = lower(&alloc);
         // The entry block must keep `i` alive for the loop.
         assert!(!lf.blocks[0].live_out.is_empty());

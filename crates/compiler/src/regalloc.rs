@@ -18,6 +18,9 @@ use tta_model::{Machine, Opcode, RegRef, RfId};
 pub struct Allocation {
     /// The (possibly spill-rewritten) function the assignment refers to.
     pub func: Function,
+    /// Liveness of `func` exactly, from the allocator's final round:
+    /// lowering reads its live-out rows instead of solving again.
+    pub live: Liveness,
     /// Physical register per vreg (dense, indexed by vreg number). `None`
     /// for vregs that do not occur in the final function.
     pub assignment: Vec<Option<RegRef>>,
@@ -50,20 +53,20 @@ impl std::error::Error for AllocError {}
 /// slots are mutually disjoint and disjoint from all program data.
 pub const SPILL_REGION_BASE: u16 = 0x8000;
 
-/// Allocate registers for `f` on `machine`.
+/// Allocate registers for `func` on `machine`, rewriting it in place
+/// around spills; the result owns it.
 ///
 /// `reserved` registers are never allocated (e.g. the VLIW branch-target
 /// scratch register). `spill_base` is the first byte address of the spill
 /// area.
 pub fn allocate(
-    f: &Function,
+    mut func: Function,
     machine: &Machine,
     reserved: &[RegRef],
     spill_base: u32,
 ) -> Result<Allocation, AllocError> {
     let _span = tta_obs::span("regalloc");
-    assert!(f.params.is_empty(), "entry functions take no parameters");
-    let mut func = f.clone();
+    assert!(func.params.is_empty(), "entry functions take no parameters");
     // Compact once up front (the inliner leaves the vreg space sparse);
     // further rounds must NOT renumber or the spill-temp tracking below
     // would be invalidated.
@@ -82,12 +85,14 @@ pub fn allocate(
             }
         }
 
-        match try_allocate(&func, machine, reserved, &no_spill) {
+        let live = Liveness::compute(&func);
+        match try_allocate(&func, &live, machine, reserved, &no_spill) {
             Ok(assignment) => {
                 tta_obs::counter::add("compiler.spilled", total_spilled as u64);
                 tta_obs::counter::add("compiler.spill_bytes", (next_slot * 4) as u64);
                 return Ok(Allocation {
                     func,
+                    live,
                     assignment,
                     spilled: total_spilled,
                     spill_bytes: next_slot * 4,
@@ -112,17 +117,17 @@ pub fn allocate(
     )))
 }
 
-/// One linear-scan round: returns an assignment, or the set of vregs to
-/// spill.
+/// One linear-scan round over `f` and its liveness: returns an
+/// assignment, or the set of vregs to spill.
 #[allow(clippy::result_large_err)]
 fn try_allocate(
     f: &Function,
+    live: &Liveness,
     machine: &Machine,
     reserved: &[RegRef],
     no_spill: &BitSet,
 ) -> Result<Vec<Option<RegRef>>, Vec<VReg>> {
     let nregs = f.next_vreg as usize;
-    let live = Liveness::compute(f);
 
     // Linearised positions: block `bi` spans [starts[bi], starts[bi+1]).
     let mut starts = Vec::with_capacity(f.blocks.len() + 1);
@@ -143,10 +148,10 @@ fn try_allocate(
     for (bi, b) in f.blocks.iter().enumerate() {
         let bstart = starts[bi];
         let bend = starts[bi + 1] - 1;
-        for r in live.live_in[bi].iter() {
+        for r in live.live_in.iter(bi) {
             touch(r, bstart, &mut from, &mut to);
         }
-        for r in live.live_out[bi].iter() {
+        for r in live.live_out.iter(bi) {
             touch(r, bend, &mut from, &mut to);
         }
         for (ii, inst) in b.insts.iter().enumerate() {
@@ -290,8 +295,7 @@ fn rewrite_spills(
             // Reload spilled uses into fresh temps (one temp per distinct
             // spilled register per instruction).
             let mut reloads: Vec<(VReg, VReg)> = Vec::new(); // (old, temp)
-            let uses = inst.uses();
-            for u in uses {
+            for u in inst.uses() {
                 if spilled.contains(&u) && !reloads.iter().any(|(o, _)| *o == u) {
                     let t = f.next_vreg;
                     f.next_vreg += 1;
@@ -427,6 +431,7 @@ fn substitute_def(inst: &mut Inst, new: VReg) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitRows;
     use tta_ir::builder::{FunctionBuilder, ModuleBuilder};
     use tta_model::presets;
 
@@ -449,7 +454,7 @@ mod tests {
     fn allocates_without_spills_when_registers_suffice() {
         let m = presets::m_tta_1(); // 32 regs
         let f = pressure_func(10);
-        let a = allocate(&f, &m, &[], 1 << 16).unwrap();
+        let a = allocate(f, &m, &[], 1 << 16).unwrap();
         assert_eq!(a.spilled, 0);
         // All allocated registers are distinct while overlapping.
         let regs: Vec<_> = a.assignment.iter().flatten().collect();
@@ -460,7 +465,7 @@ mod tests {
     fn spills_under_pressure_and_preserves_semantics() {
         let m = presets::m_tta_1(); // 32 regs, pressure 40 forces spills
         let f = pressure_func(40);
-        let a = allocate(&f, &m, &[], 1 << 16).unwrap();
+        let a = allocate(f, &m, &[], 1 << 16).unwrap();
         assert!(
             a.spilled > 0,
             "expected spills with 40 live values in 32 regs"
@@ -479,12 +484,49 @@ mod tests {
     }
 
     #[test]
+    fn carried_liveness_is_the_final_functions() {
+        // Lowering reads `Allocation::live` instead of solving again, so it
+        // must describe `func` after the last spill rewrite. 40 values
+        // live around a loop spill on 32 registers.
+        let mut fb = FunctionBuilder::new("main", 0, true);
+        let vals: Vec<_> = (0..40).map(|i| fb.copy(i)).collect();
+        let (acc, i) = (fb.copy(0), fb.copy(0));
+        let (head, body, exit) = (fb.new_block(), fb.new_block(), fb.new_block());
+        fb.jump(head);
+        fb.switch_to(head);
+        let c = fb.lt(i, 3);
+        fb.branch(c, body, exit);
+        fb.switch_to(body);
+        for v in &vals {
+            let t = fb.add(acc, *v);
+            fb.copy_to(acc, t);
+        }
+        let i2 = fb.add(i, 1);
+        fb.copy_to(i, i2);
+        fb.jump(head);
+        fb.switch_to(exit);
+        fb.ret(acc);
+        let a = allocate(fb.finish(), &presets::m_tta_1(), &[], 1 << 16).unwrap();
+        assert!(a.spilled > 0);
+        let fresh = Liveness::compute(&a.func);
+        for bi in 0..a.func.blocks.len() {
+            let rows = |l: &Liveness| {
+                let row = |m: &BitRows| m.iter(bi).collect::<Vec<_>>();
+                (row(&l.live_in), row(&l.live_out))
+            };
+            assert_eq!(rows(&a.live), rows(&fresh), "bb{bi}");
+        }
+        // Values are live around the loop head.
+        assert!(a.live.live_in.iter(1).count() > 2);
+    }
+
+    #[test]
     fn no_overlapping_intervals_share_a_register() {
         // Property-style check on the pressure function: values that are
         // simultaneously live must get distinct registers.
         let m = presets::p_tta_2(); // 2 banks x 32
         let f = pressure_func(30);
-        let a = allocate(&f, &m, &[], 1 << 16).unwrap();
+        let a = allocate(f, &m, &[], 1 << 16).unwrap();
         assert_eq!(a.spilled, 0);
         // vals are all live at the midpoint; their registers must be unique.
         let mut seen = std::collections::HashSet::new();
@@ -502,7 +544,7 @@ mod tests {
     fn partitioned_banks_are_balanced() {
         let m = presets::p_tta_3(); // 3 banks x 32
         let f = pressure_func(24);
-        let a = allocate(&f, &m, &[], 1 << 16).unwrap();
+        let a = allocate(f, &m, &[], 1 << 16).unwrap();
         let mut per_bank = vec![0usize; 3];
         for r in a.assignment.iter().flatten() {
             per_bank[r.rf.0 as usize] += 1;
@@ -521,7 +563,7 @@ mod tests {
             index: 63,
         };
         let f = pressure_func(20);
-        let a = allocate(&f, &m, &[reserved], 1 << 16).unwrap();
+        let a = allocate(f, &m, &[reserved], 1 << 16).unwrap();
         assert!(a.assignment.iter().flatten().all(|r| *r != reserved));
     }
 }

@@ -179,33 +179,23 @@ impl Inst {
         }
     }
 
-    /// The registers read by this instruction.
-    pub fn uses(&self) -> Vec<VReg> {
-        let mut v = Vec::new();
-        let mut push = |o: &Operand| {
-            if let Operand::Reg(r) = o {
-                v.push(*r);
-            }
+    /// The registers read by this instruction, in operand order (`a`
+    /// before `b`, a store's value before its address, call arguments
+    /// left to right). A register read twice is yielded twice.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        let (fixed, args): ([Option<Operand>; 2], &[Operand]) = match self {
+            Inst::Bin { a, b, .. } => ([Some(*a), Some(*b)], &[]),
+            Inst::Un { a, .. } => ([Some(*a), None], &[]),
+            Inst::Copy { src, .. } => ([Some(*src), None], &[]),
+            Inst::Load { addr, .. } => ([Some(*addr), None], &[]),
+            Inst::Store { value, addr, .. } => ([Some(*value), Some(*addr)], &[]),
+            Inst::Call { args, .. } => ([None, None], args),
         };
-        match self {
-            Inst::Bin { a, b, .. } => {
-                push(a);
-                push(b);
-            }
-            Inst::Un { a, .. } => push(a),
-            Inst::Copy { src, .. } => push(src),
-            Inst::Load { addr, .. } => push(addr),
-            Inst::Store { value, addr, .. } => {
-                push(value);
-                push(addr);
-            }
-            Inst::Call { args, .. } => {
-                for a in args {
-                    push(a);
-                }
-            }
-        }
-        v
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(args.iter().copied())
+            .filter_map(Operand::reg)
     }
 
     /// Whether this instruction touches memory.
@@ -273,27 +263,27 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Successor blocks of this terminator (a branch's `if_true` first).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let pair = match *self {
+            Terminator::Jump(b) => [Some(b), None],
             Terminator::Branch {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            Terminator::Ret(_) => vec![],
-        }
+            } => [Some(if_true), Some(if_false)],
+            Terminator::Ret(_) => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 
-    /// Registers read by the terminator.
-    pub fn uses(&self) -> Vec<VReg> {
-        match self {
-            Terminator::Branch {
-                cond: Operand::Reg(r),
-                ..
-            } => vec![*r],
-            Terminator::Ret(Some(Operand::Reg(r))) => vec![*r],
-            _ => vec![],
-        }
+    /// The register read by the terminator (a branch condition or a
+    /// returned value), if any.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> {
+        let read = match *self {
+            Terminator::Branch { cond, .. } => Some(cond),
+            Terminator::Ret(v) => v,
+            Terminator::Jump(_) => None,
+        };
+        read.and_then(Operand::reg).into_iter()
     }
 }
 
@@ -328,7 +318,7 @@ mod tests {
             b: Operand::Imm(7),
         };
         assert_eq!(i.def(), Some(VReg(3)));
-        assert_eq!(i.uses(), vec![VReg(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VReg(1)]);
 
         let s = Inst::Store {
             op: Opcode::Stw,
@@ -337,7 +327,7 @@ mod tests {
             region: MemRegion(1),
         };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![VReg(2), VReg(4)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![VReg(2), VReg(4)]);
         assert!(s.is_mem());
     }
 
@@ -351,15 +341,19 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(BlockId(2)).successors(), vec![BlockId(2)]);
+        let succs = |t: &Terminator| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(&Terminator::Jump(BlockId(2))), vec![BlockId(2)]);
         let b = Terminator::Branch {
             cond: Operand::Reg(VReg(0)),
             if_true: BlockId(1),
             if_false: BlockId(2),
         };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(b.uses(), vec![VReg(0)]);
-        assert!(Terminator::Ret(None).successors().is_empty());
+        assert_eq!(succs(&b), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(b.uses().collect::<Vec<_>>(), vec![VReg(0)]);
+        assert!(succs(&Terminator::Ret(None)).is_empty());
+        let ret = Terminator::Ret(Some(Operand::Reg(VReg(5))));
+        assert_eq!(ret.uses().collect::<Vec<_>>(), vec![VReg(5)]);
+        assert_eq!(Terminator::Ret(Some(Operand::Imm(1))).uses().count(), 0);
     }
 
     #[test]

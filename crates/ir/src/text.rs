@@ -156,7 +156,7 @@ fn inst_to_text(i: &Inst) -> String {
 }
 
 /// Look an opcode up by its Table-I mnemonic.
-pub fn opcode_from_mnemonic(m: &str) -> Option<Opcode> {
+fn opcode_from_mnemonic(m: &str) -> Option<Opcode> {
     Opcode::ALL.into_iter().find(|o| o.mnemonic() == m)
 }
 
