@@ -6,7 +6,7 @@
 //! renumber before running them.
 
 use std::collections::HashMap;
-use tta_ir::{Function, Inst, Operand, Terminator, VReg};
+use tta_ir::{Function, Operand, Terminator, VReg};
 
 /// Renumber vregs densely in order of first appearance. Returns the number
 /// of distinct registers in use.
@@ -46,42 +46,15 @@ pub fn compact_vregs(f: &mut Function) -> u32 {
 
     for b in &mut f.blocks {
         for inst in &mut b.insts {
-            match inst {
-                Inst::Bin { dst, a, b, .. } => {
-                    rn.op(a);
-                    rn.op(b);
-                    rn.reg(dst);
-                }
-                Inst::Un { dst, a, .. } => {
-                    rn.op(a);
-                    rn.reg(dst);
-                }
-                Inst::Copy { dst, src } => {
-                    rn.op(src);
-                    rn.reg(dst);
-                }
-                Inst::Load { dst, addr, .. } => {
-                    rn.op(addr);
-                    rn.reg(dst);
-                }
-                Inst::Store { value, addr, .. } => {
-                    rn.op(value);
-                    rn.op(addr);
-                }
-                Inst::Call { args, dst, .. } => {
-                    for a in args {
-                        rn.op(a);
-                    }
-                    if let Some(d) = dst {
-                        rn.reg(d);
-                    }
-                }
+            for o in inst.operands_mut() {
+                rn.op(o);
+            }
+            if let Some(d) = inst.def_mut() {
+                rn.reg(d);
             }
         }
-        match &mut b.term {
-            Some(Terminator::Branch { cond, .. }) => rn.op(cond),
-            Some(Terminator::Ret(Some(o))) => rn.op(o),
-            _ => {}
+        if let Some(o) = b.term.as_mut().and_then(Terminator::operand_mut) {
+            rn.op(o);
         }
     }
     for p in &mut f.params {

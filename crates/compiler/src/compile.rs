@@ -15,14 +15,15 @@
 
 use crate::consts::ConstStats;
 use crate::inline::inline_module;
+use crate::layout::lay_out;
 use crate::loc::lower;
 use crate::regalloc::allocate;
-use crate::scalar_sched::{ScalarCodegen, WhichSrc};
+use crate::scalar_sched::ScalarCodegen;
 use crate::tta_sched::{TtaOptions, TtaScheduler, TtaStats};
 use crate::vliw_sched::VliwScheduler;
 use tta_ir::{Function, Module};
 use tta_isa::encoding::{fits_signed, vliw_imm_bits};
-use tta_isa::{OpSrc, Program, ScalarInst, VliwSlot};
+use tta_isa::Program;
 use tta_model::{CoreStyle, Machine, RegRef, RfId};
 
 /// A compilation failure.
@@ -399,94 +400,34 @@ fn compile_segment(
         tta: TtaStats::default(),
     };
 
-    // Schedule + layout + patch. Each block's branch-target patches are
-    // applied in place, then its instructions are moved into the program.
+    // Schedule, then lay the blocks out from `base` with their branch
+    // targets patched.
     let (program, block_starts) = match machine.style {
         CoreStyle::Vliw => {
-            let sched = VliwScheduler::new(machine, vliw_bt_reg(machine));
-            let mut blocks = sched.schedule(&lf);
-            let _layout = tta_obs::span("layout");
-            let starts = block_offsets(blocks.iter().map(|b| b.bundles.len()));
-            for b in &mut blocks {
-                for p in &b.patches {
-                    let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut b.bundles[p.cycle as usize].slots[p.slot] {
-                        Some(VliwSlot::LimmHead { value, .. }) => *value = target,
-                        other => panic!("patch site is not a limm head: {other:?}"),
-                    }
-                }
-            }
-            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.bundles.len()).sum());
-            insts.extend(blocks.into_iter().flat_map(|b| b.bundles));
+            let blocks = VliwScheduler::new(machine, vliw_bt_reg(machine)).schedule(&lf);
+            let (insts, starts) = lay_out(blocks, base);
             (Program::Vliw(insts), starts)
         }
         CoreStyle::Tta => {
             let mut sched = TtaScheduler::with_options(machine, opts);
-            let mut blocks = sched.schedule(&lf);
+            let blocks = sched.schedule(&lf);
             stats.tta = sched.stats;
-            let _layout = tta_obs::span("layout");
-            let starts = block_offsets(blocks.iter().map(|b| b.insts.len()));
-            for b in &mut blocks {
-                for p in &b.patches {
-                    let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut b.insts[p.cycle as usize].limm {
-                        Some((_, value)) => *value = target,
-                        None => panic!("patch site has no long immediate"),
-                    }
-                }
-            }
-            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.insts.len()).sum());
-            insts.extend(blocks.into_iter().flat_map(|b| b.insts));
+            let (insts, starts) = lay_out(blocks, base);
             (Program::Tta(insts), starts)
         }
         CoreStyle::Scalar => {
-            let cg = ScalarCodegen::new(machine);
-            let mut blocks = {
-                let _s = tta_obs::span("sched");
-                cg.generate(&lf)
-            };
-            let _layout = tta_obs::span("layout");
-            let starts = block_offsets(blocks.iter().map(|b| b.insts.len()));
-            for b in &mut blocks {
-                for p in &b.patches {
-                    let target = (base + starts[p.target.0 as usize]) as i32;
-                    match &mut b.insts[p.index as usize] {
-                        ScalarInst::Op(o) => {
-                            let field = match p.which {
-                                WhichSrc::A => &mut o.a,
-                                WhichSrc::B => &mut o.b,
-                            };
-                            *field = Some(OpSrc::Imm(target));
-                        }
-                        ScalarInst::ImmPrefix => panic!("patch site is a prefix"),
-                    }
-                }
-            }
-            let mut insts = Vec::with_capacity(blocks.iter().map(|b| b.insts.len()).sum());
-            insts.extend(blocks.into_iter().flat_map(|b| b.insts));
+            let (insts, starts) = lay_out(ScalarCodegen::new(machine).generate(&lf), base);
             (Program::Scalar(insts), starts)
         }
     };
-
-    let block_starts = block_starts.into_iter().map(|s| base + s).collect();
     Ok((program, block_starts, stats))
-}
-
-/// The start offset of each block when blocks of the given lengths are
-/// laid out back to back.
-fn block_offsets(lens: impl Iterator<Item = usize>) -> Vec<u32> {
-    lens.scan(0, |at, len| {
-        let start = *at;
-        *at += len as u32;
-        Some(start)
-    })
-    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tta_ir::builder::{FunctionBuilder, ModuleBuilder};
+    use tta_isa::{OpSrc, ScalarInst};
     use tta_model::presets;
 
     fn sum_module(n: i32) -> Module {

@@ -121,31 +121,18 @@ pub fn hoist_wide_constants(
     let in_loop = loop_blocks(f);
     let mut counts: HashMap<i32, (usize, bool)> = HashMap::new();
     for (bi, b) in f.blocks.iter().enumerate() {
-        for inst in &b.insts {
-            if matches!(inst, Inst::Copy { .. }) {
-                continue;
-            }
-            visit_operands(inst, &mut |o| {
-                if let Operand::Imm(v) = o {
-                    if !fits(*v) {
-                        let e = counts.entry(*v).or_insert((0, false));
-                        e.0 += 1;
-                        e.1 |= in_loop[bi];
-                    }
-                }
-            });
-        }
-        match &b.term {
-            Some(Terminator::Ret(Some(Operand::Imm(v))))
-            | Some(Terminator::Branch {
-                cond: Operand::Imm(v),
-                ..
-            }) if !fits(*v) => {
-                let e = counts.entry(*v).or_insert((0, false));
+        let insts = b.insts.iter().filter(|i| !matches!(i, Inst::Copy { .. }));
+        let term = b.term.as_ref().and_then(Terminator::operand);
+        for v in insts
+            .flat_map(Inst::operands)
+            .chain(term)
+            .filter_map(Operand::imm)
+        {
+            if !fits(v) {
+                let e = counts.entry(v).or_insert((0, false));
                 e.0 += 1;
                 e.1 |= in_loop[bi];
             }
-            _ => {}
         }
     }
 
@@ -168,76 +155,42 @@ pub fn hoist_wide_constants(
     stats.hoisted = hoist_order.len();
 
     // Rewrite every block: hoisted constants become register reads;
-    // remaining wide constants get a materialising Copy right before the
-    // use.
-    let needs_work = |o: &Operand, reg_for: &HashMap<i32, VReg>| match o {
-        Operand::Imm(v) if !fits(*v) => Some(reg_for.get(v).copied()),
-        _ => None,
-    };
+    // remaining wide constants get a materialising Copy right before their
+    // reader (one per distinct value, numbered in operand order).
     let mut blocks = std::mem::take(&mut f.blocks);
+    let mut legalise = |operands: &mut dyn Iterator<Item = &mut Operand>, out: &mut Vec<Inst>| {
+        let first = out.len();
+        for o in operands {
+            let Some(v) = o.imm().filter(|&v| !fits(v)) else {
+                continue;
+            };
+            // `out[first..]` holds the copies made for this reader so far.
+            let made = out[first..].iter().find(|c| c.operands().eq([*o]));
+            let r = match reg_for.get(&v).copied().or(made.and_then(Inst::def)) {
+                Some(r) => r,
+                None => {
+                    let r = f.new_vreg();
+                    stats.materialized += 1;
+                    out.push(Inst::Copy { dst: r, src: *o });
+                    r
+                }
+            };
+            *o = Operand::Reg(r);
+        }
+    };
     for b in &mut blocks {
         let old = std::mem::take(&mut b.insts);
         let mut out = Vec::with_capacity(old.len());
         for mut inst in old {
             if !matches!(inst, Inst::Copy { .. }) {
-                // Collect wide operands first, then rewrite.
-                let mut pending: Vec<(i32, VReg)> = Vec::new();
-                rewrite_operands(&mut inst, &mut |o: &mut Operand| {
-                    if let Some(hoisted) = needs_work(o, &reg_for) {
-                        let v = o.imm().unwrap();
-                        let r = match hoisted {
-                            Some(r) => r,
-                            None => match pending.iter().find(|(pv, _)| *pv == v) {
-                                Some(&(_, r)) => r,
-                                None => {
-                                    let r = VReg(u32::MAX - pending.len() as u32);
-                                    pending.push((v, r));
-                                    r
-                                }
-                            },
-                        };
-                        *o = Operand::Reg(r);
-                    }
-                });
-                // Allocate real vregs for the pending materialisations and
-                // fix the placeholders.
-                for (k, (v, _)) in pending.iter().enumerate() {
-                    let real = f.new_vreg();
-                    stats.materialized += 1;
-                    let placeholder = VReg(u32::MAX - k as u32);
-                    substitute_placeholder(&mut inst, placeholder, real);
-                    out.push(Inst::Copy {
-                        dst: real,
-                        src: Operand::Imm(*v),
-                    });
-                }
+                legalise(&mut inst.operands_mut(), &mut out);
             }
             out.push(inst);
         }
-        // Terminator operands (return value, branch condition).
-        let term_operand = match &mut b.term {
-            Some(Terminator::Ret(Some(o))) => Some(o),
-            Some(Terminator::Branch { cond, .. }) => Some(cond),
-            _ => None,
-        };
-        if let Some(o) = term_operand {
-            if let Some(hoisted) = needs_work(o, &reg_for) {
-                let v = o.imm().unwrap();
-                let r = match hoisted {
-                    Some(r) => r,
-                    None => {
-                        let r = f.new_vreg();
-                        stats.materialized += 1;
-                        out.push(Inst::Copy {
-                            dst: r,
-                            src: Operand::Imm(v),
-                        });
-                        r
-                    }
-                };
-                *o = Operand::Reg(r);
-            }
-        }
+        legalise(
+            &mut b.term.iter_mut().flat_map(Terminator::operand_mut),
+            &mut out,
+        );
         b.insts = out;
     }
     f.blocks = blocks;
@@ -256,48 +209,6 @@ pub fn hoist_wide_constants(
     entry.insts = copies.into_iter().chain(old).collect();
 
     stats
-}
-
-fn substitute_placeholder(inst: &mut Inst, placeholder: VReg, real: VReg) {
-    rewrite_operands(inst, &mut |o: &mut Operand| {
-        if *o == Operand::Reg(placeholder) {
-            *o = Operand::Reg(real);
-        }
-    });
-}
-
-fn visit_operands(inst: &Inst, visit: &mut impl FnMut(&Operand)) {
-    match inst {
-        Inst::Bin { a, b, .. } => {
-            visit(a);
-            visit(b);
-        }
-        Inst::Un { a, .. } => visit(a),
-        Inst::Copy { src, .. } => visit(src),
-        Inst::Load { addr, .. } => visit(addr),
-        Inst::Store { value, addr, .. } => {
-            visit(value);
-            visit(addr);
-        }
-        Inst::Call { args, .. } => args.iter().for_each(visit),
-    }
-}
-
-fn rewrite_operands(inst: &mut Inst, rewrite: &mut impl FnMut(&mut Operand)) {
-    match inst {
-        Inst::Bin { a, b, .. } => {
-            rewrite(a);
-            rewrite(b);
-        }
-        Inst::Un { a, .. } => rewrite(a),
-        Inst::Copy { src, .. } => rewrite(src),
-        Inst::Load { addr, .. } => rewrite(addr),
-        Inst::Store { value, addr, .. } => {
-            rewrite(value);
-            rewrite(addr);
-        }
-        Inst::Call { args, .. } => args.iter_mut().for_each(rewrite),
-    }
 }
 
 #[cfg(test)]

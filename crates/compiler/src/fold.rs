@@ -93,35 +93,13 @@ pub fn propagate_single_def_constants(f: &mut Function) -> usize {
         return 0;
     }
     let mut rewritten = 0;
-    let mut rw = |o: &mut Operand| {
-        if let Operand::Reg(r) = o {
-            if let Some(&v) = const_of.get(r) {
+    for b in &mut f.blocks {
+        let term = b.term.iter_mut().flat_map(Terminator::operand_mut);
+        for o in b.insts.iter_mut().flat_map(Inst::operands_mut).chain(term) {
+            if let Some(&v) = o.reg().and_then(|r| const_of.get(&r)) {
                 *o = Operand::Imm(v);
                 rewritten += 1;
             }
-        }
-    };
-    for b in &mut f.blocks {
-        for inst in &mut b.insts {
-            match inst {
-                Inst::Bin { a, b, .. } => {
-                    rw(a);
-                    rw(b);
-                }
-                Inst::Un { a, .. } => rw(a),
-                Inst::Copy { src, .. } => rw(src),
-                Inst::Load { addr, .. } => rw(addr),
-                Inst::Store { value, addr, .. } => {
-                    rw(value);
-                    rw(addr);
-                }
-                Inst::Call { args, .. } => args.iter_mut().for_each(&mut rw),
-            }
-        }
-        match &mut b.term {
-            Some(Terminator::Branch { cond, .. }) => rw(cond),
-            Some(Terminator::Ret(Some(o))) => rw(o),
-            _ => {}
         }
     }
     rewritten

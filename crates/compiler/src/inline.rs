@@ -104,36 +104,47 @@ fn clone_body(
                     );
                     cur_out = cont;
                 }
-                other => insts.push(remap_inst(other, &map_op, &map_reg)),
+                other => {
+                    let mut inst = other.clone();
+                    for o in inst.operands_mut() {
+                        *o = map_op(*o);
+                    }
+                    if let Some(d) = inst.def_mut() {
+                        *d = map_reg(*d);
+                    }
+                    insts.push(inst);
+                }
             }
         }
         out.blocks[cur_out.0 as usize].insts = std::mem::take(&mut insts);
-        let term = src_block
+        let mut term = src_block
             .term
-            .as_ref()
+            .clone()
             .expect("verified blocks are terminated");
+        if let Some(o) = term.operand_mut() {
+            *o = map_op(*o);
+        }
         out.blocks[cur_out.0 as usize].term = Some(match term {
-            Terminator::Jump(b) => Terminator::Jump(map_block(*b)),
+            Terminator::Jump(b) => Terminator::Jump(map_block(b)),
             Terminator::Branch {
                 cond,
                 if_true,
                 if_false,
             } => Terminator::Branch {
-                cond: map_op(*cond),
-                if_true: map_block(*if_true),
-                if_false: map_block(*if_false),
+                cond,
+                if_true: map_block(if_true),
+                if_false: map_block(if_false),
             },
             Terminator::Ret(v) => match &ret {
                 // Entry function: keep the return.
-                None => Terminator::Ret(v.map(map_op)),
+                None => Terminator::Ret(v),
                 // Inlined callee: copy the value and jump to the caller's
                 // continuation.
                 Some(ctx) => {
-                    if let (Some(dst), Some(v)) = (ctx.dst, v) {
-                        out.blocks[cur_out.0 as usize].insts.push(Inst::Copy {
-                            dst,
-                            src: map_op(*v),
-                        });
+                    if let (Some(dst), Some(src)) = (ctx.dst, v) {
+                        out.blocks[cur_out.0 as usize]
+                            .insts
+                            .push(Inst::Copy { dst, src });
                     }
                     Terminator::Jump(ctx.cont)
                 }
@@ -148,53 +159,6 @@ struct RetCtx {
     cont: BlockId,
     /// Register receiving the return value.
     dst: Option<VReg>,
-}
-
-fn remap_inst(
-    inst: &Inst,
-    map_op: &impl Fn(Operand) -> Operand,
-    map_reg: &impl Fn(VReg) -> VReg,
-) -> Inst {
-    match inst {
-        Inst::Bin { op, dst, a, b } => Inst::Bin {
-            op: *op,
-            dst: map_reg(*dst),
-            a: map_op(*a),
-            b: map_op(*b),
-        },
-        Inst::Un { op, dst, a } => Inst::Un {
-            op: *op,
-            dst: map_reg(*dst),
-            a: map_op(*a),
-        },
-        Inst::Copy { dst, src } => Inst::Copy {
-            dst: map_reg(*dst),
-            src: map_op(*src),
-        },
-        Inst::Load {
-            op,
-            dst,
-            addr,
-            region,
-        } => Inst::Load {
-            op: *op,
-            dst: map_reg(*dst),
-            addr: map_op(*addr),
-            region: *region,
-        },
-        Inst::Store {
-            op,
-            value,
-            addr,
-            region,
-        } => Inst::Store {
-            op: *op,
-            value: map_op(*value),
-            addr: map_op(*addr),
-            region: *region,
-        },
-        Inst::Call { .. } => unreachable!("calls handled by caller"),
-    }
 }
 
 #[cfg(test)]

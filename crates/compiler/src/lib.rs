@@ -1,14 +1,18 @@
 //! # tta-compiler — from IR to soft-core machine code
 //!
-//! The compiler back end of the reproduction. One IR and one scheduler
-//! framework serve all three programming models, mirroring how the paper
-//! produces its VLIW numbers by disabling the TTA-specific freedoms in the
-//! TCE compiler (§IV): the [`tta_sched`] backend performs software
-//! bypassing, dead-result elimination and operand sharing; the
-//! [`vliw_sched`] backend is the same list scheduler constrained to
-//! operation-triggered semantics (all operands through the register file,
-//! one writeback cycle on every dependence); the [`scalar_sched`] backend
-//! emits a single-issue stream for the MicroBlaze-like baselines.
+//! The compiler back end of the reproduction. One IR and one back end
+//! serve all three programming models; the paper produces its VLIW numbers
+//! by disabling the TTA-specific freedoms in the TCE compiler (§IV). Here
+//! the styles have two list schedulers and a code generator: [`tta_sched`]
+//! performs software bypassing, dead-result elimination and operand
+//! sharing (each can be switched off); [`vliw_sched`] is a separate list
+//! scheduler for operation-triggered semantics (all operands through the
+//! register file, one writeback cycle on every dependence); and
+//! [`scalar_sched`] emits a single-issue stream for the MicroBlaze-like
+//! baselines. They share the dependence graph ([`ddg`]), the resource
+//! table, the exit plan (`LocTerm::exit`), the block type and the layout
+//! ([`layout`]); only how each places an operation, a long immediate and
+//! a control transfer differs.
 //!
 //! Entry points: [`compile::compile`] for one module on one machine;
 //! [`compile::prepare`] once per module, then [`compile::compile_prepared`]
@@ -25,6 +29,7 @@ pub mod dce;
 pub mod ddg;
 pub mod fold;
 pub mod inline;
+pub mod layout;
 pub mod liveness;
 pub mod loc;
 pub mod regalloc;

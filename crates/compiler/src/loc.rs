@@ -9,6 +9,7 @@
 
 use crate::regalloc::Allocation;
 use tta_ir::{BlockId, Inst, MemRegion, Operand, Terminator, VReg};
+use tta_isa::OpSrc;
 use tta_model::{Opcode, RegRef};
 
 /// A physical operand.
@@ -26,6 +27,15 @@ impl LocSrc {
         match self {
             LocSrc::Reg(r) => Some(r),
             LocSrc::Imm(_) => None,
+        }
+    }
+}
+
+impl From<LocSrc> for OpSrc {
+    fn from(s: LocSrc) -> OpSrc {
+        match s {
+            LocSrc::Reg(r) => OpSrc::Reg(r),
+            LocSrc::Imm(v) => OpSrc::Imm(v),
         }
     }
 }
@@ -77,6 +87,17 @@ impl LocOp {
         }
     }
 
+    /// What an operation-triggered core runs for this op: its opcode and
+    /// its `a` and `b` sources. A copy runs as `add a, #0`.
+    pub(crate) fn operation(&self) -> (Opcode, Option<LocSrc>, Option<LocSrc>) {
+        match self.kind {
+            LocKind::Alu(o) if o.num_inputs() == 1 => (o, None, self.b),
+            LocKind::Alu(o) | LocKind::Store(o, _) => (o, self.a, self.b),
+            LocKind::Load(o, _) => (o, None, self.b),
+            LocKind::Copy => (Opcode::Add, self.a, Some(LocSrc::Imm(0))),
+        }
+    }
+
     /// Registers read by this op.
     pub fn reads(&self) -> impl Iterator<Item = RegRef> {
         [self.a, self.b]
@@ -105,6 +126,66 @@ pub enum LocTerm {
     Ret(Option<LocSrc>),
 }
 
+impl LocTerm {
+    /// How the block leaves when `next` follows it in layout. This is the
+    /// one place the sense of a branch is chosen: a branch jumps on the
+    /// successor that does not follow, and needs a second, unconditional
+    /// jump when neither does.
+    pub(crate) fn exit(self, next: Option<BlockId>) -> Exit {
+        match self {
+            LocTerm::Jump(target) if Some(target) == next => Exit::FallThrough,
+            LocTerm::Jump(target) => Exit::Transfer {
+                op: Opcode::Jump,
+                cond: None,
+                target,
+                then: None,
+            },
+            LocTerm::Branch {
+                cond,
+                if_true,
+                if_false,
+            } => {
+                let (op, target, then) = if Some(if_false) == next {
+                    (Opcode::CJnz, if_true, None)
+                } else if Some(if_true) == next {
+                    (Opcode::CJz, if_false, None)
+                } else {
+                    (Opcode::CJnz, if_true, Some(if_false))
+                };
+                Exit::Transfer {
+                    op,
+                    cond: Some(cond),
+                    target,
+                    then,
+                }
+            }
+            LocTerm::Ret(value) => Exit::Halt(value),
+        }
+    }
+}
+
+/// A block's exit plan: the control transfers a code generator emits at
+/// its end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// Fall through into the next block.
+    FallThrough,
+    /// A `Jump`, `CJnz` or `CJz` to `target`, then, when neither branch
+    /// successor follows in layout, a `Jump` to `then`.
+    Transfer {
+        /// The control opcode.
+        op: Opcode,
+        /// A conditional branch's condition.
+        cond: Option<LocSrc>,
+        /// Where the transfer goes.
+        target: BlockId,
+        /// The follow-up jump's target.
+        then: Option<BlockId>,
+    },
+    /// Store the return value, if any, to [`RETVAL_ADDR`], then halt.
+    Halt(Option<LocSrc>),
+}
+
 /// Absolute byte address of the return-value slot (shared with the
 /// simulators through `tta-isa`).
 pub use tta_isa::RETVAL_ADDR;
@@ -128,6 +209,17 @@ pub struct LocBlock {
 pub struct LocFunc {
     /// Blocks, indexed by [`BlockId`].
     pub blocks: Vec<LocBlock>,
+}
+
+impl LocFunc {
+    /// The blocks in layout order, each with the block that follows it
+    /// (`None` for the last).
+    pub(crate) fn with_next(&self) -> impl Iterator<Item = (&LocBlock, Option<BlockId>)> {
+        let n = self.blocks.len() as u32;
+        (1..)
+            .zip(&self.blocks)
+            .map(move |(i, b)| (b, (i < n).then_some(BlockId(i))))
+    }
 }
 
 /// Lower an allocated function to located code. Each block's live-out
@@ -252,6 +344,56 @@ mod tests {
         // Store carries data in `a`, address in `b`.
         assert_eq!(ops[3].a.unwrap().reg(), ops[2].dst);
         assert_eq!(ops[3].b, Some(LocSrc::Imm(16)));
+    }
+
+    #[test]
+    fn exit_plan_picks_the_branch_sense_from_the_next_block() {
+        let (b1, b2, b3) = (BlockId(1), BlockId(2), BlockId(3));
+        let cond = LocSrc::Imm(1);
+        let transfer = |op, cond, target, then| Exit::Transfer {
+            op,
+            cond,
+            target,
+            then,
+        };
+        let branch = LocTerm::Branch {
+            cond,
+            if_true: b1,
+            if_false: b2,
+        };
+        let cases = [
+            (LocTerm::Jump(b1), Some(b1), Exit::FallThrough),
+            (
+                LocTerm::Jump(b1),
+                Some(b2),
+                transfer(Opcode::Jump, None, b1, None),
+            ),
+            (
+                LocTerm::Jump(b1),
+                None,
+                transfer(Opcode::Jump, None, b1, None),
+            ),
+            (
+                branch,
+                Some(b2),
+                transfer(Opcode::CJnz, Some(cond), b1, None),
+            ),
+            (
+                branch,
+                Some(b1),
+                transfer(Opcode::CJz, Some(cond), b2, None),
+            ),
+            (
+                branch,
+                Some(b3),
+                transfer(Opcode::CJnz, Some(cond), b1, Some(b2)),
+            ),
+            (LocTerm::Ret(Some(cond)), Some(b1), Exit::Halt(Some(cond))),
+            (LocTerm::Ret(None), None, Exit::Halt(None)),
+        ];
+        for (term, next, want) in cases {
+            assert_eq!(term.exit(next), want, "{term:?} before {next:?}");
+        }
     }
 
     #[test]

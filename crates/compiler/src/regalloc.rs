@@ -9,7 +9,7 @@
 
 use crate::bitset::BitSet;
 use crate::liveness::Liveness;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use tta_ir::{Function, Inst, MemRegion, Operand, Terminator, VReg};
 use tta_model::{Machine, Opcode, RegRef, RfId};
 
@@ -273,158 +273,110 @@ fn rewrite_spills(
     next_slot: &mut u32,
     slot_for: &mut HashMap<VReg, u32>,
 ) -> Vec<VReg> {
-    let spilled: std::collections::HashSet<VReg> = spill.iter().copied().collect();
-    let mut addr_of = |r: VReg, next_slot: &mut u32| -> (i32, MemRegion) {
-        let slot = *slot_for.entry(r).or_insert_with(|| {
-            let s = *next_slot;
-            *next_slot += 1;
-            s
-        });
-        (
-            (spill_base + slot * 4) as i32,
-            MemRegion(SPILL_REGION_BASE + (slot % 0x7000) as u16),
-        )
+    let first_temp = f.next_vreg;
+    let mut s = Spiller {
+        spilled: spill.iter().copied().collect(),
+        next_vreg: f.next_vreg,
+        spill_base,
+        next_slot,
+        slot_for,
     };
-    let mut temps = Vec::new();
-
-    let mut blocks = std::mem::take(&mut f.blocks);
-    for b in &mut blocks {
+    for b in &mut f.blocks {
         let old = std::mem::take(&mut b.insts);
         let mut out = Vec::with_capacity(old.len() * 2);
         for mut inst in old {
-            // Reload spilled uses into fresh temps (one temp per distinct
-            // spilled register per instruction).
-            let mut reloads: Vec<(VReg, VReg)> = Vec::new(); // (old, temp)
-            for u in inst.uses() {
-                if spilled.contains(&u) && !reloads.iter().any(|(o, _)| *o == u) {
-                    let t = f.next_vreg;
-                    f.next_vreg += 1;
-                    reloads.push((u, VReg(t)));
-                }
-            }
-            for (old_r, t) in &reloads {
-                let (addr, region) = addr_of(*old_r, next_slot);
-                // Spill addresses sit at the top of memory, far outside any
-                // inline-immediate range, and this rewrite runs after
-                // constant legalisation — so materialise the address
-                // explicitly (the backends lower wide-immediate copies
-                // through limm / imm-prefix).
-                let addr_tmp = VReg(f.next_vreg);
-                f.next_vreg += 1;
-                temps.push(addr_tmp);
-                out.push(Inst::Copy {
-                    dst: addr_tmp,
-                    src: Operand::Imm(addr),
-                });
-                out.push(Inst::Load {
-                    op: Opcode::Ldw,
-                    dst: *t,
-                    addr: Operand::Reg(addr_tmp),
-                    region,
-                });
-                temps.push(*t);
-                substitute_uses(&mut inst, *old_r, *t);
-            }
-            // Redirect spilled defs to temps and store them.
-            if let Some(d) = inst.def() {
-                if spilled.contains(&d) {
-                    let t = VReg(f.next_vreg);
-                    f.next_vreg += 1;
-                    temps.push(t);
-                    substitute_def(&mut inst, t);
-                    let (addr, region) = addr_of(d, next_slot);
-                    let addr_tmp = VReg(f.next_vreg);
-                    f.next_vreg += 1;
-                    temps.push(addr_tmp);
+            s.reload(inst.operands_mut(), &mut out);
+            // Redirect a spilled def to a temp and store it.
+            match inst.def().filter(|d| s.spilled.contains(d)) {
+                Some(d) => {
+                    let t = s.temp();
+                    *inst.def_mut().expect("a spilled def") = t;
                     out.push(inst);
-                    out.push(Inst::Copy {
-                        dst: addr_tmp,
-                        src: Operand::Imm(addr),
-                    });
+                    let (addr, region) = s.slot(d, &mut out);
                     out.push(Inst::Store {
                         op: Opcode::Stw,
                         value: Operand::Reg(t),
-                        addr: Operand::Reg(addr_tmp),
+                        addr,
                         region,
                     });
-                    continue;
                 }
-            }
-            out.push(inst);
-        }
-        // Terminator uses.
-        if let Some(t) = &mut b.term {
-            let cond_reg = match t {
-                Terminator::Branch {
-                    cond: Operand::Reg(r),
-                    ..
-                } => Some(*r),
-                Terminator::Ret(Some(Operand::Reg(r))) => Some(*r),
-                _ => None,
-            };
-            if let Some(r) = cond_reg {
-                if spilled.contains(&r) {
-                    let tmp = VReg(f.next_vreg);
-                    f.next_vreg += 1;
-                    temps.push(tmp);
-                    let (addr, region) = addr_of(r, next_slot);
-                    let addr_tmp = VReg(f.next_vreg);
-                    f.next_vreg += 1;
-                    temps.push(addr_tmp);
-                    out.push(Inst::Copy {
-                        dst: addr_tmp,
-                        src: Operand::Imm(addr),
-                    });
-                    out.push(Inst::Load {
-                        op: Opcode::Ldw,
-                        dst: tmp,
-                        addr: Operand::Reg(addr_tmp),
-                        region,
-                    });
-                    match t {
-                        Terminator::Branch { cond, .. } => *cond = Operand::Reg(tmp),
-                        Terminator::Ret(Some(o)) => *o = Operand::Reg(tmp),
-                        _ => unreachable!(),
-                    }
-                }
+                None => out.push(inst),
             }
         }
+        s.reload(
+            b.term.iter_mut().flat_map(Terminator::operand_mut),
+            &mut out,
+        );
         b.insts = out;
     }
-    f.blocks = blocks;
-    temps
+    f.next_vreg = s.next_vreg;
+    (first_temp..f.next_vreg).map(VReg).collect()
 }
 
-fn substitute_uses(inst: &mut Inst, old: VReg, new: VReg) {
-    let fix = |o: &mut Operand| {
-        if *o == Operand::Reg(old) {
-            *o = Operand::Reg(new);
-        }
-    };
-    match inst {
-        Inst::Bin { a, b, .. } => {
-            fix(a);
-            fix(b);
-        }
-        Inst::Un { a, .. } => fix(a),
-        Inst::Copy { src, .. } => fix(src),
-        Inst::Load { addr, .. } => fix(addr),
-        Inst::Store { value, addr, .. } => {
-            fix(value);
-            fix(addr);
-        }
-        Inst::Call { args, .. } => args.iter_mut().for_each(fix),
+/// One spill rewrite's state: every register it allocates is a temp.
+struct Spiller<'a> {
+    spilled: HashSet<VReg>,
+    next_vreg: u32,
+    spill_base: u32,
+    next_slot: &'a mut u32,
+    slot_for: &'a mut HashMap<VReg, u32>,
+}
+
+impl Spiller<'_> {
+    fn temp(&mut self) -> VReg {
+        self.next_vreg += 1;
+        VReg(self.next_vreg - 1)
     }
-}
 
-fn substitute_def(inst: &mut Inst, new: VReg) {
-    match inst {
-        Inst::Bin { dst, .. }
-        | Inst::Un { dst, .. }
-        | Inst::Copy { dst, .. }
-        | Inst::Load { dst, .. } => *dst = new,
-        Inst::Call { dst: Some(d), .. } => *d = new,
-        _ => {}
+    /// Emit the address of `r`'s spill slot into a temp, ahead of an
+    /// access to it; returns that address operand and the slot's region.
+    /// Spill addresses sit at the top of memory, far outside any
+    /// inline-immediate range, and this rewrite runs after constant
+    /// legalisation, so the address is a copy the backends lower through
+    /// limm / imm-prefix.
+    fn slot(&mut self, r: VReg, out: &mut Vec<Inst>) -> (Operand, MemRegion) {
+        let next_slot = &mut *self.next_slot;
+        let slot = *self.slot_for.entry(r).or_insert_with(|| {
+            *next_slot += 1;
+            *next_slot - 1
+        });
+        let addr = self.temp();
+        out.push(Inst::Copy {
+            dst: addr,
+            src: Operand::Imm((self.spill_base + slot * 4) as i32),
+        });
+        let region = MemRegion(SPILL_REGION_BASE + (slot % 0x7000) as u16);
+        (Operand::Reg(addr), region)
+    }
+
+    /// Reload the spilled registers `reads` names into temps ahead of
+    /// their reader (one per distinct register, numbered in operand order)
+    /// and read the temps instead.
+    fn reload<'o>(&mut self, reads: impl Iterator<Item = &'o mut Operand>, out: &mut Vec<Inst>) {
+        let mut reloads: Vec<(VReg, VReg)> = Vec::new(); // (spilled, temp)
+        for o in reads {
+            let Some(r) = o.reg().filter(|r| self.spilled.contains(r)) else {
+                continue;
+            };
+            let t = match reloads.iter().find(|&&(s, _)| s == r) {
+                Some(&(_, t)) => t,
+                None => {
+                    let t = self.temp();
+                    reloads.push((r, t));
+                    t
+                }
+            };
+            *o = Operand::Reg(t);
+        }
+        for (r, t) in reloads {
+            let (addr, region) = self.slot(r, out);
+            out.push(Inst::Load {
+                op: Opcode::Ldw,
+                dst: t,
+                addr,
+                region,
+            });
+        }
     }
 }
 

@@ -8,40 +8,12 @@
 //! absolute target inline in the 16-bit immediate field.
 
 use crate::ddg::Ddg;
-use crate::loc::{LocBlock, LocFunc, LocKind, LocOp, LocSrc, LocTerm, RETVAL_ADDR};
+use crate::layout::{Block, Patch};
+use crate::loc::{Exit, LocBlock, LocFunc, LocOp, LocSrc, RETVAL_ADDR};
 use tta_ir::BlockId;
 use tta_isa::encoding::fits_signed;
 use tta_isa::{OpSrc, Operation, ScalarInst};
-use tta_model::{FuKind, Machine, Opcode};
-
-/// Which source field of a patched operation holds the target address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WhichSrc {
-    /// The `a` (operand) field.
-    A,
-    /// The `b` (trigger) field.
-    B,
-}
-
-/// A branch awaiting its absolute target address.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarPatch {
-    /// Instruction index within the block.
-    pub index: u32,
-    /// Which source field to patch.
-    pub which: WhichSrc,
-    /// Target block.
-    pub target: BlockId,
-}
-
-/// A code-generated block.
-#[derive(Debug, Clone)]
-pub struct ScalarBlock {
-    /// The instruction stream (block-local indices).
-    pub insts: Vec<ScalarInst>,
-    /// Branch-target patches.
-    pub patches: Vec<ScalarPatch>,
-}
+use tta_model::{FuId, Machine, Opcode};
 
 /// Scalar code generator.
 pub struct ScalarCodegen<'m> {
@@ -57,19 +29,11 @@ impl<'m> ScalarCodegen<'m> {
     }
 
     /// Generate code for all blocks.
-    pub fn generate(&self, f: &LocFunc) -> Vec<ScalarBlock> {
+    pub fn generate(&self, f: &LocFunc) -> Vec<Block<ScalarInst>> {
+        let _span = tta_obs::span("sched");
         let mut ddg = Ddg::new(self.m);
-        f.blocks
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| {
-                let next = if bi + 1 < f.blocks.len() {
-                    Some(BlockId(bi as u32 + 1))
-                } else {
-                    None
-                };
-                self.generate_block(b, next, &mut ddg)
-            })
+        f.with_next()
+            .map(|(b, next)| self.generate_block(b, next, &mut ddg))
             .collect()
     }
 
@@ -86,17 +50,7 @@ impl<'m> ScalarCodegen<'m> {
     }
 
     fn emit_op(&self, out: &mut Vec<ScalarInst>, op: &LocOp) {
-        let src = |s: LocSrc| match s {
-            LocSrc::Reg(r) => OpSrc::Reg(r),
-            LocSrc::Imm(v) => OpSrc::Imm(v),
-        };
-        let (opcode, a, b) = match op.kind {
-            LocKind::Alu(o) if o.num_inputs() == 1 => (o, None, Some(src(op.b.unwrap()))),
-            LocKind::Alu(o) => (o, Some(src(op.a.unwrap())), Some(src(op.b.unwrap()))),
-            LocKind::Load(o, _) => (o, None, Some(src(op.b.unwrap()))),
-            LocKind::Store(o, _) => (o, Some(src(op.a.unwrap())), Some(src(op.b.unwrap()))),
-            LocKind::Copy => (Opcode::Add, Some(src(op.a.unwrap())), Some(OpSrc::Imm(0))),
-        };
+        let (opcode, a, b) = op.operation();
         let fu = self
             .m
             .units_for(opcode)
@@ -109,8 +63,8 @@ impl<'m> ScalarCodegen<'m> {
                 op: opcode,
                 fu,
                 dst,
-                a,
-                b,
+                a: a.map(OpSrc::from),
+                b: b.map(OpSrc::from),
             },
         );
     }
@@ -120,93 +74,42 @@ impl<'m> ScalarCodegen<'m> {
         block: &LocBlock,
         next: Option<BlockId>,
         ddg: &mut Ddg,
-    ) -> ScalarBlock {
+    ) -> Block<ScalarInst> {
         ddg.rebuild(block);
-        let mut insts = Vec::with_capacity(block.ops.len() + 4);
+        let mut b = Block {
+            insts: Vec::with_capacity(block.ops.len() + 4),
+            patches: Vec::new(),
+        };
         for &i in &ddg.order {
-            self.emit_op(&mut insts, &block.ops[i]);
+            self.emit_op(&mut b.insts, &block.ops[i]);
         }
 
-        let mut patches = Vec::new();
         let cu = self.m.ctrl_unit();
-        let src = |s: LocSrc| match s {
-            LocSrc::Reg(r) => OpSrc::Reg(r),
-            LocSrc::Imm(v) => OpSrc::Imm(v),
-        };
-        match block.term {
-            LocTerm::Jump(target) if Some(target) == next => {}
-            LocTerm::Jump(target) => {
-                patches.push(ScalarPatch {
-                    index: insts.len() as u32,
-                    which: WhichSrc::B,
-                    target,
-                });
-                insts.push(ScalarInst::Op(Operation {
-                    op: Opcode::Jump,
-                    fu: cu,
-                    dst: None,
-                    a: None,
-                    b: Some(OpSrc::Imm(0)),
-                }));
-            }
-            LocTerm::Branch {
+        match block.term.exit(next) {
+            Exit::FallThrough => {}
+            Exit::Transfer {
+                op,
                 cond,
-                if_true,
-                if_false,
+                target,
+                then,
             } => {
-                let (opcode, target, other) = if Some(if_false) == next {
-                    (Opcode::CJnz, if_true, None)
-                } else if Some(if_true) == next {
-                    (Opcode::CJz, if_false, None)
-                } else {
-                    (Opcode::CJnz, if_true, Some(if_false))
-                };
-                patches.push(ScalarPatch {
-                    index: insts.len() as u32,
-                    which: WhichSrc::A,
-                    target,
-                });
-                insts.push(ScalarInst::Op(Operation {
-                    op: opcode,
-                    fu: cu,
-                    dst: None,
-                    a: Some(OpSrc::Imm(0)),
-                    b: Some(src(cond)),
-                }));
-                if let Some(f_target) = other {
-                    patches.push(ScalarPatch {
-                        index: insts.len() as u32,
-                        which: WhichSrc::B,
-                        target: f_target,
-                    });
-                    insts.push(ScalarInst::Op(Operation {
-                        op: Opcode::Jump,
-                        fu: cu,
-                        dst: None,
-                        a: None,
-                        b: Some(OpSrc::Imm(0)),
-                    }));
+                self.emit_transfer(&mut b, cu, op, cond, target);
+                if let Some(then) = then {
+                    self.emit_transfer(&mut b, cu, Opcode::Jump, None, then);
                 }
             }
-            LocTerm::Ret(v) => {
-                if let Some(v) = v {
-                    let lsu = self
-                        .m
-                        .fu_ids()
-                        .find(|&f| self.m.fu(f).kind == FuKind::Lsu)
-                        .expect("machine has an LSU");
-                    self.push_op(
-                        &mut insts,
-                        Operation {
-                            op: Opcode::Stw,
-                            fu: lsu,
-                            dst: None,
-                            a: Some(src(v)),
-                            b: Some(OpSrc::Imm(RETVAL_ADDR as i32)),
-                        },
-                    );
+            Exit::Halt(value) => {
+                if let Some(v) = value {
+                    let store = Operation {
+                        op: Opcode::Stw,
+                        fu: self.m.lsu(),
+                        dst: None,
+                        a: Some(v.into()),
+                        b: Some(OpSrc::Imm(RETVAL_ADDR as i32)),
+                    };
+                    self.push_op(&mut b.insts, store);
                 }
-                insts.push(ScalarInst::Op(Operation {
+                b.insts.push(ScalarInst::Op(Operation {
                     op: Opcode::Halt,
                     fu: cu,
                     dst: None,
@@ -215,7 +118,35 @@ impl<'m> ScalarCodegen<'m> {
                 }));
             }
         }
+        b
+    }
 
-        ScalarBlock { insts, patches }
+    /// Emit a control transfer whose target address is patched in: the
+    /// `a` source of a conditional branch (whose `b` is the condition), or
+    /// the `b` source of a jump.
+    fn emit_transfer(
+        &self,
+        b: &mut Block<ScalarInst>,
+        cu: FuId,
+        op: Opcode,
+        cond: Option<LocSrc>,
+        target: BlockId,
+    ) {
+        let (a, src, slot) = match cond {
+            Some(c) => (Some(OpSrc::Imm(0)), c.into(), 0),
+            None => (None, OpSrc::Imm(0), 1),
+        };
+        b.patches.push(Patch {
+            at: b.insts.len() as u32,
+            slot,
+            target,
+        });
+        b.insts.push(ScalarInst::Op(Operation {
+            op,
+            fu: cu,
+            dst: None,
+            a,
+            b: Some(src),
+        }));
     }
 }

@@ -26,11 +26,12 @@
 #![allow(clippy::explicit_counter_loop)]
 
 use crate::ddg::{Ddg, DepKind};
-use crate::loc::{LocBlock, LocFunc, LocKind, LocOp, LocSrc, LocTerm, RETVAL_ADDR};
+use crate::layout::{Block, Patch};
+use crate::loc::{Exit, LocBlock, LocFunc, LocKind, LocOp, LocSrc, RETVAL_ADDR};
 use crate::resource::{bits, first, Cycles, Resources, NONE};
 use tta_ir::BlockId;
 use tta_isa::{Move, MoveDst, MoveSrc, TtaInst};
-use tta_model::{DstConn, FuId, FuKind, Machine, Opcode, RegRef, SrcConn};
+use tta_model::{DstConn, FuId, Machine, Opcode, RegRef, SrcConn};
 
 /// How far past the dependence-ready cycle the scheduler searches before
 /// concluding the machine cannot host the op (indicates a broken preset).
@@ -59,24 +60,6 @@ impl Default for TtaOptions {
             operand_share: true,
         }
     }
-}
-
-/// A long immediate awaiting its absolute branch-target address.
-#[derive(Debug, Clone, Copy)]
-pub struct TtaPatch {
-    /// Cycle within the block whose `limm` field holds the target.
-    pub cycle: u32,
-    /// Target block.
-    pub target: BlockId,
-}
-
-/// A scheduled block.
-#[derive(Debug, Clone)]
-pub struct TtaBlock {
-    /// The instructions (block-local cycles).
-    pub insts: Vec<TtaInst>,
-    /// Branch-target patches.
-    pub patches: Vec<TtaPatch>,
 }
 
 /// Schedule-quality counters (reported per program).
@@ -163,7 +146,7 @@ struct BlockSched<'m> {
     immregs: Vec<ImmRegState>,
     /// Statistics, accumulated over the function.
     stats: TtaStats,
-    patches: Vec<TtaPatch>,
+    patches: Vec<Patch>,
     /// Highest cycle with any activity (move, limm, trigger, writeback).
     last_activity: u32,
 }
@@ -487,12 +470,6 @@ pub struct TtaScheduler<'m> {
 }
 
 impl<'m> TtaScheduler<'m> {
-    /// Create a scheduler for a TTA machine with every programming freedom
-    /// enabled.
-    pub fn new(m: &'m Machine) -> Self {
-        Self::with_options(m, TtaOptions::default())
-    }
-
     /// Create a scheduler with explicit freedom toggles (ablation studies).
     pub fn with_options(m: &'m Machine, opts: TtaOptions) -> Self {
         TtaScheduler {
@@ -503,23 +480,14 @@ impl<'m> TtaScheduler<'m> {
     }
 
     /// Schedule all blocks.
-    pub fn schedule(&mut self, f: &LocFunc) -> Vec<TtaBlock> {
+    pub fn schedule(&mut self, f: &LocFunc) -> Vec<Block<TtaInst>> {
         let _span = tta_obs::span("sched");
         let before = self.stats;
         let mut ddg = Ddg::new(self.m);
         let mut s = BlockSched::new(self.m, self.opts, before);
-        let blocks: Vec<TtaBlock> = f
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| {
-                let next = if bi + 1 < f.blocks.len() {
-                    Some(BlockId(bi as u32 + 1))
-                } else {
-                    None
-                };
-                self.schedule_block(b, next, &mut ddg, &mut s)
-            })
+        let blocks: Vec<Block<TtaInst>> = f
+            .with_next()
+            .map(|(b, next)| self.schedule_block(b, next, &mut ddg, &mut s))
             .collect();
         let d = s.stats;
         self.stats = d;
@@ -544,7 +512,7 @@ impl<'m> TtaScheduler<'m> {
         next: Option<BlockId>,
         ddg: &mut Ddg,
         s: &mut BlockSched,
-    ) -> TtaBlock {
+    ) -> Block<TtaInst> {
         ddg.rebuild(block);
         s.reset(block);
         for (i, n) in s.nodes.iter_mut().enumerate() {
@@ -581,7 +549,7 @@ impl<'m> TtaScheduler<'m> {
 
         self.emit_terminator(block, next, ddg, s);
 
-        TtaBlock {
+        Block {
             insts: std::mem::take(&mut s.insts),
             patches: std::mem::take(&mut s.patches),
         }
@@ -941,41 +909,35 @@ impl<'m> TtaScheduler<'m> {
     ) {
         let d = self.m.jump_delay_slots;
         let cu = self.m.ctrl_unit();
-        match block.term {
-            LocTerm::Jump(target) if Some(target) == next => {
-                // Fall through: pad to cover all activity.
-                s.grow(s.last_activity);
-            }
-            LocTerm::Jump(target) => {
-                self.emit_branch(Opcode::Jump, None, None, target, 0, block, s, cu, d);
-            }
-            LocTerm::Branch {
+        match block.term.exit(next) {
+            // Fall through: pad to cover all activity.
+            Exit::FallThrough => s.grow(s.last_activity),
+            Exit::Transfer {
+                op,
                 cond,
-                if_true,
-                if_false,
+                target,
+                then,
             } => {
-                let (opcode, target, other) = if Some(if_false) == next {
-                    (Opcode::CJnz, if_true, None)
-                } else if Some(if_true) == next {
-                    (Opcode::CJz, if_false, None)
-                } else {
-                    (Opcode::CJnz, if_true, Some(if_false))
-                };
-                let t_br =
-                    self.emit_branch(opcode, Some(cond), ddg.term_def, target, 0, block, s, cu, d);
-                if let Some(ft) = other {
-                    self.emit_branch(Opcode::Jump, None, None, ft, t_br + d + 1, block, s, cu, d);
+                let t_br = self.emit_branch(op, cond, ddg.term_def, target, 0, block, s, cu, d);
+                if let Some(then) = then {
+                    self.emit_branch(
+                        Opcode::Jump,
+                        None,
+                        None,
+                        then,
+                        t_br + d + 1,
+                        block,
+                        s,
+                        cu,
+                        d,
+                    );
                 }
             }
-            LocTerm::Ret(v) => {
+            Exit::Halt(value) => {
                 // Store the return value, then halt.
                 let mut min_halt = s.last_activity;
-                if let Some(v) = v {
-                    let lsu = self
-                        .m
-                        .fu_ids()
-                        .find(|&f| self.m.fu(f).kind == FuKind::Lsu)
-                        .expect("machine has an LSU");
+                if let Some(v) = value {
+                    let lsu = self.m.lsu();
                     // Operand move: value -> lsu.o ; trigger: #RETVAL -> lsu.t.stw
                     let producer = ddg.term_def;
                     let ready = producer.map(|p| s.nodes[p].done).unwrap_or(0);
@@ -1039,7 +1001,11 @@ impl<'m> TtaScheduler<'m> {
     ) -> u32 {
         // Target address long immediate (value patched later).
         let (k, lc) = s.place_limm(0, min_cycle);
-        s.patches.push(TtaPatch { cycle: lc, target });
+        s.patches.push(Patch {
+            at: lc,
+            slot: 0,
+            target,
+        });
 
         let cond_ready = cond_producer.map(|p| s.nodes[p].done).unwrap_or(0);
         let cu_floor = s.port_free(cu);

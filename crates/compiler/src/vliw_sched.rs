@@ -8,32 +8,13 @@
 //! dependence edge is exactly what TTA software bypassing removes.
 
 use crate::ddg::{Ddg, DepKind};
-use crate::loc::{LocBlock, LocFunc, LocKind, LocOp, LocSrc, LocTerm, RETVAL_ADDR};
+use crate::layout::{Block, Patch};
+use crate::loc::{Exit, LocBlock, LocFunc, LocKind, LocOp, LocSrc, RETVAL_ADDR};
 use crate::resource::{bits, first, Cycles, Resources};
 use tta_ir::BlockId;
 use tta_isa::encoding::{fits_signed, vliw_imm_bits};
 use tta_isa::{OpSrc, Operation, VliwBundle, VliwSlot};
-use tta_model::{FuId, FuKind, Machine, Opcode, RegRef};
-
-/// A branch-target long-immediate awaiting its absolute address.
-#[derive(Debug, Clone, Copy)]
-pub struct Patch {
-    /// Cycle within the block.
-    pub cycle: u32,
-    /// First slot of the long immediate.
-    pub slot: usize,
-    /// Target block whose start address must be written.
-    pub target: BlockId,
-}
-
-/// A scheduled block.
-#[derive(Debug, Clone)]
-pub struct SchedBlock {
-    /// The bundles (block-local cycles).
-    pub bundles: Vec<VliwBundle>,
-    /// Branch-target patches.
-    pub patches: Vec<Patch>,
-}
+use tta_model::{FuId, Machine, Opcode, RegRef};
 
 /// The registers an operation reads (at most two).
 type Reads = [Option<RegRef>; 2];
@@ -176,10 +157,8 @@ impl<'m> VliwScheduler<'m> {
         }
     }
 
-    /// Schedule all blocks of a function. Blocks are laid out in index
-    /// order; `fallthrough[bi]` is the next block in layout (None for the
-    /// last).
-    pub fn schedule(&self, f: &LocFunc) -> Vec<SchedBlock> {
+    /// Schedule all blocks of a function, for layout in block order.
+    pub fn schedule(&self, f: &LocFunc) -> Vec<Block<VliwBundle>> {
         let _span = tta_obs::span("sched");
         let mut ddg = Ddg::new(self.m);
         let mut grid = Grid {
@@ -191,20 +170,11 @@ impl<'m> VliwScheduler<'m> {
             patches: Vec::new(),
             cycle_of: Vec::new(),
         };
-        let blocks: Vec<SchedBlock> = f
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| {
-                let next = if bi + 1 < f.blocks.len() {
-                    Some(BlockId(bi as u32 + 1))
-                } else {
-                    None
-                };
-                self.schedule_block(b, next, &mut ddg, &mut grid)
-            })
+        let blocks: Vec<Block<VliwBundle>> = f
+            .with_next()
+            .map(|(b, next)| self.schedule_block(b, next, &mut ddg, &mut grid))
             .collect();
-        let bundles: u64 = blocks.iter().map(|b| b.bundles.len() as u64).sum();
+        let bundles: u64 = blocks.iter().map(|b| b.insts.len() as u64).sum();
         tta_obs::counter::add("compiler.vliw_bundles", bundles);
         blocks
     }
@@ -219,20 +189,6 @@ impl<'m> VliwScheduler<'m> {
                 );
                 OpSrc::Imm(v)
             }
-        }
-    }
-
-    /// Pick the opcode and operands for a located op (Copy becomes
-    /// `add a, #0`; wide-immediate Copy becomes a long immediate, handled by
-    /// the caller).
-    fn operation_for(&self, op: &LocOp) -> (Opcode, Option<OpSrc>, Option<OpSrc>) {
-        let a = || Some(self.op_src(op.a.expect("two-input op has an operand")));
-        let b = || Some(self.op_src(op.b.expect("every op has a trigger input")));
-        match op.kind {
-            LocKind::Alu(o) if o.num_inputs() == 1 => (o, None, b()),
-            LocKind::Alu(o) | LocKind::Store(o, _) => (o, a(), b()),
-            LocKind::Load(o, _) => (o, None, b()),
-            LocKind::Copy => (Opcode::Add, a(), Some(OpSrc::Imm(0))),
         }
     }
 
@@ -280,7 +236,7 @@ impl<'m> VliwScheduler<'m> {
         next: Option<BlockId>,
         ddg: &mut Ddg,
         g: &mut Grid,
-    ) -> SchedBlock {
+    ) -> Block<VliwBundle> {
         ddg.rebuild(block);
         g.reset(block.ops.len());
         let mut last_activity = 0u32;
@@ -300,7 +256,8 @@ impl<'m> VliwScheduler<'m> {
                 continue;
             }
 
-            let (opcode, a, b) = self.operation_for(op);
+            let (opcode, a, b) = op.operation();
+            let (a, b) = (a.map(|s| self.op_src(s)), b.map(|s| self.op_src(s)));
             let units = self.res.units(opcode);
             let reads = [a, b].map(|s| match s {
                 Some(OpSrc::Reg(r)) => Some(r),
@@ -349,61 +306,27 @@ impl<'m> VliwScheduler<'m> {
             .unwrap_or(0);
         let d = self.m.jump_delay_slots;
 
-        match block.term {
-            LocTerm::Jump(target) if Some(target) == next => {
-                // Fall through; pad so every writeback lands inside the
-                // block.
-                g.ensure(last_activity);
-            }
-            LocTerm::Jump(target) => {
-                self.emit_jump(g, Opcode::Jump, None, target, 0, 0, last_activity, d);
-            }
-            LocTerm::Branch {
+        match block.term.exit(next) {
+            // Fall through; pad so every writeback lands inside the block.
+            Exit::FallThrough => g.ensure(last_activity),
+            Exit::Transfer {
+                op,
                 cond,
-                if_true,
-                if_false,
+                target,
+                then,
             } => {
-                let cond_src = self.op_src(cond);
-                let (opcode, target, other) = if Some(if_false) == next {
-                    (Opcode::CJnz, if_true, None)
-                } else if Some(if_true) == next {
-                    (Opcode::CJz, if_false, None)
-                } else {
-                    (Opcode::CJnz, if_true, Some(if_false))
-                };
-                let t_br = self.emit_jump(
-                    g,
-                    opcode,
-                    Some(cond_src),
-                    target,
-                    cond_ready,
-                    0,
-                    last_activity,
-                    d,
-                );
-                if let Some(f_target) = other {
-                    self.emit_jump(
-                        g,
-                        Opcode::Jump,
-                        None,
-                        f_target,
-                        t_br + d + 1,
-                        t_br,
-                        last_activity,
-                        d,
-                    );
+                let cond = cond.map(|c| self.op_src(c));
+                let t_br = self.emit_jump(g, op, cond, target, cond_ready, 0, last_activity, d);
+                if let Some(then) = then {
+                    let ready = t_br + d + 1;
+                    self.emit_jump(g, Opcode::Jump, None, then, ready, t_br, last_activity, d);
                 }
             }
-            LocTerm::Ret(v) => {
+            Exit::Halt(value) => {
                 // Store the return value, then halt.
                 let mut after = last_activity;
-                if let Some(v) = v {
-                    let val = self.op_src(v);
-                    let lsu = self
-                        .m
-                        .fu_ids()
-                        .find(|&f| self.m.fu(f).kind == FuKind::Lsu)
-                        .expect("machine has an LSU");
+                if let Some(v) = value {
+                    let lsu = self.m.lsu();
                     let ready = match v {
                         LocSrc::Reg(_) => cond_ready, // term_def covers the value
                         LocSrc::Imm(_) => 0,
@@ -412,7 +335,7 @@ impl<'m> VliwScheduler<'m> {
                         op: Opcode::Stw,
                         fu: lsu,
                         dst: None,
-                        a: Some(val),
+                        a: Some(self.op_src(v)),
                         b: Some(OpSrc::Imm(RETVAL_ADDR as i32)),
                     };
                     let t = g.place_on(ready, lsu, [v.reg(), None], store);
@@ -430,8 +353,8 @@ impl<'m> VliwScheduler<'m> {
             }
         }
 
-        SchedBlock {
-            bundles: std::mem::take(&mut g.bundles),
+        Block {
+            insts: std::mem::take(&mut g.bundles),
             patches: std::mem::take(&mut g.patches),
         }
     }
@@ -453,7 +376,7 @@ impl<'m> VliwScheduler<'m> {
         // Long immediate for the target address.
         let (t_l, slot_l) = g.place_limm(min_limm, self.bt_reg, 0);
         g.patches.push(Patch {
-            cycle: t_l,
+            at: t_l,
             slot: slot_l,
             target,
         });

@@ -148,7 +148,7 @@ fn const_legalisation_preserves_semantics() {
                 if matches!(inst, tta_ir::Inst::Copy { .. }) {
                     continue;
                 }
-                for u in collect_imms(inst) {
+                for u in inst.operands().filter_map(tta_ir::Operand::imm) {
                     assert!(
                         (-32..32).contains(&u),
                         "case {case}: wide imm {u} left in {inst}"
@@ -157,29 +157,4 @@ fn const_legalisation_preserves_semantics() {
             }
         }
     }
-}
-
-fn collect_imms(inst: &tta_ir::Inst) -> Vec<i32> {
-    use tta_ir::{Inst, Operand};
-    let mut out = Vec::new();
-    let mut push = |o: &Operand| {
-        if let Operand::Imm(v) = o {
-            out.push(*v);
-        }
-    };
-    match inst {
-        Inst::Bin { a, b, .. } => {
-            push(a);
-            push(b);
-        }
-        Inst::Un { a, .. } => push(a),
-        Inst::Copy { src, .. } => push(src),
-        Inst::Load { addr, .. } => push(addr),
-        Inst::Store { value, addr, .. } => {
-            push(value);
-            push(addr);
-        }
-        Inst::Call { args, .. } => args.iter().for_each(push),
-    }
-    out
 }

@@ -50,20 +50,6 @@ fn try_candidate(
     }
 }
 
-/// Mutable slots of all register operands read by an instruction.
-fn reg_operands(i: &mut Inst) -> Vec<&mut Operand> {
-    let mut out: Vec<&mut Operand> = Vec::new();
-    match i {
-        Inst::Bin { a, b, .. } => out.extend([a, b]),
-        Inst::Un { a, .. } | Inst::Copy { src: a, .. } => out.push(a),
-        Inst::Load { addr, .. } => out.push(addr),
-        Inst::Store { value, addr, .. } => out.extend([value, addr]),
-        Inst::Call { args, .. } => out.extend(args.iter_mut()),
-    }
-    out.retain(|o| matches!(o, Operand::Reg(_)));
-    out
-}
-
 /// Resolve a jump target through chains of empty jump-only blocks.
 fn thread_target(f: &Function, mut b: BlockId) -> BlockId {
     let mut hops = 0;
@@ -257,12 +243,13 @@ pub fn shrink(module: &Module, reproduces: &dyn Fn(&Module) -> bool) -> Module {
                     // Accepting a candidate removes the slot from the
                     // reg-operand list, so only advance on rejection.
                     let mut oi = 0;
-                    while oi < reg_operands(&mut best.funcs[fi].blocks[bi].insts[ii]).len() {
+                    while oi < best.funcs[fi].blocks[bi].insts[ii].uses().count() {
                         if try_candidate(
                             &mut best,
                             |m| {
-                                let mut slots = reg_operands(&mut m.funcs[fi].blocks[bi].insts[ii]);
-                                *slots[oi] = Operand::Imm(0);
+                                let inst = &mut m.funcs[fi].blocks[bi].insts[ii];
+                                let mut regs = inst.operands_mut().filter(|o| o.reg().is_some());
+                                *regs.nth(oi).expect("a register operand") = Operand::Imm(0);
                             },
                             reproduces,
                         ) {

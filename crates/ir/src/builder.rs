@@ -217,18 +217,13 @@ impl FunctionBuilder {
     /// Emit a two-input ALU op into a fresh register.
     pub fn bin(&mut self, op: Opcode, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
         let dst = self.vreg();
-        self.bin_to(dst, op, a, b);
-        dst
-    }
-
-    /// Emit a two-input ALU op into an existing register (loop updates).
-    pub fn bin_to(&mut self, dst: VReg, op: Opcode, a: impl Into<Operand>, b: impl Into<Operand>) {
         self.emit(Inst::Bin {
             op,
             dst,
             a: a.into(),
             b: b.into(),
         });
+        dst
     }
 
     /// Emit a one-input ALU op into a fresh register.
@@ -261,19 +256,13 @@ impl FunctionBuilder {
     pub fn load(&mut self, op: Opcode, addr: impl Into<Operand>, region: MemRegion) -> VReg {
         assert!(op.is_load(), "{op} is not a load");
         let dst = self.vreg();
-        self.load_to(dst, op, addr, region);
-        dst
-    }
-
-    /// Emit a load into an existing register.
-    pub fn load_to(&mut self, dst: VReg, op: Opcode, addr: impl Into<Operand>, region: MemRegion) {
-        assert!(op.is_load(), "{op} is not a load");
         self.emit(Inst::Load {
             op,
             dst,
             addr: addr.into(),
             region,
         });
+        dst
     }
 
     /// Emit a store.

@@ -179,23 +179,50 @@ impl Inst {
         }
     }
 
-    /// The registers read by this instruction, in operand order (`a`
-    /// before `b`, a store's value before its address, call arguments
-    /// left to right). A register read twice is yielded twice.
-    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+    /// Where the defined register is written, if anything is.
+    pub fn def_mut(&mut self) -> Option<&mut VReg> {
+        match self {
+            Inst::Bin { dst, .. } | Inst::Un { dst, .. } | Inst::Copy { dst, .. } => Some(dst),
+            Inst::Load { dst, .. } => Some(dst),
+            Inst::Store { .. } => None,
+            Inst::Call { dst, .. } => dst.as_mut(),
+        }
+    }
+
+    /// The operands this instruction reads, in operand order: `a` before
+    /// `b`, a store's value before its address, call arguments left to
+    /// right. Every pass that walks operands goes through this or
+    /// [`operands_mut`](Inst::operands_mut), which yields the same slots in
+    /// the same order.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
         let (fixed, args): ([Option<Operand>; 2], &[Operand]) = match self {
             Inst::Bin { a, b, .. } => ([Some(*a), Some(*b)], &[]),
-            Inst::Un { a, .. } => ([Some(*a), None], &[]),
-            Inst::Copy { src, .. } => ([Some(*src), None], &[]),
-            Inst::Load { addr, .. } => ([Some(*addr), None], &[]),
+            Inst::Un { a, .. } | Inst::Copy { src: a, .. } | Inst::Load { addr: a, .. } => {
+                ([Some(*a), None], &[])
+            }
             Inst::Store { value, addr, .. } => ([Some(*value), Some(*addr)], &[]),
             Inst::Call { args, .. } => ([None, None], args),
         };
-        fixed
-            .into_iter()
-            .flatten()
-            .chain(args.iter().copied())
-            .filter_map(Operand::reg)
+        fixed.into_iter().flatten().chain(args.iter().copied())
+    }
+
+    /// The operand slots of [`operands`](Inst::operands), for rewriting.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        let (fixed, args): ([Option<&mut Operand>; 2], &mut [Operand]) = match self {
+            Inst::Bin { a, b, .. } => ([Some(a), Some(b)], &mut []),
+            Inst::Un { a, .. } | Inst::Copy { src: a, .. } | Inst::Load { addr: a, .. } => {
+                ([Some(a), None], &mut [])
+            }
+            Inst::Store { value, addr, .. } => ([Some(value), Some(addr)], &mut []),
+            Inst::Call { args, .. } => ([None, None], args),
+        };
+        fixed.into_iter().flatten().chain(args.iter_mut())
+    }
+
+    /// The registers read by this instruction, in operand order. A
+    /// register read twice is yielded twice.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.operands().filter_map(Operand::reg)
     }
 
     /// Whether this instruction touches memory.
@@ -275,15 +302,28 @@ impl Terminator {
         pair.into_iter().flatten()
     }
 
-    /// The register read by the terminator (a branch condition or a
-    /// returned value), if any.
-    pub fn uses(&self) -> impl Iterator<Item = VReg> {
-        let read = match *self {
+    /// The operand the terminator reads (a branch condition or a returned
+    /// value), if any.
+    pub fn operand(&self) -> Option<Operand> {
+        match *self {
             Terminator::Branch { cond, .. } => Some(cond),
             Terminator::Ret(v) => v,
             Terminator::Jump(_) => None,
-        };
-        read.and_then(Operand::reg).into_iter()
+        }
+    }
+
+    /// The slot of [`operand`](Terminator::operand), for rewriting.
+    pub fn operand_mut(&mut self) -> Option<&mut Operand> {
+        match self {
+            Terminator::Branch { cond, .. } => Some(cond),
+            Terminator::Ret(v) => v.as_mut(),
+            Terminator::Jump(_) => None,
+        }
+    }
+
+    /// The register read by the terminator, if any.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> {
+        self.operand().and_then(Operand::reg).into_iter()
     }
 }
 
@@ -329,6 +369,109 @@ mod tests {
         assert_eq!(s.def(), None);
         assert_eq!(s.uses().collect::<Vec<_>>(), vec![VReg(2), VReg(4)]);
         assert!(s.is_mem());
+    }
+
+    /// `operands_mut` and `def_mut` restate the layout `operands` and
+    /// `def` read, so they must name the same slots in the same order.
+    #[test]
+    fn mutable_walkers_name_the_slots_the_readers_read() {
+        let r = |n| Operand::Reg(VReg(n));
+        let (imm, region) = (Operand::Imm, MemRegion(1));
+        let cases = [
+            (
+                Inst::Bin {
+                    op: Opcode::Add,
+                    dst: VReg(20),
+                    a: r(1),
+                    b: imm(2),
+                },
+                vec![r(1), imm(2)],
+            ),
+            (
+                Inst::Un {
+                    op: Opcode::Sxhw,
+                    dst: VReg(20),
+                    a: r(3),
+                },
+                vec![r(3)],
+            ),
+            (
+                Inst::Copy {
+                    dst: VReg(20),
+                    src: imm(4),
+                },
+                vec![imm(4)],
+            ),
+            (
+                Inst::Load {
+                    op: Opcode::Ldw,
+                    dst: VReg(20),
+                    addr: r(5),
+                    region,
+                },
+                vec![r(5)],
+            ),
+            (
+                Inst::Store {
+                    op: Opcode::Stw,
+                    value: r(6),
+                    addr: imm(7),
+                    region,
+                },
+                vec![r(6), imm(7)],
+            ),
+            (
+                Inst::Call {
+                    func: FuncId(1),
+                    args: vec![r(8), imm(9), r(10)],
+                    dst: Some(VReg(20)),
+                },
+                vec![r(8), imm(9), r(10)],
+            ),
+        ];
+        for (mut i, want) in cases {
+            assert_eq!(i.operands().collect::<Vec<_>>(), want, "{i}");
+            let copied: Vec<Operand> = i.operands_mut().map(|o| *o).collect();
+            assert_eq!(copied, want, "{i}");
+            // Writing through each slot is what the reader then sees.
+            for (k, o) in i.operands_mut().enumerate() {
+                *o = imm(100 + k as i32);
+            }
+            let renumbered: Vec<Operand> = (0..want.len()).map(|k| imm(100 + k as i32)).collect();
+            assert_eq!(i.operands().collect::<Vec<_>>(), renumbered, "{i}");
+            let def = i.def();
+            assert_eq!(i.def_mut().map(|d| *d), def, "{i}");
+            if let Some(d) = i.def_mut() {
+                *d = VReg(30);
+                assert_eq!(i.def(), Some(VReg(30)), "{i}");
+            }
+        }
+
+        let terms = [
+            Terminator::Jump(BlockId(1)),
+            Terminator::Branch {
+                cond: r(1),
+                if_true: BlockId(1),
+                if_false: BlockId(2),
+            },
+            Terminator::Ret(Some(r(2))),
+            Terminator::Ret(None),
+        ];
+        for mut t in terms {
+            let uses: Vec<VReg> = t.uses().collect();
+            assert_eq!(
+                t.operand().and_then(Operand::reg),
+                uses.first().copied(),
+                "{t}"
+            );
+            let read = t.operand();
+            assert_eq!(t.operand_mut().map(|o| *o), read, "{t}");
+            if let Some(o) = t.operand_mut() {
+                *o = imm(5);
+                assert_eq!(t.operand(), Some(imm(5)), "{t}");
+                assert_eq!(t.uses().count(), 0, "{t}");
+            }
+        }
     }
 
     #[test]

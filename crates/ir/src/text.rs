@@ -217,8 +217,9 @@ fn parse_region(line: usize, tok: &str) -> Result<MemRegion, ParseError> {
     let rest = tok
         .strip_prefix('r')
         .ok_or_else(|| err(line, format!("expected region, got `{tok}`")))?;
-    let v = parse_u32(line, rest, "region")?;
-    Ok(MemRegion(v as u16))
+    rest.parse()
+        .map(MemRegion)
+        .map_err(|_| err(line, format!("bad region `{tok}`")))
 }
 
 fn parse_opcode(line: usize, tok: &str) -> Result<Opcode, ParseError> {
@@ -279,12 +280,15 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         if hex.len() % 2 != 0 {
             return Err(err(*ln, "odd-length hex data"));
         }
-        let mut bytes = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let b = u8::from_str_radix(&hex[i..i + 2], 16)
-                .map_err(|_| err(*ln, format!("bad hex byte `{}`", &hex[i..i + 2])))?;
-            bytes.push(b);
+        // Checked first, so every digit is one byte and the pairs below
+        // never split a character.
+        if let Some(bad) = hex.chars().find(|c| !c.is_ascii_hexdigit()) {
+            return Err(err(*ln, format!("bad hex digit `{bad}`")));
         }
+        let bytes = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits"))
+            .collect();
         data.push(DataInit { addr, bytes });
         pending = p.next_line();
     }
@@ -533,6 +537,30 @@ block
         let e = parse_module(text).unwrap_err();
         assert_eq!(e.line, 6);
         assert!(e.msg.contains("bogus"), "{e}");
+    }
+
+    #[test]
+    fn non_hex_data_is_an_error_not_a_panic() {
+        // `é` is two bytes: a byte-pair slice would split it.
+        let text = "module m\nmemsize 64\nentry 0\ndata 0 0\u{e9}0\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.msg.contains("hex"), "{e}");
+        // A sign is not a hex digit either, though `from_str_radix` takes it.
+        let e = parse_module("module m\nmemsize 64\nentry 0\ndata 0 +f\n").unwrap_err();
+        assert_eq!(e.line, 4);
+    }
+
+    #[test]
+    fn out_of_range_region_is_an_error_not_a_wrap() {
+        let text = "module m\nmemsize 64\nentry 0\nfunc main 0 ret 2\nblock\n  \
+                    load ldw v1 #0 r70000\n  ret v1\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert!(e.msg.contains("r70000"), "{e}");
+        let top = text.replace("r70000", "r65535");
+        let m = parse_module(&top).unwrap();
+        assert!(module_to_text(&m).contains("r65535"));
     }
 
     #[test]

@@ -280,40 +280,17 @@ pub fn find_recursion(m: &Module) -> Option<String> {
     None
 }
 
-/// Returns all immediate constants in the function (used by the compiler's
-/// constant legalisation and by tests).
+/// Every immediate operand in the function, block by block in operand
+/// order, each terminator's last (for tests of constant-rewriting passes).
 pub fn collect_immediates(f: &Function) -> Vec<i32> {
-    let mut v = Vec::new();
-    let mut push = |o: &Operand| {
-        if let Operand::Imm(c) = o {
-            v.push(*c);
-        }
-    };
-    for b in &f.blocks {
-        for inst in &b.insts {
-            match inst {
-                Inst::Bin { a, b, .. } => {
-                    push(a);
-                    push(b);
-                }
-                Inst::Un { a, .. } => push(a),
-                Inst::Copy { src, .. } => push(src),
-                Inst::Load { addr, .. } => push(addr),
-                Inst::Store { value, addr, .. } => {
-                    push(value);
-                    push(addr);
-                }
-                Inst::Call { args, .. } => args.iter().for_each(&mut push),
-            }
-        }
-        if let Some(Terminator::Branch { cond, .. }) = &b.term {
-            push(cond);
-        }
-        if let Some(Terminator::Ret(Some(o))) = &b.term {
-            push(o);
-        }
-    }
-    v
+    f.blocks
+        .iter()
+        .flat_map(|b| {
+            let term = b.term.as_ref().and_then(Terminator::operand);
+            b.insts.iter().flat_map(Inst::operands).chain(term)
+        })
+        .filter_map(Operand::imm)
+        .collect()
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ impl TtaInst {
     }
 
     /// Number of programmed moves.
-    pub fn move_count(&self) -> usize {
+    fn move_count(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 

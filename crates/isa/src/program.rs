@@ -407,7 +407,7 @@ fn validate_scalar(m: &Machine, insts: &[ScalarInst], errs: &mut Vec<IsaError>) 
 mod tests {
     use super::*;
     use crate::code::Move;
-    use tta_model::{presets, FuId, FuKind, Opcode, RfId};
+    use tta_model::{presets, FuId, Opcode, RfId};
 
     fn rr(rf: u16, i: u16) -> RegRef {
         RegRef {
@@ -521,7 +521,7 @@ mod tests {
     fn vliw_slot_unit_restriction() {
         let m = presets::m_vliw_2();
         // LSU op in slot 0 (which hosts ALU+CTRL) must be rejected.
-        let lsu = m.fu_ids().find(|&f| m.fu(f).kind == FuKind::Lsu).unwrap();
+        let lsu = m.lsu();
         let mut b = VliwBundle::nop(m.slots.len());
         b.slots[0] = Some(VliwSlot::Op(Operation {
             op: Opcode::Ldw,

@@ -189,6 +189,13 @@ impl Machine {
             .expect("validated machine has a control unit")
     }
 
+    /// The id of the (first) load/store unit.
+    pub fn lsu(&self) -> FuId {
+        self.fu_ids()
+            .find(|&id| self.fu(id).kind == FuKind::Lsu)
+            .expect("validated machine has a load/store unit")
+    }
+
     /// Function units able to execute the given opcode.
     pub fn units_for(&self, op: Opcode) -> impl Iterator<Item = FuId> + '_ {
         self.fu_ids().filter(move |&id| self.fu(id).supports(op))
@@ -625,6 +632,7 @@ mod tests {
         let cu = m.ctrl_unit();
         assert_eq!(m.fu(cu).kind, FuKind::Ctrl);
         assert!(m.fu(cu).supports(Opcode::Jump));
+        assert!(m.fu(m.lsu()).supports(Opcode::Stw));
     }
 
     #[test]
